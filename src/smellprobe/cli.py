@@ -64,7 +64,8 @@ def _build_parser() -> _Parser:
                       help=f"worker count (env {PARALLELISM_ENV} overrides)")
     scan.add_argument("--user-agent", default=None)
     scan.add_argument("--ca-bundle", default=None,
-                      help="extra PEM trust root (validation always stays on)")
+                      help="PEM trust roots used instead of the system store "
+                           "(validation always stays on)")
 
     diff = sub.add_parser("diff", help="classify changes between two snapshots")
     diff.add_argument("snapshots", nargs=2, metavar="SNAPSHOT")
@@ -261,8 +262,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if len(snapshots) == 2:
             records = diff_snapshots(primary, snapshots[1])
             write_maintenance_records(records, out_dir / "maintenance.jsonl", "jsonl")
+            # The first snapshot's count wins (it is read last); a URL new in
+            # the second snapshot takes its count from there.
             smell_counts = {
-                url: len(entry.report.findings) for url, entry in primary.entries.items()
+                url: len(entry.report.findings)
+                for snapshot in reversed(snapshots)
+                for url, entry in snapshot.entries.items()
             }
             matrix = reports_mod.correlate(smell_counts, records)
             reports_mod.export(matrix, out_dir / f"correlation.{ext}", args.format)

@@ -4,6 +4,12 @@ The transport sits directly on ``http.client`` so that response headers are
 captured in wire order (including repeats) and redirects are never followed
 implicitly.  Every exchange opens a fresh connection, sends a minimal header
 set, and closes; no cookies or connection state persist between exchanges.
+
+The TLS client context (the trust store and the validation settings) is the
+one exception: it is built once per ``ProbeConfig``, the first time an https
+exchange needs it, and shared by every worker, redirect hop and retry of the
+scan.  It carries no connection state: each exchange still does a full
+handshake on a fresh connection, with no session resumption.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import http.client
 import json
 import socket
 import ssl
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +43,11 @@ class Scheme(str, Enum):
     HTTPS = "https"
 
 
+# Serialises the first build of each config's TLS context, so that workers
+# racing to their first https exchange build it once, not once each.
+_TLS_CONTEXT_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Tunables for one probe run.
@@ -43,6 +55,10 @@ class ProbeConfig:
     ca_bundle is an optional PEM path used as the trust root instead of the
     system store (how tests pin their fixture certificate).  Certificate
     validation itself is always on and never downgraded.
+
+    tls_context is built from these settings on first https use and then
+    shared by all workers of the scan; connections and TLS sessions are still
+    fresh for every exchange.
     """
 
     connect_timeout: float = 10.0
@@ -70,6 +86,21 @@ class ProbeConfig:
             raise ValueError("retries must be >= 0")
         if self.max_redirects < 1:
             raise ValueError("max_redirects must be >= 1")
+
+    @property
+    def tls_context(self) -> ssl.SSLContext:
+        """The client context shared by every https exchange under this config.
+
+        Loading the trust store costs tens of milliseconds of CPU, so it is
+        done once and lazily: a dry run or a plain-http scan never pays it.
+        It is not a dataclass field, so it stays out of eq, hash and repr.
+        """
+        with _TLS_CONTEXT_LOCK:
+            context = self.__dict__.get("_tls_context")
+            if context is None:
+                context = ssl.create_default_context(cafile=self.ca_bundle)
+                object.__setattr__(self, "_tls_context", context)
+        return context
 
 
 @dataclass(frozen=True)
@@ -154,6 +185,17 @@ def _classify_exception(exc: BaseException) -> str:
     return f"error: {exc}"
 
 
+# Failures that a retry cannot mend: an untrusted certificate, a name that
+# does not resolve, a malformed URL.  Timeouts, resets, refusals and other
+# socket errors may be transient and are retried.
+_PERMANENT_ERRORS = (
+    ssl.SSLCertVerificationError,
+    socket.gaierror,
+    ValueError,
+    http.client.InvalidURL,
+)
+
+
 def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], bytes]:
     """One raw GET. Returns (status, wire-ordered headers, capped body)."""
     parts = urlsplit(url)
@@ -165,9 +207,8 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
         path = f"{path}?{parts.query}"
 
     if parts.scheme.lower() == "https":
-        context = ssl.create_default_context(cafile=cfg.ca_bundle)
         conn = http.client.HTTPSConnection(
-            host, parts.port, timeout=cfg.connect_timeout, context=context
+            host, parts.port, timeout=cfg.connect_timeout, context=cfg.tls_context
         )
     else:
         conn = http.client.HTTPConnection(host, parts.port, timeout=cfg.connect_timeout)
@@ -205,6 +246,8 @@ def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
             status, headers, body = _exchange(url, cfg)
         except Exception as exc:  # noqa: BLE001 - every transport fault becomes a reason string
             last_reason = _classify_exception(exc)
+            if isinstance(exc, _PERMANENT_ERRORS):
+                break
             if attempt < cfg.retries:
                 time.sleep(cfg.retry_backoff)
             continue

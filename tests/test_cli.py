@@ -181,3 +181,23 @@ def test_report_rejects_three_snapshots(tmp_path, healthy_endpoint, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["polish"]) == EXIT_USAGE
+
+
+def test_report_counts_url_new_in_second_snapshot(tmp_path, healthy_endpoint, endpoints, library):
+    newcomer = endpoints(library.profile("http_nginx_banner"))
+    corpus1 = write_corpus(tmp_path, [healthy_endpoint.url("/")], name="c1.csv")
+    corpus2 = write_corpus(
+        tmp_path, [healthy_endpoint.url("/"), newcomer.url("/")], name="c2.csv"
+    )
+    s1, s2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
+    assert run(scan_args(corpus1, s1)) == EXIT_OK
+    assert run(scan_args(corpus2, s2)) == EXIT_OK
+
+    out_dir = tmp_path / "reports"
+    code = run(["report", str(s1), str(s2), "--out-dir", str(out_dir), "--format", "json"])
+    assert code == EXIT_OK
+    rows = json.loads((out_dir / "correlation.json").read_text(encoding="utf-8"))["rows"]
+    spawned = [row for row in rows if row["scenario"] == "server_spawned"]
+    new_count = len(load(s2).entries[newcomer.url("/")].report.findings)
+    assert spawned == [{"scenario": "server_spawned", "smell_count": new_count, "urls": 1}]
+    assert sum(row["urls"] for row in rows) == 2

@@ -1,9 +1,16 @@
+import http.client
 import socket
+import ssl
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlsplit
 
 import pytest
 
+from smellprobe import probe
+from smellprobe.cli import EXIT_OK, run
 from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.probe import (
     BodyFormat,
@@ -319,3 +326,131 @@ class TestConfigAndBodyFormat:
         assert direct.status == first.status
         assert direct.headers == first.headers
         assert direct.body_sample == first.body_sample
+
+
+@pytest.fixture
+def context_builds(monkeypatch):
+    """Records the cafile of every TLS context built; each is still built for real."""
+    builds = []
+    real = ssl.create_default_context
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs.get("cafile"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", counting)
+    return builds
+
+
+class TestSharedTlsContext:
+    def test_one_context_per_scan(self, endpoints, context_builds):
+        routes = dict(hop_profile(3).routes)
+        routes["/slow"] = RouteSpec(status=200, body=b"late", delay=1.0)
+        ep = endpoints(FixtureProfile(name="tls-farm", schemes=("https",), routes=routes))
+        paths = ["/hop/1", "/hop/2", "/final", "/slow"]
+        corpus = [make_target(ep.url(p), app_id=f"a{i}") for i, p in enumerate(paths)]
+        cfg = fast_cfg(ca_bundle=ep.ca_file, parallelism=4, read_timeout=0.3, retries=1)
+        pairs = probe_all(corpus, cfg)
+        statuses = [chain.terminal.status for _, chain in pairs]
+        assert statuses == [200, 200, 200, None]
+        assert pairs[3][1].terminal.transport_error == "timeout"
+        # 4 + 3 + 1 chain exchanges and two attempts at /slow, one context.
+        assert len(ep.requests) == 10
+        assert context_builds == [ep.ca_file]
+
+    def test_http_only_scan_builds_no_context(self, endpoints, context_builds):
+        ep = endpoints(hop_profile(2))
+        corpus = [make_target(ep.url("/hop/1"), app_id="a"), make_target(ep.url("/final"))]
+        pairs = probe_all(corpus, fast_cfg(parallelism=2))
+        assert [chain.terminal.status for _, chain in pairs] == [200, 200]
+        assert context_builds == []
+
+    def test_dry_run_builds_no_context(self, tmp_path, endpoints, library, context_builds):
+        ep = endpoints(library.profile("https_no_hsts"))
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            f"url,app_id,source_model,declared_format\n{ep.url('/')},app-0,open_source,\n",
+            encoding="utf-8",
+        )
+        args = ["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl"),
+                "--ca-bundle", ep.ca_file, "--dry-run"]
+        assert run(args) == EXIT_OK
+        assert context_builds == []
+        assert ep.requests == []
+
+    def test_ca_bundle_replaces_system_store(self, endpoints, library):
+        ep = endpoints(library.profile("https_no_hsts"))
+        cfg = fast_cfg(ca_bundle=ep.ca_file)
+        context = cfg.tls_context
+        # The fixture certificate is a self-signed leaf, so OpenSSL files it
+        # under x509, not x509_ca; no system root (all of them CAs) is loaded.
+        stats = context.cert_store_stats()
+        assert (stats["x509"], stats["x509_ca"]) == (1, 0)
+        assert context.verify_mode is ssl.CERT_REQUIRED
+        assert context.check_hostname
+        assert cfg.tls_context is context
+        assert probe_once(make_target(ep.url("/")), cfg).status == 200
+
+    def test_racing_workers_build_one_context(self, context_builds):
+        cfg = fast_cfg()
+        workers = 8
+        start = threading.Barrier(workers, timeout=10)
+
+        def first_use(_):
+            start.wait()
+            return cfg.tls_context
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                contexts = list(pool.map(first_use, range(workers), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert context_builds == [None]
+        assert all(context is contexts[0] for context in contexts)
+
+    def test_context_stays_out_of_config_identity(self, endpoints, library):
+        ep = endpoints(library.profile("https_no_hsts"))
+        used, fresh = fast_cfg(ca_bundle=ep.ca_file), fast_cfg(ca_bundle=ep.ca_file)
+        assert used.tls_context is not fresh.tls_context
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert "context" not in repr(used)
+
+
+class TestRetries:
+    def test_untrusted_certificate_not_retried(self, endpoints, library):
+        ep = endpoints(library.profile("https_no_hsts"))
+        started = time.monotonic()
+        cfg = fast_cfg(retries=2, retry_backoff=0.5)
+        result = probe_once(make_target(ep.url("/")), cfg)
+        assert time.monotonic() - started < 0.5
+        assert result.transport_error == "tls handshake failure"
+
+    @pytest.mark.parametrize(
+        "exc, attempts",
+        [
+            (ssl.SSLCertVerificationError("untrusted"), 1),
+            (socket.gaierror(-2, "Name or service not known"), 1),
+            (ValueError("url has no host"), 1),
+            (http.client.InvalidURL("nonnumeric port"), 1),
+            (socket.timeout("timed out"), 3),
+            (ConnectionResetError(), 3),
+            (ConnectionRefusedError(), 3),
+            (OSError("network unreachable"), 3),
+            (ssl.SSLError("handshake"), 3),
+        ],
+    )
+    def test_only_transient_errors_retried(self, monkeypatch, exc, attempts):
+        calls = []
+
+        def failing(url, cfg):
+            calls.append(url)
+            raise exc
+
+        monkeypatch.setattr(probe, "_exchange", failing)
+        cfg = fast_cfg(retries=2, retry_backoff=0.01)
+        result = probe_once(make_target("http://127.0.0.1:1/"), cfg)
+        assert len(calls) == attempts
+        assert result.transport_error == probe._classify_exception(exc)
