@@ -103,6 +103,14 @@ def _probe_config(args: argparse.Namespace) -> ProbeConfig:
     }
     if args.user_agent:
         kwargs["user_agent"] = args.user_agent
+    if args.ca_bundle is not None:
+        # Checked here, not when the first https exchange loads it, so a bad
+        # path fails the scan once instead of failing every https URL.
+        try:
+            with open(args.ca_bundle, "rb"):
+                pass
+        except OSError as exc:
+            raise UsageError(f"--ca-bundle {args.ca_bundle}: {exc.strerror or exc}") from None
     try:
         return ProbeConfig(**kwargs)
     except ValueError as exc:

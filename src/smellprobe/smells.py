@@ -118,36 +118,95 @@ def _load_json(name: str) -> dict:
         return json.load(fh)
 
 
+def _fold(text: str) -> str:
+    """The body as a case-insensitive gate sees it (see framework_patterns.json)."""
+    return text.lower().replace("\u017f", "s")
+
+
+_PHP_LOCATION = ".php on line "
+
+
+def _php_error_line(text: str, anchor: str) -> str | None:
+    r"""The first match of ``anchor + r".+ in .+\.php on line \d+"``, in linear time.
+
+    The regex itself backtracks cubically on a line of repeated
+    ``"<anchor>x in "``.  It matches only within one line, and it matches
+    from an anchor exactly when it matches from the first anchor on that
+    line, so each line is checked once.  Its greedy ``.+`` runs make the
+    match end at the last ``.php on line <digits>`` of the line that leaves
+    room for `` in `` after the anchor.
+    """
+    start = text.find(anchor)
+    while start >= 0:
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        rest = start + len(anchor)
+        # The last location on the line with a digit after it (end - 1 keeps
+        # that digit on the line), then " in " between it and the anchor,
+        # with at least one character on either side.
+        location = text.rfind(_PHP_LOCATION, rest, end - 1)
+        while location >= 0 and not text[location + len(_PHP_LOCATION)].isdecimal():
+            location = text.rfind(_PHP_LOCATION, rest, location + len(_PHP_LOCATION) - 1)
+        if location >= 0 and text.find(" in ", rest + 1, location - 1) >= 0:
+            stop = location + len(_PHP_LOCATION)
+            while stop < end and text[stop].isdecimal():
+                stop += 1
+            return text[start:stop]
+        start = text.find(anchor, end)
+    return None
+
+
 @dataclass(frozen=True)
 class _FrameworkPattern:
+    """One marker; ``gate`` is a literal that every match contains.
+
+    The gate is tested first, so a regex runs only on a body that holds it:
+    a failing regex search costs a match attempt at every position.  A
+    case-insensitive regex tests its gate against the folded body.
+    """
+
     framework: str
-    matcher: re.Pattern | None
-    literal: str | None
+    kind: str  # literal | regex | php_error
+    marker: str
+    gate: str
     specificity: int
     order: int
+    matcher: re.Pattern | None = None
 
-    def search(self, text: str) -> str | None:
-        if self.literal is not None:
-            return self.literal if self.literal in text else None
+    @property
+    def case_insensitive(self) -> bool:
+        return self.matcher is not None and bool(self.matcher.flags & re.IGNORECASE)
+
+    def search(self, text: str, folded: str) -> str | None:
+        if self.gate not in (folded if self.case_insensitive else text):
+            return None
+        if self.kind == "literal":
+            return self.marker
+        if self.kind == "php_error":
+            return _php_error_line(text, self.marker)
         assert self.matcher is not None
         match = self.matcher.search(text)
         return match.group(0) if match else None
 
 
-def _load_framework_patterns() -> tuple[_FrameworkPattern, ...]:
-    table = _load_json("framework_patterns.json")
+def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
     patterns = []
     for order, entry in enumerate(table["patterns"]):
-        if entry["kind"] == "literal":
-            patterns.append(
-                _FrameworkPattern(entry["framework"], None, entry["marker"], entry["specificity"], order)
+        kind, marker = entry["kind"], entry["marker"]
+        if kind == "regex" and not entry.get("gate"):
+            raise ValueError(f"framework pattern {order} ({marker!r}): a regex needs a gate")
+        patterns.append(
+            _FrameworkPattern(
+                framework=entry["framework"],
+                kind=kind,
+                marker=marker,
+                gate=entry["gate"] if kind == "regex" else marker,
+                specificity=entry["specificity"],
+                order=order,
+                matcher=re.compile(marker) if kind == "regex" else None,
             )
-        else:
-            patterns.append(
-                _FrameworkPattern(
-                    entry["framework"], re.compile(entry["marker"]), None, entry["specificity"], order
-                )
-            )
+        )
     return tuple(patterns)
 
 
@@ -167,7 +226,7 @@ def _load_body_banners() -> tuple[_BodyBanner, ...]:
     )
 
 
-FRAMEWORK_PATTERNS = _load_framework_patterns()
+FRAMEWORK_PATTERNS = _framework_patterns(_load_json("framework_patterns.json"))
 BODY_BANNERS = _load_body_banners()
 
 
@@ -195,12 +254,16 @@ def detect_source_code_disclosure(result: ProbeResult) -> SmellFinding | None:
     Attribution picks the most specific matching pattern; ties break by
     table order, so framework markers beat generic crash vocabulary.
     """
-    if not result.body_sample:
+    return _source_code_disclosure(result, _decode_body(result.body_sample))
+
+
+def _source_code_disclosure(result: ProbeResult, text: str) -> SmellFinding | None:
+    if not text:
         return None
-    text = _decode_body(result.body_sample)
+    folded = _fold(text)
     best: tuple[int, int, str, str] | None = None  # (-specificity, order, framework, excerpt)
     for pattern in FRAMEWORK_PATTERNS:
-        matched = pattern.search(text)
+        matched = pattern.search(text, folded)
         if matched is None:
             continue
         key = (-pattern.specificity, pattern.order)
@@ -255,6 +318,12 @@ def detect_version_disclosure(
     Returns the finding together with every leak record extracted from the
     matched banners; version records exist only when a finding exists.
     """
+    return _version_disclosure(result, _decode_body(result.body_sample))
+
+
+def _version_disclosure(
+    result: ProbeResult, text: str
+) -> tuple[SmellFinding | None, list[LeakRecord]]:
     evidence: list[tuple[Locus, str]] = []
     subflags: set[str] = set()
     leaks: list[LeakRecord] = []
@@ -266,8 +335,7 @@ def detect_version_disclosure(
         evidence.append(_evidence(Locus.HEADER, f"{name}: {value}"))
         leaks.extend(_leaks_from_parse(parse_banner(value), name))
 
-    if result.body_sample:
-        text = _decode_body(result.body_sample)
+    if text:
         for matched, parsed in _body_banner_hits(text):
             subflags.add("body_banner")
             evidence.append(_evidence(Locus.BODY, matched))
@@ -478,16 +546,17 @@ def detect_all(
 ) -> SmellReport:
     """Run all six detectors in their fixed order and collect the report."""
     findings: list[SmellFinding] = []
+    text = _decode_body(result.body_sample)
 
     finding = detect_insecure_transport(target)
     if finding:
         findings.append(finding)
 
-    finding = detect_source_code_disclosure(result)
+    finding = _source_code_disclosure(result, text)
     if finding:
         findings.append(finding)
 
-    finding, leaks = detect_version_disclosure(result)
+    finding, leaks = _version_disclosure(result, text)
     if finding:
         findings.append(finding)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -198,7 +199,22 @@ def serialize(snapshot: Snapshot) -> str:
 
 
 def save(snapshot: Snapshot, path: str | Path) -> None:
-    Path(path).write_text(serialize(snapshot), encoding="utf-8")
+    """Write the snapshot so that a crash leaves either the old file or the new one.
+
+    The text goes to a temporary file beside ``path``, which then replaces
+    it; a failed write removes the temporary file and leaves ``path`` as it
+    was.
+    """
+    path = Path(path)
+    text = serialize(snapshot)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with temporary.open("x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load(path: str | Path) -> Snapshot:

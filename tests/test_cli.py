@@ -77,6 +77,19 @@ def test_dry_run_lists_without_probing(tmp_path, healthy_endpoint, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+@pytest.mark.parametrize("bundle", ["missing.pem", "."])
+def test_unreadable_ca_bundle_is_usage_error(tmp_path, endpoints, library, capsys, bundle):
+    ep = endpoints(library.profile("https_no_hsts"))
+    corpus = write_corpus(tmp_path, [ep.url("/"), ep.url("/other")])
+    path = str(tmp_path / bundle)
+    out = tmp_path / "s.jsonl"
+    code = run(scan_args(corpus, out, extra=["--ca-bundle", path]))
+    assert code == EXIT_USAGE
+    assert path in capsys.readouterr().err
+    assert ep.requests == []
+    assert not out.exists()
+
+
 def test_scan_writes_rejects_file(tmp_path, healthy_endpoint, capsys):
     path = tmp_path / "corpus.csv"
     path.write_text(

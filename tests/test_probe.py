@@ -378,6 +378,21 @@ class TestSharedTlsContext:
         assert context_builds == []
         assert ep.requests == []
 
+    def test_http_scan_with_ca_bundle_builds_no_context(self, tmp_path, endpoints, library,
+                                                        context_builds):
+        bundle = endpoints(library.profile("https_no_hsts")).ca_file
+        ep = endpoints(hop_profile(1))
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            f"url,app_id,source_model,declared_format\n{ep.url('/final')},app-0,open_source,\n",
+            encoding="utf-8",
+        )
+        args = ["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl"),
+                "--ca-bundle", bundle, "--retries", "0"]
+        assert run(args) == EXIT_OK
+        assert context_builds == []
+        assert len(ep.requests) == 1
+
     def test_ca_bundle_replaces_system_store(self, endpoints, library):
         ep = endpoints(library.profile("https_no_hsts"))
         cfg = fast_cfg(ca_bundle=ep.ca_file)

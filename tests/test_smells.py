@@ -1,8 +1,14 @@
+import json
+import re
+import time
+from importlib import resources
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smellprobe.probe import RedirectChain
 from smellprobe.smells import (
+    FRAMEWORK_PATTERNS,
     SUBFLAG_VOCABULARY,
     LeakCategory,
     Locus,
@@ -15,6 +21,9 @@ from smellprobe.smells import (
     detect_missing_https_redirect,
     detect_source_code_disclosure,
     detect_version_disclosure,
+    _excerpt,
+    _fold,
+    _framework_patterns,
 )
 
 from helpers import direct_chain, make_result, make_target
@@ -97,6 +106,158 @@ class TestSourceCodeDisclosure:
             http_result(status=200, body=b"<html><body>All services nominal.</body></html>")
         )
         assert finding is None
+
+
+# The PHP markers as regexes, the form they had before php_error replaced them.
+_PHP_REGEXES = {
+    "Warning: ": re.compile(r"Warning: .+ in .+\.php on line \d+"),
+    "Fatal error: ": re.compile(r"Fatal error: .+ in .+\.php on line \d+"),
+}
+
+
+def _ungated(pattern, text):
+    """What a table entry finds when its regex runs on every body, gate or not."""
+    if pattern.kind == "literal":
+        return pattern.marker if pattern.marker in text else None
+    matcher = _PHP_REGEXES[pattern.marker] if pattern.kind == "php_error" else pattern.matcher
+    match = matcher.search(text)
+    return match.group(0) if match else None
+
+
+_RAW_TABLE = json.loads(
+    resources.files("smellprobe.data").joinpath("framework_patterns.json").read_text(encoding="utf-8")
+)["patterns"]
+# Regex syntax Python 3.10 lacks: atomic groups and possessive quantifiers.
+_PY311_SYNTAX = re.compile(r"\(\?>|(?<!\\)[*+?}]\+")
+
+_GATES = [pattern.gate for pattern in FRAMEWORK_PATTERNS]
+# IGNORECASE takes U+017F for "s", U+212A for "k", and U+0130 and U+0131 for "i".
+_GATE_ALPHABET = "".join(sorted({*"".join(_GATES), *"\u017f\u212a\u0130\u0131 \n\t0123456789"}))
+_FRAGMENTS = sorted({
+    *_GATES,
+    "STACK", "Stack", "\u017ftack", "STAC\u212a", "Unhandled", "UNHANDLED", "unhandled",
+    " trace", "TRACE", "trace", "stacktrace", "stack trace", " exception", " Exception",
+    "Exception", "Error", " in ", ".php on line ", "#12 ", "(12):", "at ", "  at ", "(", ")",
+    ".js:1:2", "Foo.java:42", "a$b.c", "/_cpwsgi.py", "\\_cpx.py", "Lang", "\n", " ", "\t",
+    "7", "\u0663", "\u00b2",
+})
+# Short matches of every regex and php_error entry, in the case variants
+# IGNORECASE accepts: a gate that one of them lacks is wrong.
+_SHORT_MATCHES = [
+    "cherrypy/_cpx.py", "cherrypy\\_cpx.py", "at $(_.java:0)", "java.lang.XError",
+    "at x(node_modules/.js:1:2)", "at Object.<anonymous>", "#0 x.php(1):", "Uncaught Error.php",
+    "Uncaught exception.php", "stacktrace", "Stack Trace", "\u017ftack trace", "STAC\u212a TRACE",
+    "unhandled exception", "UNHANDLED EXCEPTION", "Unhandled except\u0131on",
+    "Warning: x in y.php on line 1", "Fatal error: x in y.php on line 1",
+]
+_BODIES = st.lists(
+    st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.sampled_from(_SHORT_MATCHES).map(lambda match: "\n" + match),
+        st.text(_GATE_ALPHABET, max_size=4),
+    ),
+    max_size=60,
+).map("".join)
+
+# Lines of PHP-error parts; at most 8 lines of 16 fragments of at most 13
+# characters keep an input under 2 KB, where the cubic PHP regexes still
+# finish quickly.  U+0663 is a digit that \d takes and U+00B2 one that it
+# does not.
+_PHP_LINES = st.lists(
+    st.one_of(
+        st.sampled_from(["Warning: ", "Fatal error: "]),
+        st.just(" in "),
+        st.just(".php on line "),
+        st.sampled_from([".php", "in", "x", " ", "\r", "7", "42", "\u0663", "\u00b2"]),
+    ),
+    max_size=16,
+).map("".join)
+_PHP_BODIES = st.lists(_PHP_LINES, max_size=8).map("\n".join)
+
+# CPU seconds allowed for one 256 KB body.  Recorded: the whole table takes
+# 3-15 ms on these bodies on a 2-CPU host, while the PHP regexes took 1.2 s
+# on 8.4 KB of "Warning: x in " and grow cubically.
+_ADVERSARIAL_BUDGET_S = 0.5
+
+
+class TestFrameworkTable:
+    def test_table_lint(self):
+        for entry in _RAW_TABLE:
+            assert entry["kind"] in ("literal", "regex", "php_error"), entry
+            if entry["kind"] != "regex":
+                continue
+            assert isinstance(entry.get("gate"), str) and entry["gate"], entry
+            compiled = re.compile(entry["marker"])
+            assert not _PY311_SYNTAX.search(entry["marker"]), entry
+            if compiled.flags & re.IGNORECASE:
+                assert entry["gate"] == _fold(entry["gate"]), entry
+                assert "i" not in entry["gate"], entry
+
+    def test_loader_rejects_ungated_regex(self):
+        table = {"patterns": [{"framework": "php", "kind": "regex", "marker": "x+", "specificity": 1}]}
+        with pytest.raises(ValueError, match="gate"):
+            _framework_patterns(table)
+
+    def test_folding_keeps_case_insensitive_gates_necessary(self):
+        # Every character IGNORECASE takes for a gate letter folds to that letter.
+        letters = sorted({c for p in FRAMEWORK_PATTERNS if p.case_insensitive for c in p.gate})
+        assert letters
+        every_char = "".join(map(chr, range(0x110000)))
+        for letter in letters:
+            same = {m.group(0) for m in re.finditer("(?i)" + re.escape(letter), every_char)}
+            assert {_fold(c) for c in same} == {letter}, sorted(same)
+
+    @pytest.mark.parametrize("match", _SHORT_MATCHES)
+    def test_gates_keep_short_matches(self, match):
+        matched = [p for p in FRAMEWORK_PATTERNS if p.kind != "literal" and _ungated(p, match)]
+        assert matched
+        for pattern in matched:
+            assert pattern.search(match, _fold(match)) == _ungated(pattern, match), pattern.marker
+
+    @settings(max_examples=400, deadline=None)
+    @given(_BODIES)
+    def test_gated_table_matches_ungated(self, text):
+        folded = _fold(text)
+        hits = []
+        for pattern in FRAMEWORK_PATTERNS:
+            expected = _ungated(pattern, text)
+            assert pattern.search(text, folded) == expected, pattern.marker
+            if expected is not None:
+                hits.append((-pattern.specificity, pattern.order, pattern.framework, expected))
+        finding = detect_source_code_disclosure(http_result(status=500, body=text.encode()))
+        if not hits:
+            assert finding is None
+        else:
+            _, _, framework, matched = min(hits)
+            assert finding.subflags == {framework}
+            assert finding.evidence == ((Locus.BODY, _excerpt(matched)),)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PHP_BODIES)
+    @example("Warning: x in .php on line 7")
+    @example("Warning:  in a.php on line 7")
+    @example("Warning: a in b.php on line 7 in c.php on line 42x")
+    @example("Warning: a in b.php on line x in c.php on line \u0663\u00b2")
+    @example("Warning: a in b.php on line \nWarning: c in d.php on line 9")
+    @example("Fatal error: a in b.php on line 7 Warning: c in d.php on line 8")
+    def test_php_error_matches_old_regex(self, text):
+        for pattern in FRAMEWORK_PATTERNS:
+            if pattern.kind == "php_error":
+                assert pattern.search(text, _fold(text)) == _ungated(pattern, text), pattern.marker
+
+    @pytest.mark.parametrize(
+        "unit",
+        ["Warning: x in ", "Fatal error: x in ", "Warning: x in .php on line x",
+         "Fatal error: a in .php on line \n"],
+    )
+    def test_php_errors_linear_on_adversarial_body(self, unit):
+        size = 256 * 1024
+        body = (unit * (size // len(unit) + 1))[:size].encode()
+        start = time.process_time()
+        finding = detect_source_code_disclosure(http_result(status=500, body=body))
+        elapsed = time.process_time() - start
+        assert finding is None
+        assert elapsed < _ADVERSARIAL_BUDGET_S
 
 
 class TestVersionDisclosure:

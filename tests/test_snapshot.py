@@ -1,3 +1,4 @@
+import os
 import socket
 
 import pytest
@@ -58,6 +59,26 @@ def test_two_saves_byte_identical(tmp_path):
 
 def test_equal_snapshots_serialize_identically():
     assert serialize(sample_snapshot()) == serialize(sample_snapshot())
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch, failure):
+    path = tmp_path / "s.smellsnap.jsonl"
+    save(sample_snapshot(), path)
+    before = path.read_bytes()
+    if failure == "write":
+        # The text is long enough to be mid-file when encoding it fails.
+        monkeypatch.setattr("smellprobe.snapshot.serialize", lambda snap: "x" * 100_000 + "\udc80")
+        expected = UnicodeEncodeError
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        expected = OSError
+    with pytest.raises(expected):
+        save(build_snapshot({}, "other"), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_truncated_file_names_bad_record(tmp_path):
