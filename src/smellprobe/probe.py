@@ -133,23 +133,63 @@ class ProbeResult:
     def ok(self) -> bool:
         return self.status is not None
 
+    @property
+    def redirect_location(self) -> str | None:
+        """The Location value when this is a followable 3xx, else None."""
+        location = self.first_header("location") if self.status in range(300, 400) else None
+        return location if location and location.strip() else None
+
 
 @dataclass(frozen=True)
 class RedirectChain:
-    """Manually followed redirects: 3xx hops plus the terminal exchange."""
+    """Every exchange of one probe in request order; never empty.
 
-    hops: tuple[tuple[str, int, str], ...]
-    terminal: ProbeResult
-    loop_detected: bool
-    downgrade_hops: int
-    chain_length: int
+    Each exchange after the first follows the Location of the one before.
+    The last exchange is a redirect too when following stopped at a loop,
+    at max_redirects, or at a Location that does not parse or leads off
+    the web.  Hops, loop and downgrades are derived from the exchanges.
+    """
+
+    exchanges: tuple[ProbeResult, ...]
+
+    def __post_init__(self) -> None:
+        if not self.exchanges:
+            raise ValueError("a redirect chain has at least one exchange")
+        if any(e.target != self.exchanges[0].target for e in self.exchanges):
+            raise ValueError("every exchange of a chain probes the same target")
+
+    @property
+    def result(self) -> ProbeResult:
+        return self.exchanges[0]
+
+    @property
+    def terminal(self) -> ProbeResult:
+        return self.exchanges[-1]
+
+    @property
+    def hops(self) -> tuple[ProbeResult, ...]:
+        """The exchanges that answered with a followable redirect."""
+        return tuple(e for e in self.exchanges if e.redirect_location is not None)
+
+    @property
+    def chain_length(self) -> int:
+        return len(self.hops)
+
+    @property
+    def loop_detected(self) -> bool:
+        """The last exchange redirects and its URL was requested before."""
+        last = self.terminal
+        return last.redirect_location is not None and last.url in self.requested_urls()[:-1]
+
+    @property
+    def downgrade_hops(self) -> int:
+        """How many https requests were followed by an http one."""
+        schemes = [e.scheme_used for e in self.exchanges]
+        return sum(a is Scheme.HTTPS and b is Scheme.HTTP for a, b in zip(schemes, schemes[1:]))
 
     def requested_urls(self) -> tuple[str, ...]:
         """Every URL an exchange was issued to, in order."""
-        urls = [url for url, _, _ in self.hops]
-        if not urls or urls[-1] != self.terminal.url:
-            urls.append(self.terminal.url)
-        return tuple(urls)
+        return tuple(e.url for e in self.exchanges)
 
 
 def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
@@ -168,8 +208,6 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
 def _classify_exception(exc: BaseException) -> str:
     if isinstance(exc, socket.gaierror):
         return "dns failure"
-    if isinstance(exc, ssl.SSLCertVerificationError):
-        return "tls handshake failure"
     if isinstance(exc, ssl.SSLError):
         return "tls handshake failure"
     if isinstance(exc, ConnectionRefusedError):
@@ -276,89 +314,30 @@ def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
     )
 
 
-def probe_once(target: ProbeTarget, cfg: ProbeConfig) -> ProbeResult:
-    """Issue a single GET against the target URL. Never follows redirects."""
-    return _probe_url(target, target.url, cfg)
-
-
-def _is_redirect(result: ProbeResult) -> str | None:
-    """Location value when this result is a followable 3xx, else None."""
-    if result.status is None or not (300 <= result.status < 400):
-        return None
-    location = result.first_header("location")
-    if not location or not location.strip():
-        return None
-    return location
-
-
-def follow_chain(target: ProbeTarget, cfg: ProbeConfig) -> RedirectChain:
-    """Manually follow Location headers starting from the target URL.
-
-    Stops at the first non-3xx response, at max_redirects hops, or right
-    after a request URL repeats (loop).  Every https->http transition in
-    the requested-URL sequence counts as a downgrade hop.
-    """
-    _, chain = probe_and_follow(target, cfg)
-    return chain
-
-
 def probe_and_follow(target: ProbeTarget, cfg: ProbeConfig) -> tuple[ProbeResult, RedirectChain]:
-    """The initial exchange plus the chain built from it, probing each URL once."""
-    hops: list[tuple[str, int, str]] = []
-    visited: set[str] = set()
-    current = target.url
-    first: ProbeResult | None = None
-    loop_detected = False
+    """Probe the target URL and follow its Location headers by hand.
 
+    Following stops at the first exchange that is not a followable 3xx,
+    after max_redirects redirects, right after a request URL repeats (a
+    loop), or at a Location that does not parse or leads off the web.
+    Returns the first exchange and the whole chain.
+    """
+    exchanges = [_probe_url(target, target.url, cfg)]
     while True:
-        result = _probe_url(target, current, cfg)
-        if first is None:
-            first = result
-        location = _is_redirect(result)
-        if location is None:
-            terminal = result
-            break
-        assert result.status is not None
-        hops.append((current, result.status, location))
-        if current in visited:
-            loop_detected = True
-            terminal = result
-            break
-        visited.add(current)
-        if len(hops) >= cfg.max_redirects:
-            terminal = result
+        chain = RedirectChain(tuple(exchanges))
+        location = chain.terminal.redirect_location
+        if location is None or chain.loop_detected or len(exchanges) >= cfg.max_redirects:
             break
         try:
-            current = urljoin(current, location.strip())
-            next_scheme = urlsplit(current).scheme.lower()
+            url = urljoin(chain.terminal.url, location.strip())
+            scheme = urlsplit(url).scheme.lower()
         except ValueError:
-            terminal = result
             break
-        if next_scheme not in ("http", "https"):
+        if scheme not in ("http", "https"):
             # Location points off the web (e.g. ftp:); the chain ends here.
-            terminal = result
             break
-
-    chain = RedirectChain(
-        hops=tuple(hops),
-        terminal=terminal,
-        loop_detected=loop_detected,
-        downgrade_hops=_count_downgrades([u for u, _, _ in hops], terminal.url),
-        chain_length=len(hops),
-    )
-    return first, chain
-
-
-def _count_downgrades(hop_urls: list[str], terminal_url: str) -> int:
-    urls = list(hop_urls)
-    if not urls or urls[-1] != terminal_url:
-        urls.append(terminal_url)
-    schemes = [urlsplit(u).scheme.lower() for u in urls]
-    return sum(
-        1
-        for previous, following in zip(schemes, schemes[1:])
-        if previous == "https" and following == "http"
-    )
+        exchanges.append(_probe_url(target, url, cfg))
+    return chain.result, chain
 
 
 def probe_all(

@@ -402,9 +402,9 @@ def detect_lack_of_access_control(
 def _chain_urls(chain: RedirectChain) -> list[str]:
     """Every URL the chain touched: requests plus resolved Location targets."""
     urls = list(chain.requested_urls())
-    for hop_url, _, location in chain.hops:
+    for hop in chain.hops:
         try:
-            urls.append(urljoin(hop_url, location))
+            urls.append(urljoin(hop.url, hop.redirect_location))
         except ValueError:
             continue
     return urls
@@ -434,7 +434,7 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
 
     if chain.loop_detected:
         subflags.add("loop")
-        evidence.append(_evidence(Locus.CHAIN, f"redirect loop: {chain.hops[-1][0]} revisited"))
+        evidence.append(_evidence(Locus.CHAIN, f"redirect loop: {chain.terminal.url} revisited"))
     if chain.chain_length > REDIRECT_CHAIN_THRESHOLD:
         subflags.add("excessive_chain")
         evidence.append(

@@ -1,10 +1,13 @@
 """Snapshot persistence: one scan run serialized as canonical JSONL.
 
-Line 1 is a header record ``{entries, id, taken_at, tool_version}``; each
-following line holds one URL's probe result, redirect chain, and smell
-report.  Entries are sorted by URL and every object is dumped with sorted
-keys, so equal snapshots serialize to byte-identical files.  Loading is a
-pure file parse; it never touches the network.
+Line 1 is a header record ``{entries, id, schema, taken_at, tool_version}``;
+each following line is one URL's record ``{url, result, redirects, report}``:
+the first exchange with its target, each later exchange of the redirect
+chain, and the smell report.  No exchange is stored twice and nothing
+derived from the chain is stored.  Entries are sorted by URL and objects
+are dumped with sorted keys, so equal snapshots are byte-identical files.
+``load`` also reads schema 1 (see ``_v1_chain``); it never touches the
+network.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import base64
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .corpus import DeclaredFormat, ProbeTarget, SourceModel
 from .probe import TOOL_VERSION, BodyFormat, ProbeResult, RedirectChain, Scheme
@@ -25,11 +29,18 @@ class SnapshotIntegrityError(Exception):
     """Raised when a snapshot file is corrupt; names the first bad record."""
 
 
+SCHEMA = 2  # what serialize() writes; load() also reads schema 1
+
+
 @dataclass(frozen=True)
 class SnapshotEntry:
     result: ProbeResult
     chain: RedirectChain
     report: SmellReport
+
+    def __post_init__(self) -> None:
+        if self.result != self.chain.result:
+            raise ValueError("result must be the first exchange of the chain")
 
 
 @dataclass(frozen=True)
@@ -48,10 +59,6 @@ class Snapshot:
 
 def _iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat()
-
-
-def _parse_ts(text: str) -> datetime:
-    return datetime.fromisoformat(text)
 
 
 def _target_to_dict(target: ProbeTarget) -> dict:
@@ -74,24 +81,24 @@ def _target_from_dict(data: dict) -> ProbeTarget:
 
 
 def _result_to_dict(result: ProbeResult) -> dict:
+    """One exchange without its target, which the record stores once."""
     return {
         "body_b64": base64.b64encode(result.body_sample).decode("ascii"),
         "body_format": result.body_format.value,
         "headers": [[n, v] for n, v in result.headers],
         "scheme_used": result.scheme_used.value,
         "status": result.status,
-        "target": _target_to_dict(result.target),
         "timestamp": _iso(result.timestamp),
         "transport_error": result.transport_error,
         "url": result.url,
     }
 
 
-def _result_from_dict(data: dict) -> ProbeResult:
+def _result_from_dict(data: dict, target: ProbeTarget) -> ProbeResult:
     return ProbeResult(
-        target=_target_from_dict(data["target"]),
+        target=target,
         url=data["url"],
-        timestamp=_parse_ts(data["timestamp"]),
+        timestamp=datetime.fromisoformat(data["timestamp"]),
         scheme_used=Scheme(data["scheme_used"]),
         status=data["status"],
         headers=tuple((n, v) for n, v in data["headers"]),
@@ -101,24 +108,30 @@ def _result_from_dict(data: dict) -> ProbeResult:
     )
 
 
-def _chain_to_dict(chain: RedirectChain) -> dict:
-    return {
-        "chain_length": chain.chain_length,
-        "downgrade_hops": chain.downgrade_hops,
-        "hops": [[url, status, location] for url, status, location in chain.hops],
-        "loop_detected": chain.loop_detected,
-        "terminal": _result_to_dict(chain.terminal),
-    }
+def _v1_chain(result: ProbeResult, data: dict) -> RedirectChain:
+    """Rebuild a schema-1 chain and check it against the values stored with it.
 
-
-def _chain_from_dict(data: dict) -> RedirectChain:
-    return RedirectChain(
-        hops=tuple((url, status, location) for url, status, location in data["hops"]),
-        terminal=_result_from_dict(data["terminal"]),
-        loop_detected=data["loop_detected"],
-        downgrade_hops=data["downgrade_hops"],
-        chain_length=data["chain_length"],
+    Schema 1 kept the first and the terminal exchange in full and each
+    redirect only as a hop ``[url, status, location]``, so a hop between
+    them comes back with that status, a location header, no body and the
+    first exchange's timestamp.
+    """
+    hops = data["hops"]
+    terminal = _result_from_dict(data["terminal"], _target_from_dict(data["terminal"]["target"]))
+    count = max(1, len(hops) + (terminal.redirect_location is None))
+    middle = tuple(
+        replace(result, url=url, scheme_used=Scheme(urlsplit(url).scheme), status=status,
+                headers=(("location", location),), body_sample=b"", body_format=BodyFormat.EMPTY)
+        for url, status, location in hops[1 : count - 1]
     )
+    chain = RedirectChain((result, *middle, terminal) if count > 1 else (result,))
+    stored = hops, terminal, data["chain_length"], data["downgrade_hops"], data["loop_detected"]
+    if stored != (
+        [[h.url, h.status, h.redirect_location] for h in chain.hops],
+        chain.terminal, chain.chain_length, chain.downgrade_hops, chain.loop_detected,
+    ):
+        raise ValueError("schema-1 chain disagrees with its stored hops, terminal or counts")
+    return chain
 
 
 def _report_to_dict(report: SmellReport) -> dict:
@@ -178,6 +191,7 @@ def serialize(snapshot: Snapshot) -> str:
             {
                 "entries": len(snapshot.entries),
                 "id": snapshot.id,
+                "schema": SCHEMA,
                 "taken_at": _iso(snapshot.taken_at),
                 "tool_version": TOOL_VERSION,
             }
@@ -188,9 +202,12 @@ def serialize(snapshot: Snapshot) -> str:
         lines.append(
             _dump(
                 {
-                    "chain": _chain_to_dict(entry.chain),
+                    "redirects": [_result_to_dict(e) for e in entry.chain.exchanges[1:]],
                     "report": _report_to_dict(entry.report),
-                    "result": _result_to_dict(entry.result),
+                    "result": {
+                        **_result_to_dict(entry.result),
+                        "target": _target_to_dict(entry.result.target),
+                    },
                     "url": url,
                 }
             )
@@ -218,7 +235,7 @@ def save(snapshot: Snapshot, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> Snapshot:
-    """Reload a snapshot, verifying record structure and the entry count."""
+    """Reload a snapshot of schema 2 or 1, verifying record structure and the entry count."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -226,21 +243,28 @@ def load(path: str | Path) -> Snapshot:
     try:
         header = json.loads(lines[0])
         snapshot_id = header["id"]
-        taken_at = _parse_ts(header["taken_at"])
+        taken_at = datetime.fromisoformat(header["taken_at"])
         declared = int(header["entries"])
+        schema = header.get("schema", 1)
     except (ValueError, KeyError, TypeError) as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
+    if type(schema) is not int or schema not in (1, SCHEMA):
+        raise SnapshotIntegrityError(f"record 0: unknown schema {schema!r}")
 
     entries: dict[str, SnapshotEntry] = {}
     for number, line in enumerate(lines[1:], start=1):
         try:
             data = json.loads(line)
             url = data["url"]
-            entry = SnapshotEntry(
-                result=_result_from_dict(data["result"]),
-                chain=_chain_from_dict(data["chain"]),
-                report=_report_from_dict(data["report"]),
-            )
+            target = _target_from_dict(data["result"]["target"])
+            result = _result_from_dict(data["result"], target)
+            if schema == 1:
+                chain = _v1_chain(result, data["chain"])
+            else:
+                redirects = (_result_from_dict(e, target) for e in data["redirects"])
+                chain = RedirectChain((result, *redirects))
+            report = _report_from_dict(data["report"])
+            entry = SnapshotEntry(result=result, chain=chain, report=report)
         except (ValueError, KeyError, TypeError) as exc:
             raise SnapshotIntegrityError(f"record {number}: {exc}") from exc
         if entry.result.target.url != url:

@@ -76,13 +76,7 @@ def make_result(
 
 def direct_chain(result: ProbeResult) -> RedirectChain:
     """Chain for a target that answered without redirecting."""
-    return RedirectChain(
-        hops=(),
-        terminal=result,
-        loop_detected=False,
-        downgrade_hops=0,
-        chain_length=0,
-    )
+    return RedirectChain((result,))
 
 
 def make_finding(kind: SmellKind, url: str, subflags: frozenset[str] = frozenset()) -> SmellFinding:

@@ -22,7 +22,7 @@ from smellprobe.maintenance import (
     classify_change,
     diff_snapshots,
 )
-from smellprobe.probe import probe_and_follow
+from smellprobe.probe import RedirectChain, probe_and_follow
 from smellprobe.reports import (
     GroupKey,
     correlate,
@@ -307,10 +307,8 @@ def neutralize(snapshot: Snapshot) -> Snapshot:
     """Equalize every timestamp so canonical forms can be compared."""
     entries = {}
     for url, entry in snapshot.entries.items():
-        result = replace(entry.result, timestamp=EPOCH)
-        terminal = replace(entry.chain.terminal, timestamp=EPOCH)
-        chain = replace(entry.chain, terminal=terminal)
-        entries[url] = SnapshotEntry(result, chain, entry.report)
+        chain = RedirectChain(tuple(replace(e, timestamp=EPOCH) for e in entry.chain.exchanges))
+        entries[url] = SnapshotEntry(chain.result, chain, entry.report)
     return Snapshot(id=snapshot.id, taken_at=EPOCH, entries=entries)
 
 

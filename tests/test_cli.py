@@ -1,7 +1,13 @@
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import smellprobe
 
 from smellprobe.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from smellprobe.snapshot import load
@@ -214,3 +220,23 @@ def test_report_counts_url_new_in_second_snapshot(tmp_path, healthy_endpoint, en
     new_count = len(load(s2).entries[newcomer.url("/")].report.findings)
     assert spawned == [{"scenario": "server_spawned", "smell_count": new_count, "urls": 1}]
     assert sum(row["urls"] for row in rows) == 2
+
+
+def test_plain_http_scan_runs_without_cryptography(tmp_path, healthy_endpoint):
+    """Only the https loopback fixtures need cryptography; a scan does not."""
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    out = tmp_path / "s.smellsnap.jsonl"
+    child = (
+        "import sys\n"
+        "sys.modules['cryptography'] = None  # any import of it now raises ImportError\n"
+        "from smellprobe.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "sys.exit(code if sys.modules['cryptography'] is None else 99)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", child, *scan_args(corpus, out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert load(out).entries[healthy_endpoint.url("/")].result.status == 200

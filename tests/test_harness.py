@@ -5,7 +5,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from smellprobe.harness import FixtureProfile, MutationPlan, RouteSpec
-from smellprobe.probe import probe_once
+from smellprobe.probe import probe_and_follow
 from smellprobe.smells import SmellKind
 
 from helpers import fast_cfg, make_target
@@ -77,36 +77,36 @@ def test_unknown_path_is_404(endpoints):
 def test_mutate_swaps_banner(endpoints, library):
     ep = endpoints(library.profile("m_version_downgrade"))
     target = make_target(ep.url("/"))
-    before = probe_once(target, fast_cfg())
+    before = probe_and_follow(target, fast_cfg())[0]
     assert before.first_header("server") == "nginx/1.14.1"
     ep.mutate(ep.profile.mutation)
-    after = probe_once(target, fast_cfg())
+    after = probe_and_follow(target, fast_cfg())[0]
     assert after.first_header("server") == "nginx/1.12.1"
 
 
 def test_shutdown_refuses_connections(endpoints):
     ep = endpoints(FixtureProfile(name="gone", routes={"/": RouteSpec(status=200)}))
     target = make_target(ep.url("/"))
-    assert probe_once(target, fast_cfg()).status == 200
+    assert probe_and_follow(target, fast_cfg())[0].status == 200
     ep.shutdown()
-    result = probe_once(target, fast_cfg())
+    result = probe_and_follow(target, fast_cfg())[0]
     assert result.transport_error == "connection refused"
 
 
 def test_initially_down_then_started(endpoints, library):
     ep = endpoints(library.profile("u_spawned_unknown_config"))
     target = make_target(ep.url("/"))
-    first = probe_once(target, fast_cfg())
+    first = probe_and_follow(target, fast_cfg())[0]
     assert first.transport_error == "connection refused"
     ep.mutate(ep.profile.mutation)
-    second = probe_once(target, fast_cfg())
+    second = probe_and_follow(target, fast_cfg())[0]
     assert second.status == 200
     assert second.first_header("server") == "nginx/1.14.1"
 
 
 def test_request_log_records_host_and_path(endpoints):
     ep = endpoints(FixtureProfile(name="log", routes={"/x": RouteSpec(status=200)}))
-    probe_once(make_target(ep.url("/x")), fast_cfg())
+    probe_and_follow(make_target(ep.url("/x")), fast_cfg())
     assert len(ep.requests) == 1
     assert ep.requests[0].path == "/x"
     assert ep.requests[0].host == f"127.0.0.1:{ep.port('http')}"
@@ -119,14 +119,14 @@ def test_placeholder_expansion(endpoints):
             routes={"/": RouteSpec(status=302, headers=(("Location", "{base}/next"),))},
         )
     )
-    result = probe_once(make_target(ep.url("/")), fast_cfg())
+    result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg())
     assert result.first_header("location") == f"{ep.base_url('http')}/next"
 
 
 def test_https_listener_uses_injectable_trust_root(endpoints, library):
     ep = endpoints(library.profile("https_no_hsts"))
     assert ep.ca_file is not None
-    result = probe_once(make_target(ep.url("/")), fast_cfg(ca_bundle=ep.ca_file))
+    result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg(ca_bundle=ep.ca_file))
     assert result.status == 200
 
 

@@ -15,14 +15,13 @@ from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.probe import (
     BodyFormat,
     ProbeConfig,
+    RedirectChain,
     classify_body,
-    follow_chain,
     probe_all,
     probe_and_follow,
-    probe_once,
 )
 
-from helpers import fast_cfg, make_target
+from helpers import fast_cfg, make_result, make_target
 
 
 def hop_profile(count: int, terminal_status: int = 200) -> FixtureProfile:
@@ -48,7 +47,7 @@ class TestProbeOnce:
                 },
             )
         )
-        result = probe_once(make_target(ep.url("/")), fast_cfg())
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg())
         assert result.status == 200
         assert result.body_format is BodyFormat.JSON
         assert result.transport_error is None
@@ -58,7 +57,7 @@ class TestProbeOnce:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()
-        result = probe_once(make_target(f"http://127.0.0.1:{port}/"), fast_cfg())
+        result, _ = probe_and_follow(make_target(f"http://127.0.0.1:{port}/"), fast_cfg())
         assert result.status is None
         assert result.transport_error == "connection refused"
 
@@ -72,9 +71,11 @@ class TestProbeOnce:
                 },
             )
         )
-        result = probe_once(make_target(ep.url("/")), fast_cfg())
+        # With max_redirects=1 the first redirect ends the chain.
+        result, chain = probe_and_follow(make_target(ep.url("/")), fast_cfg(max_redirects=1))
         assert result.status == 301
         assert result.first_header("location") == ep.url("/next")
+        assert chain.exchanges == (result,)
         # only the first exchange happened
         assert [r.path for r in ep.requests] == ["/"]
 
@@ -82,18 +83,18 @@ class TestProbeOnce:
         ep = endpoints(
             FixtureProfile(name="big", routes={"/": RouteSpec(status=200, body=b"x" * 5000)})
         )
-        result = probe_once(make_target(ep.url("/")), fast_cfg(body_sample_limit=100))
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg(body_sample_limit=100))
         assert len(result.body_sample) == 100
 
     def test_read_timeout_reason(self, endpoints):
         ep = endpoints(
             FixtureProfile(name="slow", routes={"/": RouteSpec(status=200, delay=2.0)})
         )
-        result = probe_once(make_target(ep.url("/")), fast_cfg(read_timeout=0.3))
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg(read_timeout=0.3))
         assert result.transport_error == "timeout"
 
     def test_dns_failure_reason(self):
-        result = probe_once(make_target("http://smellprobe-nonexistent.invalid/"), fast_cfg())
+        result, _ = probe_and_follow(make_target("http://smellprobe-nonexistent.invalid/"), fast_cfg())
         assert result.transport_error == "dns failure"
 
     def test_retries_before_giving_up(self, endpoints):
@@ -103,14 +104,14 @@ class TestProbeOnce:
         sock.close()
         started = time.monotonic()
         cfg = fast_cfg(retries=2, retry_backoff=0.1)
-        result = probe_once(make_target(f"http://127.0.0.1:{port}/"), cfg)
+        result, _ = probe_and_follow(make_target(f"http://127.0.0.1:{port}/"), cfg)
         elapsed = time.monotonic() - started
         assert result.transport_error == "connection refused"
         assert elapsed >= 0.2  # two backoff sleeps happened
 
     def test_tls_untrusted_by_default(self, endpoints, library):
         ep = endpoints(library.profile("https_no_hsts"))
-        result = probe_once(make_target(ep.url("/")), fast_cfg())
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg())
         assert result.transport_error == "tls handshake failure"
 
     def test_header_order_and_case(self, endpoints):
@@ -129,7 +130,7 @@ class TestProbeOnce:
                 },
             )
         )
-        result = probe_once(make_target(ep.url("/")), fast_cfg())
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg())
         names = [n for n, _ in result.headers]
         assert names[:3] == ["x-first", "server", "x-last"]
 
@@ -149,7 +150,7 @@ class TestProbeOnce:
                 },
             )
         )
-        result = probe_once(make_target(ep.url("/")), fast_cfg())
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg())
         assert result.header_values("x-note") == ("one", "two")
         names = [n for n, _ in result.headers]
         assert names[:3] == ["x-note", "server", "x-note"]
@@ -159,7 +160,7 @@ class TestFollowChain:
     def test_single_upgrade_hop(self, endpoints, library):
         ep = endpoints(library.profile("http_upgrade_redirect"))
         cfg = fast_cfg(ca_bundle=ep.ca_file)
-        chain = follow_chain(make_target(ep.url("/", scheme="http")), cfg)
+        _, chain = probe_and_follow(make_target(ep.url("/", scheme="http")), cfg)
         assert chain.chain_length == 1
         assert chain.downgrade_hops == 0
         assert chain.terminal.status == 200
@@ -167,14 +168,14 @@ class TestFollowChain:
 
     def test_two_node_loop(self, endpoints, library):
         ep = endpoints(library.profile("http_redirect_loop"))
-        chain = follow_chain(make_target(ep.url("/a")), fast_cfg())
+        _, chain = probe_and_follow(make_target(ep.url("/a")), fast_cfg())
         assert chain.loop_detected
-        hop_urls = [u for u, _, _ in chain.hops]
+        hop_urls = [hop.url for hop in chain.hops]
         assert hop_urls.count(hop_urls[-1]) == 2
 
     def test_cutoff_at_max_redirects(self, endpoints):
         ep = endpoints(hop_profile(8))
-        chain = follow_chain(make_target(ep.url("/hop/1")), fast_cfg(max_redirects=7))
+        _, chain = probe_and_follow(make_target(ep.url("/hop/1")), fast_cfg(max_redirects=7))
         assert chain.chain_length == 7
         assert chain.terminal.status == 302
         assert chain.terminal.url == ep.url("/hop/7")
@@ -183,16 +184,16 @@ class TestFollowChain:
     def test_downgrade_counted(self, endpoints, library):
         ep = endpoints(library.profile("https_downgrade"))
         cfg = fast_cfg(ca_bundle=ep.ca_file)
-        chain = follow_chain(make_target(ep.url("/", scheme="https")), cfg)
+        _, chain = probe_and_follow(make_target(ep.url("/", scheme="https")), cfg)
         assert chain.downgrade_hops == 1
         assert chain.terminal.status == 200
 
     def test_loop_implies_repeated_request_url(self, endpoints, library):
         ep = endpoints(library.profile("https_redirect_loop"))
         cfg = fast_cfg(ca_bundle=ep.ca_file)
-        chain = follow_chain(make_target(ep.url("/")), cfg)
+        _, chain = probe_and_follow(make_target(ep.url("/")), cfg)
         assert chain.loop_detected
-        urls = [u for u, _, _ in chain.hops]
+        urls = [hop.url for hop in chain.hops]
         assert urls[-1] in urls[:-1]
 
     def test_downgrade_recount_brute_force(self, endpoints, library):
@@ -201,7 +202,7 @@ class TestFollowChain:
             scheme = ep.profile.schemes[0]
             path = "/a" if name == "http_redirect_loop" else "/"
             cfg = fast_cfg(ca_bundle=ep.ca_file)
-            chain = follow_chain(make_target(ep.url(path, scheme=scheme)), cfg)
+            _, chain = probe_and_follow(make_target(ep.url(path, scheme=scheme)), cfg)
             schemes = [urlsplit(u).scheme for u in chain.requested_urls()]
             expected = sum(
                 1
@@ -221,7 +222,7 @@ class TestFollowChain:
                 },
             )
         )
-        chain = follow_chain(make_target(ep.url("/api/v1")), fast_cfg())
+        _, chain = probe_and_follow(make_target(ep.url("/api/v1")), fast_cfg())
         assert chain.chain_length == 2
         assert chain.terminal.status == 200
         assert chain.terminal.url == ep.url("/api/v3")
@@ -233,7 +234,7 @@ class TestFollowChain:
                 routes={"/": RouteSpec(status=302, headers=(("Location", ""),))},
             )
         )
-        chain = follow_chain(make_target(ep.url("/")), fast_cfg())
+        _, chain = probe_and_follow(make_target(ep.url("/")), fast_cfg())
         assert chain.chain_length == 0
         assert chain.terminal.status == 302
         assert not chain.loop_detected
@@ -243,9 +244,99 @@ class TestFollowChain:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()
-        chain = follow_chain(make_target(f"http://127.0.0.1:{port}/"), fast_cfg())
+        _, chain = probe_and_follow(make_target(f"http://127.0.0.1:{port}/"), fast_cfg())
         assert chain.terminal.transport_error == "connection refused"
         assert chain.chain_length == 0
+
+    @pytest.mark.parametrize("location", ["ftp://files.example/x", "http://[::1/broken"])
+    def test_location_off_the_web_or_unparsable_ends_chain(self, endpoints, location):
+        ep = endpoints(
+            FixtureProfile(
+                name="dead-end",
+                routes={"/": RouteSpec(status=302, headers=(("Location", location),))},
+            )
+        )
+        result, chain = probe_and_follow(make_target(ep.url("/")), fast_cfg())
+        assert chain.exchanges == (result,)
+        assert chain.chain_length == 1
+        assert chain.hops == (result,)
+        assert not chain.loop_detected
+        assert [r.path for r in ep.requests] == ["/"]
+
+    def test_mid_chain_failure_keeps_every_exchange(self, endpoints):
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+        sock.close()
+        ep = endpoints(
+            FixtureProfile(
+                name="to-nowhere",
+                routes={
+                    "/": RouteSpec(
+                        status=302,
+                        headers=(("Location", f"http://127.0.0.1:{port}/gone"), ("X-Hop", "1")),
+                        body=b"moving",
+                    )
+                },
+            )
+        )
+        result, chain = probe_and_follow(make_target(ep.url("/")), fast_cfg())
+        assert chain.requested_urls() == (ep.url("/"), f"http://127.0.0.1:{port}/gone")
+        assert chain.result is result
+        assert result.header_values("x-hop") == ("1",)
+        assert result.body_sample == b"moving"
+        assert chain.terminal.transport_error == "connection refused"
+        assert chain.chain_length == 1
+
+
+class TestRedirectChain:
+    """Properties derived from the exchanges alone, without the network."""
+
+    def redirect(self, target, url, location, status=302):
+        return make_result(target, status=status, url=url, headers=(("Location", location),))
+
+    def test_self_redirect_then_answer_is_two_requests(self):
+        target = make_target("http://h.example/")
+        first = self.redirect(target, "http://h.example/", "http://h.example/")
+        answer = make_result(target, status=200, url="http://h.example/")
+        chain = RedirectChain((first, answer))
+        assert chain.requested_urls() == ("http://h.example/", "http://h.example/")
+        assert not chain.loop_detected
+        assert chain.chain_length == 1
+        assert chain.result is first and chain.terminal is answer
+
+    def test_self_redirect_twice_is_a_loop(self):
+        target = make_target("http://h.example/")
+        first = self.redirect(target, "http://h.example/", "/")
+        again = self.redirect(target, "http://h.example/", "/")
+        chain = RedirectChain((first, again))
+        assert chain.loop_detected
+        assert chain.chain_length == 2
+        assert chain.hops == (first, again)
+
+    def test_downgrades_counted_per_https_to_http_step(self):
+        target = make_target("https://h.example/")
+        chain = RedirectChain(
+            (
+                self.redirect(target, "https://h.example/", "http://h.example/a"),
+                self.redirect(target, "http://h.example/a", "https://h.example/b"),
+                self.redirect(target, "https://h.example/b", "http://h.example/c"),
+                make_result(target, status=200, url="http://h.example/c"),
+            )
+        )
+        assert chain.downgrade_hops == 2
+        assert chain.chain_length == 3
+        assert not chain.loop_detected
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ValueError):
+            RedirectChain(())
+
+    def test_exchanges_of_another_target_rejected(self):
+        first = self.redirect(make_target("http://h.example/"), "http://h.example/", "/b")
+        other = make_result(make_target("http://other.example/"), url="http://h.example/b")
+        with pytest.raises(ValueError):
+            RedirectChain((first, other))
 
 
 class TestProbeAll:
@@ -297,7 +388,7 @@ class TestProbeAll:
             assert r1.status == r2.status
             assert r1.headers == r2.headers
             assert r1.body_sample == r2.body_sample
-            assert c1.hops == c2.hops
+            assert c1.requested_urls() == c2.requested_urls()
             assert c1.loop_detected == c2.loop_detected
             assert c1.downgrade_hops == c2.downgrade_hops
 
@@ -318,14 +409,14 @@ class TestConfigAndBodyFormat:
         assert classify_body(b"<html>", "application/json") is BodyFormat.JSON
         assert classify_body(b"", "application/json; charset=utf-8") is BodyFormat.JSON
 
-    def test_first_probe_result_matches_probe_once(self, endpoints, library):
-        ep = endpoints(library.profile("http_plain_ok"))
-        target = make_target(ep.url("/"))
-        direct = probe_once(target, fast_cfg())
-        first, _ = probe_and_follow(target, fast_cfg())
-        assert direct.status == first.status
-        assert direct.headers == first.headers
-        assert direct.body_sample == first.body_sample
+    def test_first_probe_result_is_first_exchange(self, endpoints, library):
+        ep = endpoints(library.profile("http_upgrade_redirect"))
+        target = make_target(ep.url("/", scheme="http"))
+        first, chain = probe_and_follow(target, fast_cfg(ca_bundle=ep.ca_file))
+        assert first is chain.exchanges[0] is chain.result
+        assert first.url == target.url
+        assert first.status == 301
+        assert chain.terminal.status == 200
 
 
 @pytest.fixture
@@ -404,7 +495,7 @@ class TestSharedTlsContext:
         assert context.verify_mode is ssl.CERT_REQUIRED
         assert context.check_hostname
         assert cfg.tls_context is context
-        assert probe_once(make_target(ep.url("/")), cfg).status == 200
+        assert probe_and_follow(make_target(ep.url("/")), cfg)[0].status == 200
 
     def test_racing_workers_build_one_context(self, context_builds):
         cfg = fast_cfg()
@@ -439,7 +530,7 @@ class TestRetries:
         ep = endpoints(library.profile("https_no_hsts"))
         started = time.monotonic()
         cfg = fast_cfg(retries=2, retry_backoff=0.5)
-        result = probe_once(make_target(ep.url("/")), cfg)
+        result, _ = probe_and_follow(make_target(ep.url("/")), cfg)
         assert time.monotonic() - started < 0.5
         assert result.transport_error == "tls handshake failure"
 
@@ -466,6 +557,6 @@ class TestRetries:
 
         monkeypatch.setattr(probe, "_exchange", failing)
         cfg = fast_cfg(retries=2, retry_backoff=0.01)
-        result = probe_once(make_target("http://127.0.0.1:1/"), cfg)
+        result, _ = probe_and_follow(make_target("http://127.0.0.1:1/"), cfg)
         assert len(calls) == attempts
         assert result.transport_error == probe._classify_exception(exc)

@@ -411,17 +411,12 @@ class TestLackOfAccessControl:
 
 
 def chain_of(target, hops, terminal):
-    urls = [u for u, _, _ in hops]
-    loop = len(set(urls)) < len(urls)
-    schemes = [u.split(":", 1)[0] for u in urls + ([terminal.url] if not urls or urls[-1] != terminal.url else [])]
-    downgrades = sum(1 for a, b in zip(schemes, schemes[1:]) if a == "https" and b == "http")
-    return RedirectChain(
-        hops=tuple(hops),
-        terminal=terminal,
-        loop_detected=loop,
-        downgrade_hops=downgrades,
-        chain_length=len(hops),
-    )
+    """A chain of one redirect exchange per (url, status, location) hop, then the terminal."""
+    redirects = [
+        make_result(target, status=status, url=url, headers=(("Location", location),))
+        for url, status, location in hops
+    ]
+    return RedirectChain((*redirects, terminal))
 
 
 class TestMissingHttpsRedirect:
@@ -474,9 +469,10 @@ class TestMissingHttpsRedirect:
         hops = [
             ("http://h.example/", 302, "http://h.example/b"),
             ("http://h.example/b", 302, "http://h.example/"),
-            ("http://h.example/", 302, "http://h.example/b"),
         ]
-        terminal = make_result(target, status=302, url="http://h.example/")
+        terminal = make_result(
+            target, status=302, url="http://h.example/", headers=(("Location", "http://h.example/b"),)
+        )
         finding = detect_missing_https_redirect(chain_of(target, hops, terminal))
         assert finding is not None
         assert "loop" in finding.subflags
