@@ -11,15 +11,22 @@ import csv
 import json
 import os
 import sys
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import reports as reports_mod
 from .corpus import load_targets, write_rejects
-from .maintenance import MaintenanceRecord, diff_snapshots
-from .probe import ProbeConfig, probe_all
+from .maintenance import MaintenanceRecord, diff_entries, require_chronological
+from .probe import ProbeConfig, probe_each
 from .smells import SmellKind, detect_all
-from .snapshot import Snapshot, SnapshotEntry, SnapshotIntegrityError, load, save
+from .snapshot import (
+    SnapshotEntry,
+    SnapshotIntegrityError,
+    SnapshotSpool,
+    iter_entries,
+    replacing,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,7 +140,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
     if loaded.rejects:
         rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
-        write_rejects(loaded.rejects, rejects_path)
+        try:
+            write_rejects(loaded.rejects, rejects_path)
+        except OSError as exc:
+            print(f"error: cannot write rejects: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(f"rejected {len(loaded.rejects)} row(s) -> {rejects_path}", file=sys.stderr)
     if loaded.duplicates_collapsed:
         print(f"collapsed {loaded.duplicates_collapsed} duplicate url(s)", file=sys.stderr)
@@ -143,41 +154,38 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(target.url)
         return EXIT_OK
 
-    pairs = probe_all(loaded.targets, cfg)
-    entries = {}
-    failed = 0
-    for target, (result, chain) in zip(loaded.targets, pairs):
-        report = detect_all(
-            target, result, chain, json_auth_heuristic=args.json_auth_heuristic
-        )
-        entries[target.url] = SnapshotEntry(result=result, chain=chain, report=report)
-        if not result.ok or not chain.terminal.ok:
-            failed += 1
-
-    snapshot = Snapshot(
-        id=args.id or Path(args.out).stem,
-        taken_at=datetime.now(timezone.utc),
-        entries=entries,
-    )
+    # The spool opens before the first request, so an --out that cannot be
+    # written fails the scan before it probes anything.
     try:
-        save(snapshot, args.out)
+        spool = SnapshotSpool(args.out)
     except OSError as exc:
         print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    _print_scan_summary(snapshot, failed)
-    return EXIT_PARTIAL if failed else EXIT_OK
-
-
-def _print_scan_summary(snapshot: Snapshot, failed: int) -> None:
-    total = len(snapshot.entries)
-    print(f"scanned {total} url(s); {failed} with transport errors")
     tally = {kind: 0 for kind in SmellKind}
-    for entry in snapshot.entries.values():
-        for kind in entry.report.kinds():
-            tally[kind] += 1
+    failed = 0
+    with spool:
+        results = probe_each(loaded.targets, cfg)
+        try:
+            for _, result, chain in results:
+                report = detect_all(
+                    result.target, result, chain, json_auth_heuristic=args.json_auth_heuristic
+                )
+                spool.add(SnapshotEntry(result=result, chain=chain, report=report))
+                for kind in report.kinds():
+                    tally[kind] += 1
+                if not result.ok or not chain.terminal.ok:
+                    failed += 1
+            total = spool.commit(args.id or Path(args.out).stem, datetime.now(timezone.utc))
+        except OSError as exc:
+            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
+            return EXIT_IO
+        finally:
+            results.close()
+
+    print(f"scanned {total} url(s); {failed} with transport errors")
     for kind in SmellKind:
         print(f"  {kind.value}: {tally[kind]} url(s)")
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def _record_to_dict(record: MaintenanceRecord) -> dict:
@@ -193,93 +201,71 @@ def _record_to_dict(record: MaintenanceRecord) -> dict:
     }
 
 
-def write_maintenance_records(records, path: str | Path, format: str = "jsonl") -> None:
-    path = Path(path)
-    if format == "jsonl":
-        with path.open("w", encoding="utf-8") as fh:
-            for record in records:
+def write_maintenance_records(records, path: str | Path, format: str = "jsonl") -> int:
+    """Write the records as they come, replacing ``path`` only once all are written.
+
+    Returns how many were written.  If ``records`` raises, ``path`` is left
+    as it was.
+    """
+    count = 0
+    with replacing(path) as fh:
+        if format == "jsonl":
+            for count, record in enumerate(records, start=1):
                 fh.write(json.dumps(_record_to_dict(record), sort_keys=True))
                 fh.write("\n")
-    else:
-        columns = ["url", "scenario", "unclassifiable_reason", "before", "after", "annotations"]
-        with path.open("w", encoding="utf-8", newline="") as fh:
+        else:
+            columns = ["url", "scenario", "unclassifiable_reason", "before", "after", "annotations"]
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
-            for record in records:
+            for count, record in enumerate(records, start=1):
                 data = _record_to_dict(record)
                 data["annotations"] = "|".join(record.annotations)
                 writer.writerow(data)
+    return count
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
-        first = load(args.snapshots[0])
-        second = load(args.snapshots[1])
+        with iter_entries(args.snapshots[0]) as first, iter_entries(args.snapshots[1]) as second:
+            try:
+                require_chronological(first.taken_at, second.taken_at)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            try:
+                records = diff_entries(first, second)
+                count = write_maintenance_records(records, args.out, args.format)
+            except OSError as exc:
+                print(f"error: cannot write records: {exc}", file=sys.stderr)
+                return EXIT_IO
     except (OSError, SnapshotIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        records = diff_snapshots(first, second)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        write_maintenance_records(records, args.out, args.format)
-    except OSError as exc:
-        print(f"error: cannot write records: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"classified {len(records)} url(s) -> {args.out}")
+    print(f"classified {count} url(s) -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if len(args.snapshots) > 2:
         raise UsageError("report takes one or two snapshots")
-    try:
-        snapshots = [load(p) for p in args.snapshots]
-    except (OSError, SnapshotIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    primary = snapshots[0]
-    if args.corpus:
-        try:
-            loaded = load_targets(
-                args.corpus, format=_corpus_format(args.corpus, args.corpus_format)
-            )
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        corpus = loaded.targets
-    else:
-        corpus = tuple(entry.result.target for entry in primary.entries.values())
-
     out_dir = Path(args.out_dir)
     try:
+        with ExitStack() as stack:
+            readers = [stack.enter_context(iter_entries(p)) for p in args.snapshots]
+            corpus = None
+            if args.corpus:
+                corpus = load_targets(
+                    args.corpus, format=_corpus_format(args.corpus, args.corpus_format)
+                ).targets
+            if len(readers) == 2:
+                require_chronological(readers[0].taken_at, readers[1].taken_at)
+            tables, records = reports_mod.tabulate(*readers, corpus=corpus)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ext = args.format
-        reports_mod.export(
-            reports_mod.prevalence(primary, corpus), out_dir / f"prevalence.{ext}", args.format
-        )
-        reports_mod.export(
-            reports_mod.leak_breakdown(primary), out_dir / f"leaks.{ext}", args.format
-        )
-        reports_mod.export(
-            reports_mod.hsts_stats(primary), out_dir / f"hsts.{ext}", args.format
-        )
-        if len(snapshots) == 2:
-            records = diff_snapshots(primary, snapshots[1])
+        for name, table in tables.items():
+            reports_mod.export(table, out_dir / f"{name}.{args.format}", args.format)
+        if records is not None:
             write_maintenance_records(records, out_dir / "maintenance.jsonl", "jsonl")
-            # The first snapshot's count wins (it is read last); a URL new in
-            # the second snapshot takes its count from there.
-            smell_counts = {
-                url: len(entry.report.findings)
-                for snapshot in reversed(snapshots)
-                for url, entry in snapshot.entries.items()
-            }
-            matrix = reports_mod.correlate(smell_counts, records)
-            reports_mod.export(matrix, out_dir / f"correlation.{ext}", args.format)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SnapshotIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

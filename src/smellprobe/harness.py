@@ -138,6 +138,12 @@ def _fixture_certificate() -> tuple[str, str]:
     return str(cert_path), str(key_path)
 
 
+# How often a listener checks for shutdown.  serve_forever's default of 0.5 s
+# makes every shutdown wait up to that long; requests are served at once
+# either way.
+_POLL_INTERVAL = 0.02
+
+
 class _FixtureServer(ThreadingHTTPServer):
     daemon_threads = True
     endpoint: "FixtureEndpoint"
@@ -227,7 +233,9 @@ class FixtureEndpoint:
                 server.socket = context.wrap_socket(server.socket, server_side=True)
             self._ports[scheme] = server.server_address[1]
             self._servers[scheme] = server
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread = threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": _POLL_INTERVAL}, daemon=True
+            )
             thread.start()
             self._threads.append(thread)
 

@@ -28,7 +28,9 @@ When a banner exists on only one side, endpoint liveness disambiguates:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
 
 from .snapshot import Snapshot, SnapshotEntry
@@ -79,19 +81,42 @@ class Classification:
     reason: UnclassifiableReason | None
 
 
-def classify_change(
-    before: SoftwareId | None, after: SoftwareId | None
-) -> Classification | None:
-    """Apply the name/version decision table. None when both sides are absent.
+class _Endpoint(Enum):
+    """What a snapshot says about a URL's endpoint."""
 
-    This is the pure banner-level view; diff_snapshots() refines the
-    one-sided cases with endpoint liveness.
+    MISSING = "missing"  # the URL is not in the snapshot
+    DOWN = "down"  # the probe failed at the transport level
+    UP = "up"  # the endpoint answered
+
+
+def _endpoint(entry: SnapshotEntry | None) -> _Endpoint:
+    if entry is None:
+        return _Endpoint.MISSING
+    return _Endpoint.UP if entry.result.status is not None else _Endpoint.DOWN
+
+
+def _classify(
+    before: SoftwareId | None,
+    after: SoftwareId | None,
+    first: _Endpoint,
+    second: _Endpoint,
+) -> Classification | None:
+    """The whole decision table of the module docstring; None when both banners are absent.
+
+    ``first`` and ``second`` matter only on the side without a banner: a side
+    with one always answered.
     """
     if before is None and after is None:
         return None
     if before is None:
+        if first is _Endpoint.DOWN:
+            return Classification(None, UnclassifiableReason.SPAWNED_UNKNOWN_CONFIG)
         return Classification(MaintenanceScenario.SERVER_SPAWNED, None)
     if after is None:
+        if second is _Endpoint.MISSING:
+            return Classification(None, UnclassifiableReason.SHUTDOWN_NO_COMPARISON)
+        if second is _Endpoint.UP:
+            return Classification(MaintenanceScenario.LEAK_CLOSED, None)
         return Classification(MaintenanceScenario.SERVER_SHUTDOWN, None)
 
     if before.name != after.name:
@@ -116,6 +141,18 @@ def classify_change(
     return Classification(MaintenanceScenario.NO_UPDATE, None)
 
 
+def classify_change(
+    before: SoftwareId | None, after: SoftwareId | None
+) -> Classification | None:
+    """Apply the name/version decision table. None when both sides are absent.
+
+    This is the pure banner-level view: without endpoint liveness, a banner
+    that appears reads as server_spawned and one that disappears as
+    server_shutdown.  diff_snapshots() refines both with liveness.
+    """
+    return _classify(before, after, _Endpoint.UP, _Endpoint.DOWN)
+
+
 def server_banner(entry: SnapshotEntry | None) -> tuple[SoftwareId | None, tuple[str, ...]]:
     """First Server-header product token plus the remaining tokens' raw text."""
     if entry is None:
@@ -130,44 +167,61 @@ def server_banner(entry: SnapshotEntry | None) -> tuple[SoftwareId | None, tuple
     return parsed.software[0], rest
 
 
-def _alive(entry: SnapshotEntry | None) -> bool:
-    return entry is not None and entry.result.status is not None
-
-
-def _classify_url(
+def classify_pair(
     url: str,
     first: SnapshotEntry | None,
     second: SnapshotEntry | None,
 ) -> MaintenanceRecord | None:
+    """The record of one URL from its entries in the two snapshots (None where absent)."""
     before, before_rest = server_banner(first)
     after, after_rest = server_banner(second)
-    if before is None and after is None:
+    outcome = _classify(before, after, _endpoint(first), _endpoint(second))
+    if outcome is None:
         return None
-    annotations = before_rest + after_rest
-
-    if before is None:
-        if first is not None and not _alive(first):
-            reason = UnclassifiableReason.SPAWNED_UNKNOWN_CONFIG
-            return MaintenanceRecord(url, before, after, None, reason, annotations)
-        return MaintenanceRecord(
-            url, before, after, MaintenanceScenario.SERVER_SPAWNED, None, annotations
-        )
-
-    if after is None:
-        if second is None:
-            reason = UnclassifiableReason.SHUTDOWN_NO_COMPARISON
-            return MaintenanceRecord(url, before, after, None, reason, annotations)
-        if _alive(second):
-            scenario = MaintenanceScenario.LEAK_CLOSED
-        else:
-            scenario = MaintenanceScenario.SERVER_SHUTDOWN
-        return MaintenanceRecord(url, before, after, scenario, None, annotations)
-
-    outcome = classify_change(before, after)
-    assert outcome is not None
     return MaintenanceRecord(
-        url, before, after, outcome.scenario, outcome.reason, annotations
+        url, before, after, outcome.scenario, outcome.reason, before_rest + after_rest
     )
+
+
+def pair_entries(
+    first: Iterable[SnapshotEntry], second: Iterable[SnapshotEntry]
+) -> Iterator[tuple[str, SnapshotEntry | None, SnapshotEntry | None]]:
+    """Merge-join two entry streams sorted by strictly increasing URL.
+
+    Yields ``(url, first entry, second entry)`` in URL order, with None for
+    the side that lacks the URL, and reads each stream to its end.
+    """
+    first, second = iter(first), iter(second)
+    a, b = next(first, None), next(second, None)
+    while a is not None or b is not None:
+        if b is None or (a is not None and a.url < b.url):
+            yield a.url, a, None
+            a = next(first, None)
+        elif a is None or b.url < a.url:
+            yield b.url, None, b
+            b = next(second, None)
+        else:
+            yield a.url, a, b
+            a, b = next(first, None), next(second, None)
+
+
+def require_chronological(first_taken_at: datetime, second_taken_at: datetime) -> None:
+    if not first_taken_at < second_taken_at:
+        raise ValueError("first snapshot must predate the second")
+
+
+def diff_entries(
+    first: Iterable[SnapshotEntry], second: Iterable[SnapshotEntry]
+) -> Iterator[MaintenanceRecord]:
+    """One record per comparable URL of two URL-sorted entry streams, in URL order."""
+    for url, a, b in pair_entries(first, second):
+        record = classify_pair(url, a, b)
+        if record is not None:
+            yield record
+
+
+def _in_url_order(snapshot: Snapshot) -> Iterator[SnapshotEntry]:
+    return (snapshot.entries[url] for url in sorted(snapshot.entries))
 
 
 def diff_snapshots(first: Snapshot, second: Snapshot) -> list[MaintenanceRecord]:
@@ -175,12 +229,5 @@ def diff_snapshots(first: Snapshot, second: Snapshot) -> list[MaintenanceRecord]
 
     Requires first.taken_at < second.taken_at.  Output is sorted by URL.
     """
-    if not first.taken_at < second.taken_at:
-        raise ValueError("first snapshot must predate the second")
-    urls = sorted(set(first.entries) | set(second.entries))
-    records = []
-    for url in urls:
-        record = _classify_url(url, first.entries.get(url), second.entries.get(url))
-        if record is not None:
-            records.append(record)
-    return records
+    require_chronological(first.taken_at, second.taken_at)
+    return list(diff_entries(_in_url_order(first), _in_url_order(second)))

@@ -10,23 +10,33 @@ one exception: it is built once per ``ProbeConfig``, the first time an https
 exchange needs it, and shared by every worker, redirect hop and retry of the
 scan.  It carries no connection state: each exchange still does a full
 handshake on a fresh connection, with no session resumption.
+
+``probe_each`` probes a corpus on ``parallelism`` worker threads and yields
+each target's result as soon as it is done, with at most 2 x parallelism
+targets submitted and not yet consumed.  ``scan`` detects and spools each
+result as it arrives, so it holds at most that many results whatever the
+corpus size, and a slow target holds up no other.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
-import ssl
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import islice
+from queue import SimpleQueue
 from urllib.parse import urljoin, urlsplit
 
 from .corpus import ProbeTarget
+
+# http.client, ssl and concurrent.futures are imported by the functions that
+# probe: diff, report and a dry run never need them, and they take about a
+# fifth of the CLI's start-up.
 
 TOOL_VERSION = "0.1.0"
 DEFAULT_USER_AGENT = f"smellprobe/{TOOL_VERSION}"
@@ -88,7 +98,7 @@ class ProbeConfig:
             raise ValueError("max_redirects must be >= 1")
 
     @property
-    def tls_context(self) -> ssl.SSLContext:
+    def tls_context(self) -> "ssl.SSLContext":
         """The client context shared by every https exchange under this config.
 
         Loading the trust store costs tens of milliseconds of CPU, so it is
@@ -98,6 +108,8 @@ class ProbeConfig:
         with _TLS_CONTEXT_LOCK:
             context = self.__dict__.get("_tls_context")
             if context is None:
+                import ssl
+
                 context = ssl.create_default_context(cafile=self.ca_bundle)
                 object.__setattr__(self, "_tls_context", context)
         return context
@@ -206,6 +218,9 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
 
 
 def _classify_exception(exc: BaseException) -> str:
+    import http.client
+    import ssl
+
     if isinstance(exc, socket.gaierror):
         return "dns failure"
     if isinstance(exc, ssl.SSLError):
@@ -226,16 +241,19 @@ def _classify_exception(exc: BaseException) -> str:
 # Failures that a retry cannot mend: an untrusted certificate, a name that
 # does not resolve, a malformed URL.  Timeouts, resets, refusals and other
 # socket errors may be transient and are retried.
-_PERMANENT_ERRORS = (
-    ssl.SSLCertVerificationError,
-    socket.gaierror,
-    ValueError,
-    http.client.InvalidURL,
-)
+def _is_permanent(exc: BaseException) -> bool:
+    import http.client
+    import ssl
+
+    return isinstance(
+        exc, (ssl.SSLCertVerificationError, socket.gaierror, ValueError, http.client.InvalidURL)
+    )
 
 
 def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], bytes]:
     """One raw GET. Returns (status, wire-ordered headers, capped body)."""
+    import http.client
+
     parts = urlsplit(url)
     host = parts.hostname
     if not host:
@@ -284,7 +302,7 @@ def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
             status, headers, body = _exchange(url, cfg)
         except Exception as exc:  # noqa: BLE001 - every transport fault becomes a reason string
             last_reason = _classify_exception(exc)
-            if isinstance(exc, _PERMANENT_ERRORS):
+            if _is_permanent(exc):
                 break
             if attempt < cfg.retries:
                 time.sleep(cfg.retry_backoff)
@@ -340,16 +358,48 @@ def probe_and_follow(target: ProbeTarget, cfg: ProbeConfig) -> tuple[ProbeResult
     return chain.result, chain
 
 
+def probe_each(
+    corpus: list[ProbeTarget] | tuple[ProbeTarget, ...],
+    cfg: ProbeConfig,
+) -> Iterator[tuple[int, ProbeResult, RedirectChain]]:
+    """Probe every target; yield ``(corpus index, result, chain)`` as each finishes.
+
+    cfg.parallelism targets are probed at once, and at most twice that many
+    are submitted and not yet consumed, so a caller holds at most
+    2 x parallelism results and a slow target delays no other.  Closing the
+    generator, or an exception or interrupt while it waits, cancels the
+    targets not yet started and waits for the running ones to finish.
+    Per-target transport errors are embedded in the results, never raised.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    window = 2 * cfg.parallelism
+    queued = iter(enumerate(corpus))
+    pending: dict = {}
+    finished: SimpleQueue = SimpleQueue()
+    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
+        try:
+            while True:
+                for index, target in islice(queued, window - len(pending)):
+                    future = pool.submit(probe_and_follow, target, cfg)
+                    pending[future] = index
+                    future.add_done_callback(finished.put)
+                if not pending:
+                    return
+                future = finished.get()
+                result, chain = future.result()
+                yield pending.pop(future), result, chain
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def probe_all(
     corpus: list[ProbeTarget] | tuple[ProbeTarget, ...],
     cfg: ProbeConfig,
 ) -> list[tuple[ProbeResult, RedirectChain]]:
-    """Probe every target with at most cfg.parallelism exchanges in flight.
-
-    Output order matches the input corpus; per-target transport errors are
-    embedded in the results, never raised.
-    """
-    if not corpus:
-        return []
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        return list(pool.map(lambda t: probe_and_follow(t, cfg), corpus))
+    """Probe every target (see ``probe_each``) and return the pairs in corpus order."""
+    pairs: list = [None] * len(corpus)
+    for index, result, chain in probe_each(corpus, cfg):
+        pairs[index] = (result, chain)
+    return pairs

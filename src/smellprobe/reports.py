@@ -11,16 +11,17 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 
 from .corpus import DeclaredFormat, ProbeTarget, SourceModel
-from .maintenance import MaintenanceRecord, MaintenanceScenario
+from .maintenance import MaintenanceRecord, MaintenanceScenario, classify_pair, pair_entries
 from .probe import BodyFormat, ProbeResult, Scheme
 from .smells import LeakCategory, SmellKind
-from .snapshot import Snapshot
+from .snapshot import Snapshot, SnapshotEntry
 from .versions import OS_DICTIONARY, canonical_service_name
 
 
@@ -126,42 +127,66 @@ class PrevalenceTable:
         return rows
 
 
+class _PrevalenceCounter:
+    """Prevalence tallies fed one entry at a time.
+
+    With a corpus, an entry counts once for each corpus target with its URL
+    and entries outside the corpus are skipped; without one, every entry
+    counts under its own target.
+    """
+
+    def __init__(self, corpus: list[ProbeTarget] | tuple[ProbeTarget, ...] | None) -> None:
+        self._uncovered: dict[str, list[ProbeTarget]] | None = None
+        if corpus is not None:
+            self._uncovered = {}
+            for target in corpus:
+                self._uncovered.setdefault(target.url, []).append(target)
+        self._group_urls: Counter = Counter()
+        self._group_apps: dict[GroupKey, set[str]] = {g: set() for g in GroupKey}
+        self._flagged_urls: Counter = Counter()
+        self._flagged_apps: dict[tuple[GroupKey, SmellKind], set[str]] = {
+            (g, k): set() for g in GroupKey for k in SmellKind
+        }
+
+    def add(self, entry: SnapshotEntry) -> None:
+        if self._uncovered is None:
+            targets = [entry.result.target]
+        else:
+            targets = self._uncovered.pop(entry.url, [])
+        for target in targets:
+            group = group_key(target, entry.result)
+            self._group_urls[group] += 1
+            self._group_apps[group].add(target.app_id)
+            for kind in entry.report.kinds():
+                self._flagged_urls[(group, kind)] += 1
+                self._flagged_apps[(group, kind)].add(target.app_id)
+
+    def table(self) -> PrevalenceTable:
+        if self._uncovered:
+            missing = sum(len(targets) for targets in self._uncovered.values())
+            raise ValueError(f"snapshot does not cover corpus: {missing} url(s) missing")
+        cells = {}
+        for group in GroupKey:
+            for kind in SmellKind:
+                cells[(group, kind)] = PrevalenceCell(
+                    urls_affected=self._flagged_urls[(group, kind)],
+                    urls_total=self._group_urls[group],
+                    apps_affected=len(self._flagged_apps[(group, kind)]),
+                    apps_total=len(self._group_apps[group]),
+                )
+        return PrevalenceTable(cells=cells)
+
+
 def prevalence(snapshot: Snapshot, corpus: list[ProbeTarget] | tuple[ProbeTarget, ...]) -> PrevalenceTable:
     """Per-group, per-smell affected counts at URL and app granularity.
 
     An app suffers from a smell when at least one of its URLs in the group
     has the finding.  Denominators are group sizes.
     """
-    missing = [t.url for t in corpus if t.url not in snapshot.entries]
-    if missing:
-        raise ValueError(f"snapshot does not cover corpus: {len(missing)} url(s) missing")
-
-    group_urls: dict[GroupKey, int] = {g: 0 for g in GroupKey}
-    group_apps: dict[GroupKey, set[str]] = {g: set() for g in GroupKey}
-    flagged_urls: Counter = Counter()
-    flagged_apps: dict[tuple[GroupKey, SmellKind], set[str]] = {
-        (g, k): set() for g in GroupKey for k in SmellKind
-    }
-
-    for target in corpus:
-        entry = snapshot.entries[target.url]
-        group = group_key(target, entry.result)
-        group_urls[group] += 1
-        group_apps[group].add(target.app_id)
-        for kind in entry.report.kinds():
-            flagged_urls[(group, kind)] += 1
-            flagged_apps[(group, kind)].add(target.app_id)
-
-    cells = {}
-    for group in GroupKey:
-        for kind in SmellKind:
-            cells[(group, kind)] = PrevalenceCell(
-                urls_affected=flagged_urls[(group, kind)],
-                urls_total=group_urls[group],
-                apps_affected=len(flagged_apps[(group, kind)]),
-                apps_total=len(group_apps[group]),
-            )
-    return PrevalenceTable(cells=cells)
+    counter = _PrevalenceCounter(corpus)
+    for entry in snapshot.entries.values():
+        counter.add(entry)
+    return counter.table()
 
 
 @dataclass(frozen=True)
@@ -211,13 +236,24 @@ class LeakBreakdown:
         return rows
 
 
+class _LeakCounter:
+    def __init__(self) -> None:
+        self._counts: Counter = Counter()
+
+    def add(self, entry: SnapshotEntry) -> None:
+        for leak in entry.report.leaks:
+            self._counts[(leak.category, leak.software.lower(), leak.locus)] += 1
+
+    def table(self) -> LeakBreakdown:
+        return LeakBreakdown(counts=dict(self._counts))
+
+
 def leak_breakdown(snapshot: Snapshot) -> LeakBreakdown:
     """Tally every stored leak record by category, software, and locus."""
-    counts: Counter = Counter()
+    counter = _LeakCounter()
     for entry in snapshot.entries.values():
-        for leak in entry.report.leaks:
-            counts[(leak.category, leak.software.lower(), leak.locus)] += 1
-    return LeakBreakdown(counts=dict(counts))
+        counter.add(entry)
+    return counter.table()
 
 
 @dataclass(frozen=True)
@@ -248,44 +284,45 @@ class HstsStats:
         ]
 
 
-def hsts_stats(snapshot: Snapshot) -> HstsStats:
-    """Tally detect_missing_hsts outcomes stored in the snapshot."""
-    https_total = 0
-    protected = 0
-    absent = 0
-    short_max_age = 0
-    missing_subdomains = 0
-    missing_preload = 0
-    for entry in snapshot.entries.values():
+class _HstsCounter:
+    def __init__(self) -> None:
+        self._counts: Counter = Counter()
+
+    def add(self, entry: SnapshotEntry) -> None:
         result = entry.result
         if result.scheme_used is not Scheme.HTTPS or result.status is None:
-            continue
-        https_total += 1
+            return
+        self._counts["https_total"] += 1
         finding = next(
             (f for f in entry.report.findings if f.kind is SmellKind.MISSING_HSTS), None
         )
         if finding is None:
-            protected += 1
-            continue
-        if "absent" in finding.subflags:
-            absent += 1
-            missing_subdomains += 1
-            missing_preload += 1
-            continue
-        if "short_max_age" in finding.subflags:
-            short_max_age += 1
-        if "missing_include_subdomains" in finding.subflags:
-            missing_subdomains += 1
-        if "missing_preload" in finding.subflags:
-            missing_preload += 1
-    return HstsStats(
-        https_total=https_total,
-        protected=protected,
-        absent=absent,
-        short_max_age=short_max_age,
-        missing_include_subdomains=missing_subdomains,
-        missing_preload=missing_preload,
-    )
+            self._counts["protected"] += 1
+        elif "absent" in finding.subflags:
+            self._counts.update(("absent", "missing_include_subdomains", "missing_preload"))
+        else:
+            for flag in ("short_max_age", "missing_include_subdomains", "missing_preload"):
+                if flag in finding.subflags:
+                    self._counts[flag] += 1
+
+    def table(self) -> HstsStats:
+        c = self._counts
+        return HstsStats(
+            https_total=c["https_total"],
+            protected=c["protected"],
+            absent=c["absent"],
+            short_max_age=c["short_max_age"],
+            missing_include_subdomains=c["missing_include_subdomains"],
+            missing_preload=c["missing_preload"],
+        )
+
+
+def hsts_stats(snapshot: Snapshot) -> HstsStats:
+    """Tally detect_missing_hsts outcomes stored in the snapshot."""
+    counter = _HstsCounter()
+    for entry in snapshot.entries.values():
+        counter.add(entry)
+    return counter.table()
 
 
 @dataclass(frozen=True)
@@ -309,6 +346,19 @@ class CorrelationMatrix:
         return rows
 
 
+class _CorrelationCounter:
+    def __init__(self) -> None:
+        self._cells: Counter = Counter()
+
+    def add(self, record: MaintenanceRecord, smell_count: int) -> None:
+        """Count a classified record; an unclassifiable one is left out."""
+        if record.scenario is not None:
+            self._cells[(record.scenario, smell_count)] += 1
+
+    def table(self) -> CorrelationMatrix:
+        return CorrelationMatrix(cells=dict(self._cells))
+
+
 def correlate(
     smell_counts: dict[str, int], records: list[MaintenanceRecord]
 ) -> CorrelationMatrix:
@@ -317,14 +367,49 @@ def correlate(
     Only classified records participate; every classified record's URL must
     appear in smell_counts.
     """
-    cells: Counter = Counter()
+    counter = _CorrelationCounter()
     for record in records:
-        if record.scenario is None:
-            continue
-        if record.url not in smell_counts:
+        if record.scenario is not None and record.url not in smell_counts:
             raise KeyError(f"no smell count for {record.url!r}")
-        cells[(record.scenario, smell_counts[record.url])] += 1
-    return CorrelationMatrix(cells=dict(cells))
+        counter.add(record, smell_counts.get(record.url, 0))
+    return counter.table()
+
+
+def tabulate(
+    first: Iterable[SnapshotEntry],
+    second: Iterable[SnapshotEntry] | None = None,
+    corpus: list[ProbeTarget] | tuple[ProbeTarget, ...] | None = None,
+) -> tuple[dict[str, object], list[MaintenanceRecord] | None]:
+    """Every report table in one pass over one or two URL-sorted entry streams.
+
+    Returns the tables by file name (``prevalence``, ``leaks``, ``hsts``, and
+    with a second stream ``correlation``) and, with a second stream, the
+    maintenance records.  Prevalence, leaks and HSTS count the first stream;
+    prevalence groups by ``corpus`` when one is given.  The records come from
+    the merge-join of both streams, and a URL's smell count for the
+    correlation is the first stream's, or the second's for a URL new there.
+    """
+    prevalence_counter, leaks, hsts = _PrevalenceCounter(corpus), _LeakCounter(), _HstsCounter()
+    records: list[MaintenanceRecord] = []
+    correlation = _CorrelationCounter()
+    for url, before, after in pair_entries(first, () if second is None else second):
+        if before is not None:
+            prevalence_counter.add(before)
+            leaks.add(before)
+            hsts.add(before)
+        if second is None:
+            continue
+        record = classify_pair(url, before, after)
+        if record is None:
+            continue
+        records.append(record)
+        counted = before if before is not None else after
+        correlation.add(record, len(counted.report.findings))
+    tables = {"prevalence": prevalence_counter.table(), "leaks": leaks.table(), "hsts": hsts.table()}
+    if second is None:
+        return tables, None
+    tables["correlation"] = correlation.table()
+    return tables, records
 
 
 def export(report, path: str | Path, format: str = "csv") -> None:

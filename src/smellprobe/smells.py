@@ -157,6 +157,46 @@ def _php_error_line(text: str, anchor: str) -> str | None:
     return None
 
 
+def _at_line_start(literal: str) -> re.Pattern:
+    r"""Finds the leftmost match of ``(?m)^\s*`` + literal; group 1 is the ``\s*`` part.
+
+    ``^\s*`` tried at every line start scans a run of blank lines once per
+    line of the run, which is quadratic.  A leftmost match starts at the
+    text's start or on the line after the last line holding non-whitespace,
+    so this tries only there and scans each run once.
+    """
+    return re.compile(r"(?:\A|(?<=\S)[^\S\n]*\n)(\s*)(?=" + re.escape(literal) + ")")
+
+
+_FRAME = _at_line_start("at ")
+_NODE_LOCATION = re.compile(r"\.js:\d+:\d+\)")
+
+
+def _node_frame(text: str) -> str | None:
+    r"""The first match of ``(?m)^\s*at .+\(.*node_modules.+\.js:\d+:\d+\)``, in linear time.
+
+    The regex itself backtracks cubically on a line of repeated
+    ``(node_modules``.  Its greedy runs make a match on a frame line end at
+    the line's last ``.js:<digits>:<digits>)``; the line matches when a
+    ``node_modules`` ends at least one character before that and a ``(``
+    lies between ``at `` plus one character and that ``node_modules``.
+    """
+    for frame in _FRAME.finditer(text):
+        at = frame.end()
+        end = text.find("\n", at)
+        if end < 0:
+            end = len(text)
+        location = text.rfind(".js:", at + 3, end)
+        while location >= 0 and not (match := _NODE_LOCATION.match(text, location, end)):
+            location = text.rfind(".js:", at + 3, location)
+        if location < 0:
+            continue
+        modules = text.rfind("node_modules", at + 3, location - 1)
+        if modules >= 0 and text.find("(", at + 4, modules) >= 0:
+            return text[frame.start(1) : match.end()]
+    return None
+
+
 @dataclass(frozen=True)
 class _FrameworkPattern:
     """One marker; ``gate`` is a literal that every match contains.
@@ -167,7 +207,7 @@ class _FrameworkPattern:
     """
 
     framework: str
-    kind: str  # literal | regex | php_error
+    kind: str  # literal | regex | php_error | frame | node_frame
     marker: str
     gate: str
     specificity: int
@@ -185,7 +225,12 @@ class _FrameworkPattern:
             return self.marker
         if self.kind == "php_error":
             return _php_error_line(text, self.marker)
+        if self.kind == "node_frame":
+            return _node_frame(text)
         assert self.matcher is not None
+        if self.kind == "frame":
+            match = self.matcher.search(text)
+            return text[match.start(1) : match.end() + len(self.marker)] if match else None
         match = self.matcher.search(text)
         return match.group(0) if match else None
 
@@ -204,7 +249,11 @@ def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
                 gate=entry["gate"] if kind == "regex" else marker,
                 specificity=entry["specificity"],
                 order=order,
-                matcher=re.compile(marker) if kind == "regex" else None,
+                matcher=(
+                    re.compile(marker) if kind == "regex"
+                    else _at_line_start(marker) if kind == "frame"
+                    else None
+                ),
             )
         )
     return tuple(patterns)

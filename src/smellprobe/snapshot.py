@@ -4,10 +4,19 @@ Line 1 is a header record ``{entries, id, schema, taken_at, tool_version}``;
 each following line is one URL's record ``{url, result, redirects, report}``:
 the first exchange with its target, each later exchange of the redirect
 chain, and the smell report.  No exchange is stored twice and nothing
-derived from the chain is stored.  Entries are sorted by URL and objects
-are dumped with sorted keys, so equal snapshots are byte-identical files.
-``load`` also reads schema 1 (see ``_v1_chain``); it never touches the
-network.
+derived from the chain is stored.  A body is stored as ``body_text`` when it
+is ASCII and its JSON string is no longer than its base64 form, and as
+``body_b64`` otherwise.  Entries are sorted by URL and objects are dumped
+with sorted keys, so equal snapshots are byte-identical files.
+
+No function here holds a whole file: ``iter_entries`` reads one record at a
+time, ``save`` writes one at a time, and ``SnapshotSpool`` keeps a scan's
+records in a spool file beside the output in the order they arrive and
+writes them out in URL order.  ``scan`` creates the spool before it sends a
+request, so an output path that cannot be written fails the scan at once.
+Reading a ``body_text`` costs a JSON string parse and an ASCII encode, not a
+base64 decode.  Reading accepts schemas 3, 2 and 1 (see ``_v1_chain``) and
+never touches the network.
 """
 
 from __future__ import annotations
@@ -15,9 +24,12 @@ from __future__ import annotations
 import base64
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import IO
 from urllib.parse import urlsplit
 
 from .corpus import DeclaredFormat, ProbeTarget, SourceModel
@@ -29,7 +41,7 @@ class SnapshotIntegrityError(Exception):
     """Raised when a snapshot file is corrupt; names the first bad record."""
 
 
-SCHEMA = 2  # what serialize() writes; load() also reads schema 1
+SCHEMA = 3  # what serialize() writes; reading also accepts schemas 2 and 1
 
 
 @dataclass(frozen=True)
@@ -41,6 +53,10 @@ class SnapshotEntry:
     def __post_init__(self) -> None:
         if self.result != self.chain.result:
             raise ValueError("result must be the first exchange of the chain")
+
+    @property
+    def url(self) -> str:
+        return self.result.target.url
 
 
 @dataclass(frozen=True)
@@ -80,10 +96,38 @@ def _target_from_dict(data: dict) -> ProbeTarget:
     )
 
 
+# The ASCII bytes a JSON string holds as they are.  The quote, the backslash,
+# the control characters and DEL are escaped: those in _SHORT_ESCAPES in two
+# characters, the rest in six (\u00XX).
+_JSON_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+_SHORT_ESCAPES = b'"\\\b\f\n\r\t'
+
+
+def _body_to_dict(body: bytes) -> dict:
+    """``body_text`` for an ASCII body whose JSON string is no longer than its base64 form."""
+    if body.isascii():
+        escaped = body.translate(None, _JSON_PLAIN)
+        text_length = len(body) + len(escaped) + 4 * len(escaped.translate(None, _SHORT_ESCAPES))
+        if text_length <= 4 * ((len(body) + 2) // 3):
+            return {"body_text": body.decode("ascii")}
+    return {"body_b64": base64.b64encode(body).decode("ascii")}
+
+
+def _body_from_dict(data: dict) -> bytes:
+    if ("body_text" in data) == ("body_b64" in data):
+        raise ValueError("an exchange stores exactly one of body_text and body_b64")
+    if "body_b64" in data:
+        return base64.b64decode(data["body_b64"])
+    text = data["body_text"]
+    if not isinstance(text, str):
+        raise TypeError(f"body_text is {type(text).__name__}, not a string")
+    return text.encode("ascii")
+
+
 def _result_to_dict(result: ProbeResult) -> dict:
     """One exchange without its target, which the record stores once."""
     return {
-        "body_b64": base64.b64encode(result.body_sample).decode("ascii"),
+        **_body_to_dict(result.body_sample),
         "body_format": result.body_format.value,
         "headers": [[n, v] for n, v in result.headers],
         "scheme_used": result.scheme_used.value,
@@ -102,7 +146,7 @@ def _result_from_dict(data: dict, target: ProbeTarget) -> ProbeResult:
         scheme_used=Scheme(data["scheme_used"]),
         status=data["status"],
         headers=tuple((n, v) for n, v in data["headers"]),
-        body_sample=base64.b64decode(data["body_b64"]),
+        body_sample=_body_from_dict(data),
         body_format=BodyFormat(data["body_format"]),
         transport_error=data["transport_error"],
     )
@@ -184,97 +228,227 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _header_line(snapshot_id: str, taken_at: datetime, count: int) -> str:
+    header = {
+        "entries": count,
+        "id": snapshot_id,
+        "schema": SCHEMA,
+        "taken_at": _iso(taken_at),
+        "tool_version": TOOL_VERSION,
+    }
+    return _dump(header) + "\n"
+
+
+def _record_line(entry: SnapshotEntry) -> str:
+    record = {
+        "redirects": [_result_to_dict(e) for e in entry.chain.exchanges[1:]],
+        "report": _report_to_dict(entry.report),
+        "result": {**_result_to_dict(entry.result), "target": _target_to_dict(entry.result.target)},
+        "url": entry.url,
+    }
+    return _dump(record) + "\n"
+
+
+def _lines(snapshot: Snapshot) -> Iterator[str]:
+    yield _header_line(snapshot.id, snapshot.taken_at, len(snapshot.entries))
+    for url in sorted(snapshot.entries):
+        yield _record_line(snapshot.entries[url])
+
+
 def serialize(snapshot: Snapshot) -> str:
     """Canonical text form of a snapshot (what save() writes)."""
-    lines = [
-        _dump(
-            {
-                "entries": len(snapshot.entries),
-                "id": snapshot.id,
-                "schema": SCHEMA,
-                "taken_at": _iso(snapshot.taken_at),
-                "tool_version": TOOL_VERSION,
-            }
-        )
-    ]
-    for url in sorted(snapshot.entries):
-        entry = snapshot.entries[url]
-        lines.append(
-            _dump(
-                {
-                    "redirects": [_result_to_dict(e) for e in entry.chain.exchanges[1:]],
-                    "report": _report_to_dict(entry.report),
-                    "result": {
-                        **_result_to_dict(entry.result),
-                        "target": _target_to_dict(entry.result.target),
-                    },
-                    "url": url,
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_lines(snapshot))
 
 
-def save(snapshot: Snapshot, path: str | Path) -> None:
-    """Write the snapshot so that a crash leaves either the old file or the new one.
+def _beside(path: Path, suffix: str) -> Path:
+    """A fresh hidden file name in the directory of ``path``."""
+    return path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.{suffix}")
 
-    The text goes to a temporary file beside ``path``, which then replaces
-    it; a failed write removes the temporary file and leaves ``path`` as it
-    was.
+
+@contextmanager
+def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write a file so that a crash leaves either the old file or the new one.
+
+    The block writes to a temporary file beside ``path`` (UTF-8 text without
+    newline translation, or bytes), which replaces ``path`` when the block
+    ends; if it raises, the temporary file is removed and ``path`` is left
+    as it was.  The file is not fsynced, so this guards against a crashed or
+    interrupted process, not against power loss.
     """
     path = Path(path)
-    text = serialize(snapshot)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    temporary = _beside(path, "tmp")
     try:
-        with temporary.open("x", encoding="utf-8") as fh:
-            fh.write(text)
+        if binary:
+            fh = temporary.open("xb")
+        else:
+            fh = temporary.open("x", encoding="utf-8", newline="")
+        with fh:
+            yield fh
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
 
 
-def load(path: str | Path) -> Snapshot:
-    """Reload a snapshot of schema 2 or 1, verifying record structure and the entry count."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines:
+def save(snapshot: Snapshot, path: str | Path) -> None:
+    """Write the snapshot one record at a time, replacing ``path`` atomically."""
+    with replacing(path, binary=True) as fh:
+        for line in _lines(snapshot):
+            fh.write(line.encode("ascii"))
+
+
+class SnapshotSpool:
+    """A scan's records in the order they arrive, written out as a snapshot.
+
+    The spool file beside ``path`` is created when the spool is, so a
+    directory that is missing or not writable fails before any work.
+    ``add`` appends a record to it and keeps only the URL, offset and
+    length; ``commit`` writes the header and then the records in URL order
+    to a temporary file that replaces ``path``.  ``close`` (the end of a
+    ``with`` block) deletes the spool file, so a scan that fails or is
+    interrupted leaves ``path`` as it was and nothing beside it.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._spool_path = _beside(self.path, "spool")
+        self._file = self._spool_path.open("xb+")
+        self._index: dict[str, tuple[int, int]] = {}
+
+    def add(self, entry: SnapshotEntry) -> None:
+        line = _record_line(entry).encode("ascii")
+        self._index[entry.url] = (self._file.tell(), len(line))
+        self._file.write(line)
+
+    def commit(self, snapshot_id: str, taken_at: datetime) -> int:
+        """Write the snapshot to ``path``; returns its entry count."""
+        if taken_at.tzinfo is None:
+            raise ValueError("taken_at must be timezone-aware")
+
+        with replacing(self.path, binary=True) as fh:
+            fh.write(_header_line(snapshot_id, taken_at, len(self._index)).encode("ascii"))
+            for url in sorted(self._index):
+                offset, length = self._index[url]
+                self._file.seek(offset)
+                fh.write(self._file.read(length))
+        return len(self._index)
+
+    def close(self) -> None:
+        self._file.close()
+        self._spool_path.unlink(missing_ok=True)
+
+    def __enter__(self) -> "SnapshotSpool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+# A corrupt record raises one of these while it is parsed.
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
+    """(id, taken_at, declared entry count, schema) of a header line."""
+    if not line:
         raise SnapshotIntegrityError("record 0: empty snapshot file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(line)
         snapshot_id = header["id"]
         taken_at = datetime.fromisoformat(header["taken_at"])
         declared = int(header["entries"])
         schema = header.get("schema", 1)
-    except (ValueError, KeyError, TypeError) as exc:
+    except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
-    if type(schema) is not int or schema not in (1, SCHEMA):
+    if type(schema) is not int or schema not in (1, 2, SCHEMA):
         raise SnapshotIntegrityError(f"record 0: unknown schema {schema!r}")
+    return snapshot_id, taken_at, declared, schema
 
-    entries: dict[str, SnapshotEntry] = {}
-    for number, line in enumerate(lines[1:], start=1):
+
+def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
+    target = _target_from_dict(data["result"]["target"])
+    result = _result_from_dict(data["result"], target)
+    if schema == 1:
+        chain = _v1_chain(result, data["chain"])
+    else:
+        redirects = (_result_from_dict(e, target) for e in data["redirects"])
+        chain = RedirectChain((result, *redirects))
+    entry = SnapshotEntry(result=result, chain=chain, report=_report_from_dict(data["report"]))
+    if entry.url != data["url"]:
+        raise ValueError("key does not match target url")
+    return entry
+
+
+class _EntryReader:
+    """The iterator ``iter_entries`` returns; see there."""
+
+    def __init__(self, path: str | Path):
+        self._file = open(path, "rb")
         try:
-            data = json.loads(line)
-            url = data["url"]
-            target = _target_from_dict(data["result"]["target"])
-            result = _result_from_dict(data["result"], target)
-            if schema == 1:
-                chain = _v1_chain(result, data["chain"])
-            else:
-                redirects = (_result_from_dict(e, target) for e in data["redirects"])
-                chain = RedirectChain((result, *redirects))
-            report = _report_from_dict(data["report"])
-            entry = SnapshotEntry(result=result, chain=chain, report=report)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise SnapshotIntegrityError(f"record {number}: {exc}") from exc
-        if entry.result.target.url != url:
-            raise SnapshotIntegrityError(f"record {number}: key does not match target url")
-        if url in entries:
-            raise SnapshotIntegrityError(f"record {number}: duplicate url {url!r}")
-        entries[url] = entry
+            self.id, self.taken_at, self.declared, self._schema = _header_from_line(
+                self._file.readline()
+            )
+        except BaseException:
+            self._file.close()
+            raise
+        self._entries = self._read()
 
-    if len(entries) != declared:
-        raise SnapshotIntegrityError(
-            f"record {len(entries) + 1}: expected {declared} entries, found {len(entries)}"
-        )
-    return Snapshot(id=snapshot_id, taken_at=taken_at, entries=entries)
+    def _read(self) -> Iterator[SnapshotEntry]:
+        count = 0
+        previous = None
+        with self._file:
+            for count, line in enumerate(self._file, start=1):
+                try:
+                    entry = _entry_from_record(json.loads(line), self._schema)
+                except _RECORD_ERRORS as exc:
+                    raise SnapshotIntegrityError(f"record {count}: {exc}") from exc
+                url = entry.url
+                if previous is not None and url <= previous:
+                    if url == previous:
+                        raise SnapshotIntegrityError(f"record {count}: duplicate url {url!r}")
+                    raise SnapshotIntegrityError(
+                        f"record {count}: url {url!r} is out of order after {previous!r}"
+                    )
+                previous = url
+                yield entry
+        if count != self.declared:
+            raise SnapshotIntegrityError(
+                f"record {count + 1}: expected {self.declared} entries, found {count}"
+            )
+
+    def __iter__(self) -> "_EntryReader":
+        return self
+
+    def __next__(self) -> SnapshotEntry:
+        return next(self._entries)
+
+    def close(self) -> None:
+        self._entries.close()
+        self._file.close()
+
+    def __enter__(self) -> "_EntryReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def iter_entries(path: str | Path) -> _EntryReader:
+    """Open a snapshot of schema 3, 2 or 1 and read its entries one line at a time.
+
+    The header is read at once: the returned iterator has ``id``,
+    ``taken_at`` and ``declared`` (the entry count).  It yields the entries
+    in file order and checks that their URLs strictly increase and, at the
+    end, that their number matches the header.  A bad header or record
+    raises SnapshotIntegrityError naming the record (0 is the header).  The
+    file closes when the entries run out, or on ``close()`` or the end of a
+    ``with`` block.
+    """
+    return _EntryReader(path)
+
+
+def load(path: str | Path) -> Snapshot:
+    """Read a whole snapshot of schema 3, 2 or 1 with the checks of ``iter_entries``."""
+    with iter_entries(path) as reader:
+        entries = {entry.url: entry for entry in reader}
+    return Snapshot(id=reader.id, taken_at=reader.taken_at, entries=entries)

@@ -1,8 +1,11 @@
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
+import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,11 @@ import pytest
 import smellprobe
 
 from smellprobe.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
-from smellprobe.snapshot import load
+from smellprobe.harness import FixtureProfile, RouteSpec
+from smellprobe.smells import detect_all
+from smellprobe.snapshot import load, save
+
+from helpers import EPOCH, build_entry, build_snapshot
 
 
 def write_corpus(tmp_path, urls, name="corpus.csv"):
@@ -240,3 +247,129 @@ def test_plain_http_scan_runs_without_cryptography(tmp_path, healthy_endpoint):
     )
     assert done.returncode == EXIT_OK, done.stderr
     assert load(out).entries[healthy_endpoint.url("/")].result.status == 200
+
+
+# --- streaming scan, diff and report ---------------------------------------------
+
+
+def delayed_endpoint(endpoints, delays):
+    """One endpoint with a route per (path, delay)."""
+    routes = {path: RouteSpec(headers=(("Server", "nginx/1.14.1"),), body=b"ok", delay=delay)
+              for path, delay in delays}
+    return endpoints(FixtureProfile(name="delayed", routes=routes))
+
+
+@pytest.mark.parametrize("out", ["missing/s.smellsnap.jsonl", "a-file/s.smellsnap.jsonl"])
+def test_scan_to_unwritable_out_fails_before_probing(tmp_path, healthy_endpoint, capsys, out):
+    (tmp_path / "a-file").write_text("not a directory", encoding="utf-8")
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    assert run(scan_args(corpus, tmp_path / out)) == EXIT_IO
+    assert healthy_endpoint.requests == []
+    assert "cannot write snapshot" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "corpus.csv"]
+
+
+def test_scan_with_rejects_to_missing_directory_is_io_error(tmp_path, healthy_endpoint, capsys):
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), "ftp://files.example/"])
+    assert run(scan_args(corpus, tmp_path / "missing" / "s.smellsnap.jsonl")) == EXIT_IO
+    assert "cannot write rejects" in capsys.readouterr().err
+    assert healthy_endpoint.requests == []
+
+
+@pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+def test_scan_failing_midway_cancels_queue_and_keeps_previous_snapshot(
+    tmp_path, endpoints, monkeypatch, fault
+):
+    ep = delayed_endpoint(endpoints, [(f"/u{i:02d}", 0.2) for i in range(40)])
+    corpus = write_corpus(tmp_path, [ep.url(f"/u{i:02d}") for i in range(40)])
+    out = tmp_path / "s.smellsnap.jsonl"
+    out.write_bytes(b"the previous snapshot\n")
+    calls = []
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise fault("detector failed")
+        return detect_all(*args, **kwargs)
+
+    monkeypatch.setattr("smellprobe.cli.detect_all", third_call_fails)
+    start = time.monotonic()
+    with pytest.raises(fault):
+        run(scan_args(corpus, out))
+    elapsed = time.monotonic() - start
+    # Probing all 40 URLs four at a time takes 2 s.  The third result comes
+    # in at 0.2 s: URLs 0-9 have been submitted and at most 0-7 started.
+    # The rest are cancelled and the running ones finish.
+    assert elapsed < 1.0
+    assert len(ep.requests) <= 8
+    assert out.read_bytes() == b"the previous snapshot\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", out.name]
+
+
+def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints):
+    ep = delayed_endpoint(endpoints, [(f"/u{i:02d}", 1.0) for i in range(20)])
+    corpus = write_corpus(tmp_path, [ep.url(f"/u{i:02d}") for i in range(20)])
+    out = tmp_path / "s.smellsnap.jsonl"
+    out.write_bytes(b"the previous snapshot\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(smellprobe.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from smellprobe.cli import run; sys.exit(run(sys.argv[1:]))",
+         *scan_args(corpus, out, extra=["--parallelism", "2"])],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 10
+        while not ep.requests and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ep.requests, "the scan never started"
+        child.send_signal(signal.SIGINT)
+        child.wait(timeout=5)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode != EXIT_OK
+    # Interrupted while the two workers run their first URLs: the two
+    # queued URLs are cancelled.
+    assert len(ep.requests) <= 2
+    assert out.read_bytes() == b"the previous snapshot\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", out.name]
+
+
+def test_slow_first_url_does_not_hold_up_the_rest(tmp_path, endpoints):
+    delays = [("/a-slow", 1.5), *((f"/b{i:02d}", 0.04) for i in range(30))]
+    ep = delayed_endpoint(endpoints, delays)
+    corpus = write_corpus(tmp_path, [ep.url(path) for path, _ in delays])
+    out = tmp_path / "s.smellsnap.jsonl"
+    start = time.monotonic()
+    assert run(scan_args(corpus, out, extra=["--parallelism", "2"])) == EXIT_OK
+    elapsed = time.monotonic() - start
+    # The fast URLs take one worker 1.2 s while the slow one holds the
+    # other; results taken in corpus order would add ~0.5 s after it.
+    assert elapsed < 1.8
+    assert list(load(out).entries) == sorted(ep.url(path) for path, _ in delays)
+
+
+def two_rounds(tmp_path):
+    urls = [f"http://h{i}.example/" for i in range(5)]
+    paths = []
+    for round_no, server in ((1, "nginx/1.12.1"), (2, "nginx/1.14.1")):
+        entries = {url: build_entry(url, server=server) for url in urls}
+        snapshot = build_snapshot(entries, f"round{round_no}", taken_at=EPOCH + timedelta(days=round_no))
+        path = tmp_path / f"round{round_no}.smellsnap.jsonl"
+        save(snapshot, path)
+        paths.append(path)
+    return paths
+
+
+def test_corrupt_record_in_second_snapshot_leaves_no_output(tmp_path, capsys):
+    first, second = two_rounds(tmp_path)
+    lines = second.read_text(encoding="utf-8").splitlines()
+    lines[3] = lines[3][: len(lines[3]) // 2]
+    second.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "maintenance.jsonl"
+    assert run(["diff", str(first), str(second), "--out", str(out)]) == EXIT_IO
+    assert "record 3" in capsys.readouterr().err
+    reports = tmp_path / "reports"
+    assert run(["report", str(first), str(second), "--out-dir", str(reports)]) == EXIT_IO
+    assert "record 3" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]

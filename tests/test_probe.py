@@ -393,6 +393,29 @@ class TestProbeAll:
             assert c1.downgrade_hops == c2.downgrade_hops
 
 
+class TestProbeEach:
+    def test_results_come_in_completion_order(self, endpoints):
+        routes = {"/slow": RouteSpec(delay=0.5), **{f"/fast{i}": RouteSpec() for i in range(5)}}
+        ep = endpoints(FixtureProfile(name="mixed", routes=routes))
+        corpus = [make_target(ep.url(path)) for path in routes]
+        order = [index for index, _, _ in probe.probe_each(corpus, fast_cfg(parallelism=2))]
+        assert sorted(order) == list(range(6))
+        assert order[-1] == 0
+        pairs = probe_all(corpus, fast_cfg(parallelism=2))
+        assert [result.target for result, _ in pairs] == corpus
+
+    def test_at_most_twice_parallelism_results_held(self, endpoints):
+        ep = endpoints(FixtureProfile(name="farm", routes={"/": RouteSpec()}))
+        corpus = [make_target(ep.url("/"), app_id=f"a{i}") for i in range(12)]
+        results = probe.probe_each(corpus, fast_cfg(parallelism=2))
+        next(results)
+        time.sleep(0.3)  # the consumer stalls: only the window is probed
+        assert len(ep.requests) == 4
+        results.close()  # cancels what is queued; nothing more is probed
+        time.sleep(0.1)
+        assert len(ep.requests) == 4
+
+
 class TestConfigAndBodyFormat:
     def test_config_validation(self):
         with pytest.raises(ValueError):

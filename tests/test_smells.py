@@ -108,10 +108,12 @@ class TestSourceCodeDisclosure:
         assert finding is None
 
 
-# The PHP markers as regexes, the form they had before php_error replaced them.
-_PHP_REGEXES = {
+# The markers of the linear-time kinds as the regexes they replaced.
+_OLD_REGEXES = {
     "Warning: ": re.compile(r"Warning: .+ in .+\.php on line \d+"),
     "Fatal error: ": re.compile(r"Fatal error: .+ in .+\.php on line \d+"),
+    "node_modules": re.compile(r"(?m)^\s*at .+\(.*node_modules.+\.js:\d+:\d+\)"),
+    "at Object.<anonymous>": re.compile(r"(?m)^\s*at Object\.<anonymous>"),
 }
 
 
@@ -119,7 +121,7 @@ def _ungated(pattern, text):
     """What a table entry finds when its regex runs on every body, gate or not."""
     if pattern.kind == "literal":
         return pattern.marker if pattern.marker in text else None
-    matcher = _PHP_REGEXES[pattern.marker] if pattern.kind == "php_error" else pattern.matcher
+    matcher = _OLD_REGEXES.get(pattern.marker) if pattern.kind != "regex" else pattern.matcher
     match = matcher.search(text)
     return match.group(0) if match else None
 
@@ -174,6 +176,57 @@ _PHP_LINES = st.lists(
 ).map("".join)
 _PHP_BODIES = st.lists(_PHP_LINES, max_size=8).map("\n".join)
 
+# Stack-frame lines of nodejs parts; at most 8 lines of 12 fragments keep an
+# input under 2 KB, where the cubic regex still finishes quickly.  The
+# whitespace includes characters \s takes besides the ASCII ones.
+_NODE_LINES = st.tuples(
+    st.sampled_from(["", " ", "  ", "\t", "\n", " \n ", "\r", "\x0b", "\xa0", "\u2028", "\u3000"]),
+    st.sampled_from(["at ", "at ", "x at ", ""]),
+    st.lists(
+        st.sampled_from([
+            "(", ")", "node_modules", ".js:", ".js", ":", "1", "23", "\u0663", "\u00b2", "x", "/", " ",
+            "(node_modules/a.js:1:2)", "Object.<anonymous>", "at Object.<anonymous>", "at ",
+        ]),
+        max_size=12,
+    ).map("".join),
+).map("".join)
+_NODE_BODIES = st.lists(_NODE_LINES, max_size=8).map("\n".join)
+
+# Per table entry (by marker), bodies that repeat a near match: the gate
+# with separators, partial matches, and runs of blank lines.  A new entry
+# needs its own here.
+_ADVERSARIAL_UNITS = {
+    "Server Error in '/' Application": ["Server Error in '/' Applicatio\n"],
+    "System.Web.HttpException": ["System.Web.HttpExceptio "],
+    "ASP.NET is configured to show verbose error messages": ["ASP.NET is configured "],
+    "An unhandled exception occurred during the execution of the current web request": [
+        "An unhandled exception occurred "],
+    "Stack Trace:": ["Stack Trace "],
+    "cherrypy[/\\\\]_cp[a-z]+\\.py": ["cherrypy/_cpabc", "cherrypy" * 4 + "\n"],
+    "cherrypy._cperror": ["cherrypy._cperro "],
+    "Powered by CherryPy": ["Powered by Cherry "],
+    "(?m)^\\s*at [\\w$.]+\\([\\w$]+\\.java:\\d+\\)": [
+        "  at a.b(C.java:1", " at " + "a." * 50 + "(", ".java:"],
+    "java\\.lang\\.[A-Za-z]+(?:Exception|Error)": ["java.lang.Abc", "java.lang." + "a" * 60 + "\n"],
+    "javax.servlet.ServletException": ["javax.servlet "],
+    "org.apache.catalina": ["org.apache.catalin "],
+    "node_modules": [
+        "  at (node_modules", "at x(node_modules.js:1:", " at x(node_modules/a.js:1:2",
+        "\n" * 65536 + "x (node_modules"],
+    "at Module._compile": ["at Module._compil\n"],
+    "Error: Cannot find module": ["Error: Cannot find modul "],
+    "at Object.<anonymous>": [
+        "\n" * 65536 + "x at Object.<anonymous>", " \n" * 50 + "x at Object.<anonymous>",
+        "x\n at Object.<anonymou"],
+    "Fatal error: ": ["Fatal error: x in ", "Fatal error: a in .php on line \n"],
+    "(?m)^#\\d+ .+\\.php\\(\\d+\\):": ["#1 x.php(", "#12 " + "a.php(" * 8 + "\n"],
+    "Uncaught (?:exception|Error).{0,120}\\.php": ["Uncaught Error ", "Uncaught exception" + "x" * 130],
+    "Warning: ": ["Warning: x in ", "Warning: x in .php on line x"],
+    "Traceback (most recent call last):": ["Traceback (most recent call last) "],
+    "(?i)\\bstack ?trace\\b": ["stack trac", "STACK" * 10 + " "],
+    "(?i)\\bunhandled exception\\b": ["unhandled exceptio ", "UNHANDLED" * 5 + "\n"],
+}
+
 # CPU seconds allowed for one 256 KB body.  Recorded: the whole table takes
 # 3-15 ms on these bodies on a 2-CPU host, while the PHP regexes took 1.2 s
 # on 8.4 KB of "Warning: x in " and grow cubically.
@@ -183,7 +236,9 @@ _ADVERSARIAL_BUDGET_S = 0.5
 class TestFrameworkTable:
     def test_table_lint(self):
         for entry in _RAW_TABLE:
-            assert entry["kind"] in ("literal", "regex", "php_error"), entry
+            assert entry["kind"] in ("literal", "regex", "php_error", "frame", "node_frame"), entry
+            if entry["kind"] not in ("literal", "regex"):
+                assert entry["marker"] in _OLD_REGEXES, entry
             if entry["kind"] != "regex":
                 continue
             assert isinstance(entry.get("gate"), str) and entry["gate"], entry
@@ -244,6 +299,37 @@ class TestFrameworkTable:
         for pattern in FRAMEWORK_PATTERNS:
             if pattern.kind == "php_error":
                 assert pattern.search(text, _fold(text)) == _ungated(pattern, text), pattern.marker
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NODE_BODIES)
+    @example("at x(node_modules/a.js:1:2)")
+    @example("\n \n\t at x (y/node_modules/z.js:12:3) (node_modules/b.js:4:5)x")
+    @example("  at (node_modules.js:1:2)")
+    @example("at x(node_modules.js:1:2)")
+    @example("at x(node_modules/.js:\u0663:\u00b2)")
+    @example("x\n\n  at Object.<anonymous>")
+    @example("\u2028 at Object.<anonymous>")
+    def test_node_frames_match_old_regexes(self, text):
+        for pattern in FRAMEWORK_PATTERNS:
+            if pattern.kind in ("frame", "node_frame"):
+                assert pattern.search(text, _fold(text)) == _ungated(pattern, text), pattern.marker
+
+    @pytest.mark.parametrize(
+        "entry, unit",
+        [(entry, unit) for entry in _RAW_TABLE for unit in _ADVERSARIAL_UNITS[entry["marker"]]],
+        ids=lambda value: repr(value)[:40] if isinstance(value, str) else value["marker"][:30],
+    )
+    def test_every_entry_linear_on_adversarial_body(self, entry, unit):
+        pattern = next(p for p in FRAMEWORK_PATTERNS if p.marker == entry["marker"])
+        size = 256 * 1024
+        body = (unit * (size // len(unit) + 1))[:size]
+        start = time.process_time()
+        pattern.search(body, _fold(body))
+        elapsed = time.process_time() - start
+        assert elapsed < _ADVERSARIAL_BUDGET_S
+
+    def test_every_entry_has_adversarial_bodies(self):
+        assert {entry["marker"] for entry in _RAW_TABLE} == set(_ADVERSARIAL_UNITS)
 
     @pytest.mark.parametrize(
         "unit",

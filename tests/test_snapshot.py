@@ -1,19 +1,26 @@
+import base64
 import json
 import os
 import socket
+import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smellprobe.cli import EXIT_OK, run
 from smellprobe.probe import RedirectChain
 from smellprobe.smells import LeakCategory, LeakRecord, SmellKind, SmellReport
+from smellprobe import snapshot as snapshot_module
 from smellprobe.snapshot import (
+    SCHEMA,
     Snapshot,
     SnapshotEntry,
     SnapshotIntegrityError,
+    SnapshotSpool,
+    iter_entries,
     load,
     save,
     serialize,
@@ -127,12 +134,14 @@ def test_each_exchange_stored_once_and_nothing_derived(tmp_path):
     path = tmp_path / "run.smellsnap.jsonl"
     save(sample_snapshot(), path)
     header, *records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert header["schema"] == 2
+    assert header["schema"] == SCHEMA == 3
     for record in records:
         assert set(record) == {"url", "result", "redirects", "report"}
         assert record["result"]["target"]["url"] == record["url"]
         for exchange in record["redirects"]:
             assert "target" not in exchange
+        for exchange in (record["result"], *record["redirects"]):
+            assert len({"body_text", "body_b64"} & set(exchange)) == 1
     by_url = {record["url"]: record for record in records}
     assert by_url["http://a.example/x"]["redirects"] == []
     assert [e["url"] for e in by_url["https://d.example/"]["redirects"]] == [
@@ -163,8 +172,15 @@ def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch, failure):
     save(sample_snapshot(), path)
     before = path.read_bytes()
     if failure == "write":
-        # The text is long enough to be mid-file when encoding it fails.
-        monkeypatch.setattr("smellprobe.snapshot.serialize", lambda snap: "x" * 100_000 + "\udc80")
+        # Two records are written before the third cannot be encoded.
+        record_line = snapshot_module._record_line
+        calls = []
+
+        def third_fails(entry):
+            calls.append(entry)
+            return "x" * 100_000 + "\udc80" if len(calls) == 3 else record_line(entry)
+
+        monkeypatch.setattr(snapshot_module, "_record_line", third_fails)
         expected = UnicodeEncodeError
     else:
         def refuse(src, dst):
@@ -172,7 +188,7 @@ def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch, failure):
         monkeypatch.setattr(os, "replace", refuse)
         expected = OSError
     with pytest.raises(expected):
-        save(build_snapshot({}, "other"), path)
+        save(replace(sample_snapshot(), id="other"), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -259,10 +275,10 @@ def test_unknown_schema_names_record_0(tmp_path):
     save(sample_snapshot(), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
-    header["schema"] = 3
+    header["schema"] = 4
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SnapshotIntegrityError, match=r"record 0: unknown schema 3"):
+    with pytest.raises(SnapshotIntegrityError, match=r"record 0: unknown schema 4"):
         load(path)
 
 
@@ -321,7 +337,7 @@ def test_schema1_resaved_as_schema2_gives_equal_entries(tmp_path, name):
     old = load(SCHEMA1 / f"{name}.smellsnap.jsonl")
     path = tmp_path / "v2.smellsnap.jsonl"
     save(old, path)
-    assert json.loads(path.read_text(encoding="utf-8").splitlines()[0])["schema"] == 2
+    assert json.loads(path.read_text(encoding="utf-8").splitlines()[0])["schema"] == SCHEMA
     new = load(path)
     assert (new.id, new.taken_at, new.entries) == (old.id, old.taken_at, old.entries)
 
@@ -344,20 +360,240 @@ def test_schema1_record_disagreeing_with_its_chain_rejected(tmp_path, field, val
         load(path)
 
 
-@pytest.mark.parametrize("resave", [(False, True), (True, False), (True, True), (False, False)])
-def test_diff_and_report_across_schemas_match_schema1_outputs(tmp_path, resave):
-    """v1/v2 pairs give the records and tables the schema-1 writer gave for v1/v1."""
-    paths = []
-    for name, as_v2 in zip(("round1", "round2"), resave):
-        path = SCHEMA1 / f"{name}.smellsnap.jsonl"
-        if as_v2:
-            save(load(path), tmp_path / path.name)
-            path = tmp_path / path.name
-        paths.append(str(path))
+def assert_stored_outputs(tmp_path, paths, expected):
+    """diff and the CSV report over ``paths`` give the files stored in ``expected``."""
     out = tmp_path / "maintenance.jsonl"
-    assert run(["diff", *paths, "--out", str(out)]) == EXIT_OK
-    expected = SCHEMA1 / "report"
+    assert run(["diff", *map(str, paths), "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (expected / "maintenance.jsonl").read_bytes()
-    assert run(["report", *paths, "--out-dir", str(tmp_path / "report")]) == EXIT_OK
+    assert run(["report", *map(str, paths), "--out-dir", str(tmp_path / "report")]) == EXIT_OK
     for table in sorted(expected.iterdir()):
         assert (tmp_path / "report" / table.name).read_bytes() == table.read_bytes(), table.name
+
+
+def in_schema(tmp_path, name, schema):
+    """A round of the schema-1 pair as written by schema 1, 2 (checked in) or 3 (saved here)."""
+    if schema == 1:
+        return SCHEMA1 / f"{name}.smellsnap.jsonl"
+    if schema == 2:
+        return SCHEMA2 / "resaved-schema1" / f"{name}.smellsnap.jsonl"
+    path = tmp_path / f"{name}.v3.smellsnap.jsonl"
+    save(load(SCHEMA1 / f"{name}.smellsnap.jsonl"), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "resave",
+    [(1, 3), (3, 1), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)],
+)
+def test_diff_and_report_across_schemas_match_schema1_outputs(tmp_path, resave):
+    """Every v1/v2/v3 pair gives the records and tables the schema-1 writer gave for v1/v1."""
+    paths = [in_schema(tmp_path, name, schema) for name, schema in zip(("round1", "round2"), resave)]
+    assert_stored_outputs(tmp_path, paths, SCHEMA1 / "report")
+
+
+# --- schema 2 -----------------------------------------------------------------
+#
+# tests/data/schema2 holds two rounds of schema-2 snapshots of library fixtures
+# and of bodies that are not ASCII, hold control characters or many quotes,
+# written by smellprobe 0.1.0 before schema 3, with the diff and the CSV report
+# tables that version made from them; resaved-schema1/ is the schema-1 pair
+# saved again by that version.  Ports are baked in.
+
+SCHEMA2 = Path(__file__).parent / "data" / "schema2"
+
+
+@pytest.mark.parametrize("name", ["round1", "round2"])
+def test_schema2_file_loads_and_resaves_as_schema3_with_equal_entries(tmp_path, name):
+    old = load(SCHEMA2 / f"{name}.smellsnap.jsonl")
+    assert any(len(entry.chain.exchanges) > 2 for entry in old.entries.values())
+    path = tmp_path / "v3.smellsnap.jsonl"
+    save(old, path)
+    header, *records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert header["schema"] == 3
+    stored = [
+        key for record in records for e in (record["result"], *record["redirects"])
+        for key in ("body_text", "body_b64") if key in e
+    ]
+    assert "body_text" in stored and "body_b64" in stored
+    new = load(path)
+    assert (new.id, new.taken_at, new.entries) == (old.id, old.taken_at, old.entries)
+
+
+@pytest.mark.parametrize("name", ["round1", "round2"])
+def test_schema1_pair_resaved_as_schema2_loads_to_equal_entries(name):
+    v1 = load(SCHEMA1 / f"{name}.smellsnap.jsonl")
+    v2 = load(SCHEMA2 / "resaved-schema1" / f"{name}.smellsnap.jsonl")
+    assert (v2.id, v2.taken_at, v2.entries) == (v1.id, v1.taken_at, v1.entries)
+
+
+@pytest.mark.parametrize("resave", [(False, False), (False, True), (True, False), (True, True)])
+def test_diff_and_report_across_schemas_match_schema2_outputs(tmp_path, resave):
+    """v2/v3 pairs give the records and tables the schema-2 writer gave for v2/v2."""
+    paths = []
+    for name, as_v3 in zip(("round1", "round2"), resave):
+        path = SCHEMA2 / f"{name}.smellsnap.jsonl"
+        if as_v3:
+            save(load(path), tmp_path / path.name)
+            path = tmp_path / path.name
+        paths.append(path)
+    assert_stored_outputs(tmp_path, paths, SCHEMA2 / "report")
+
+
+# --- schema 3: bodies as text -------------------------------------------------
+
+
+def stored_body(body):
+    """The body fields an exchange with ``body`` is stored with."""
+    target = make_target("http://a.example/")
+    result = make_result(target, body=body)
+    report = SmellReport(url=target.url, findings=(), leaks=())
+    entry = SnapshotEntry(result=result, chain=RedirectChain((result,)), report=report)
+    record = json.loads(snapshot_module._record_line(entry))
+    return {k: v for k, v in record["result"].items() if k in ("body_text", "body_b64")}
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        (b"<html>plain text, a few \"quotes\" and\nnew lines</html>", "body_text"),
+        (b"", "body_text"),
+        ("café".encode(), "body_b64"),  # not ASCII
+        (b"a\x00b\x01c\x1b" * 20, "body_b64"),  # control characters take six characters each
+        (b'"' * 30 + b"x", "body_b64"),  # a quote takes two characters
+        (bytes(range(256)), "body_b64"),
+    ],
+)
+def test_body_stored_as_text_only_when_ascii_and_not_longer(tmp_path, body, key):
+    assert list(stored_body(body)) == [key]
+    url = "http://a.example/"
+    snapshot = build_snapshot({url: build_entry(url, body=body)}, "s")
+    path = tmp_path / "s.smellsnap.jsonl"
+    save(snapshot, path)
+    assert load(path).entries == snapshot.entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.text(st.characters(max_codepoint=0x7F), max_size=200).map(str.encode),
+    )
+)
+def test_stored_body_never_longer_than_base64(body):
+    (key, value), = stored_body(body).items()
+    as_base64 = json.dumps(base64.b64encode(body).decode("ascii"))
+    assert len(json.dumps(value)) <= len(as_base64)
+    text_fits = body.isascii() and len(json.dumps(body.decode("ascii"))) <= len(as_base64)
+    assert key == ("body_text" if text_fits else "body_b64")
+    assert snapshot_module._body_from_dict({key: value}) == body
+
+
+def rewrite_record(path, number, change):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[number])
+    change(record)
+    lines[number] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("keys", [("body_text", "body_b64"), ()])
+def test_exchange_with_both_or_neither_body_key_rejected(tmp_path, keys):
+    path = tmp_path / "run.smellsnap.jsonl"
+    save(sample_snapshot(), path)
+
+    def set_body(record):
+        result = record["result"]
+        result.pop("body_text", None)
+        result.pop("body_b64", None)
+        result.update({key: "" for key in keys})
+
+    rewrite_record(path, 2, set_body)
+    with pytest.raises(SnapshotIntegrityError, match=r"record 2: .*exactly one of body_text and body_b64"):
+        load(path)
+
+
+@pytest.mark.parametrize("swap", ["out of order", "duplicate"])
+def test_record_out_of_url_order_rejected(tmp_path, swap):
+    path = tmp_path / "run.smellsnap.jsonl"
+    save(sample_snapshot(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if swap == "out of order":
+        lines[3], lines[4] = lines[4], lines[3]
+        message = r"record 4: url 'http://f\.example/' is out of order after 'https://b\.example/y'"
+    else:
+        lines[4] = lines[3]
+        message = r"record 4: duplicate url 'http://f\.example/'"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotIntegrityError, match=message):
+        load(path)
+
+
+def test_iter_entries_reads_header_then_entries_in_url_order(tmp_path):
+    snapshot = sample_snapshot()
+    path = tmp_path / "run.smellsnap.jsonl"
+    save(snapshot, path)
+    with iter_entries(path) as reader:
+        assert (reader.id, reader.taken_at, reader.declared) == (snapshot.id, snapshot.taken_at, 6)
+        assert [entry.url for entry in reader] == sorted(snapshot.entries)
+
+
+def test_spool_writes_records_in_url_order_whatever_their_arrival(tmp_path):
+    snapshot = sample_snapshot()
+    path = tmp_path / "run.smellsnap.jsonl"
+    with SnapshotSpool(path) as spool:
+        for url in sorted(snapshot.entries, reverse=True):
+            spool.add(snapshot.entries[url])
+        assert spool.commit(snapshot.id, snapshot.taken_at) == 6
+    assert path.read_text(encoding="utf-8") == serialize(snapshot)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_spool_closed_without_commit_leaves_nothing(tmp_path):
+    path = tmp_path / "run.smellsnap.jsonl"
+    save(sample_snapshot(), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with SnapshotSpool(path) as spool:
+            spool.add(sample_snapshot().entries["http://a.example/x"])
+            raise RuntimeError("scan failed")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def shared_body_entries(count, body):
+    """Entries that all hold the same body object, so they cost little memory themselves."""
+    for i in range(count):
+        url = f"http://h{i:04d}.example/"
+        yield build_entry(url, body=body)
+
+
+def peak_while(work):
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_save_and_read_memory_does_not_grow_with_entries(tmp_path):
+    body = (b"<p>" + b"x" * 96 + b"</p>\n") * 1000  # 100 KB, stored as text
+    peaks = {}
+    for count in (20, 200):
+        path = tmp_path / f"{count}.smellsnap.jsonl"
+        entries = list(shared_body_entries(count, body))
+        snapshot = build_snapshot({e.url: e for e in entries}, "big")
+
+        def work():
+            save(snapshot, path)
+            with SnapshotSpool(path) as spool:
+                for entry in entries:
+                    spool.add(entry)
+                spool.commit("big", EPOCH)
+            with iter_entries(path) as reader:
+                for _ in reader:
+                    pass
+
+        peaks[count] = peak_while(work)
+    # One record is ~100 KB of text; a whole file of 200 would be ~20 MB.
+    assert peaks[200] < peaks[20] + 512 * 1024, peaks
