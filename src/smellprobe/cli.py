@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,9 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_IO = 3
-
-PARALLELISM_ENV = "SMELLPROBE_PARALLELISM"
-
 
 class UsageError(Exception):
     pass
@@ -61,16 +58,17 @@ def _build_parser() -> _Parser:
                       help="list target urls without probing")
     scan.add_argument("--json-auth-heuristic", action="store_true",
                       help="annotate 2xx findings whose JSON body looks like an auth error")
-    scan.add_argument("--connect-timeout", type=float, default=10.0)
-    scan.add_argument("--read-timeout", type=float, default=30.0)
-    scan.add_argument("--retries", type=int, default=3)
-    scan.add_argument("--retry-backoff", type=float, default=2.0)
-    scan.add_argument("--max-redirects", type=int, default=10)
-    scan.add_argument("--body-sample-limit", type=int, default=256 * 1024)
-    scan.add_argument("--parallelism", type=int, default=16,
-                      help=f"worker count (env {PARALLELISM_ENV} overrides)")
-    scan.add_argument("--user-agent", default=None)
-    scan.add_argument("--ca-bundle", default=None,
+    # Probe flags default to None, meaning "not given": ProbeConfig's field
+    # defaults are the only ones.
+    scan.add_argument("--connect-timeout", type=float)
+    scan.add_argument("--read-timeout", type=float)
+    scan.add_argument("--retries", type=int)
+    scan.add_argument("--retry-backoff", type=float)
+    scan.add_argument("--max-redirects", type=int)
+    scan.add_argument("--body-sample-limit", type=int)
+    scan.add_argument("--parallelism", type=int, help="worker count")
+    scan.add_argument("--user-agent")
+    scan.add_argument("--ca-bundle",
                       help="PEM trust roots used instead of the system store "
                            "(validation always stays on)")
 
@@ -91,25 +89,7 @@ def _build_parser() -> _Parser:
 
 
 def _probe_config(args: argparse.Namespace) -> ProbeConfig:
-    parallelism = args.parallelism
-    env_value = os.environ.get(PARALLELISM_ENV)
-    if env_value:
-        try:
-            parallelism = int(env_value)
-        except ValueError:
-            raise UsageError(f"{PARALLELISM_ENV} must be an integer, got {env_value!r}") from None
-    kwargs = {
-        "connect_timeout": args.connect_timeout,
-        "read_timeout": args.read_timeout,
-        "retries": args.retries,
-        "retry_backoff": args.retry_backoff,
-        "max_redirects": args.max_redirects,
-        "body_sample_limit": args.body_sample_limit,
-        "parallelism": parallelism,
-        "ca_bundle": args.ca_bundle,
-    }
-    if args.user_agent:
-        kwargs["user_agent"] = args.user_agent
+    """The scan's ProbeConfig: each probe flag not given keeps its field default."""
     if args.ca_bundle is not None:
         # Checked here, not when the first https exchange loads it, so a bad
         # path fails the scan once instead of failing every https URL.
@@ -118,8 +98,9 @@ def _probe_config(args: argparse.Namespace) -> ProbeConfig:
                 pass
         except OSError as exc:
             raise UsageError(f"--ca-bundle {args.ca_bundle}: {exc.strerror or exc}") from None
+    flags = {f.name: getattr(args, f.name) for f in fields(ProbeConfig)}
     try:
-        return ProbeConfig(**kwargs)
+        return ProbeConfig(**{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -138,7 +119,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if loaded.rejects:
+    if loaded.rejects and args.dry_run:
+        print(f"rejected {len(loaded.rejects)} row(s)", file=sys.stderr)
+    elif loaded.rejects:
         rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
         try:
             write_rejects(loaded.rejects, rejects_path)

@@ -11,6 +11,11 @@ exchange needs it, and shared by every worker, redirect hop and retry of the
 scan.  It carries no connection state: each exchange still does a full
 handshake on a fresh connection, with no session resumption.
 
+A failed exchange is looked up once in ``_failure_table``, an ordered list of
+``(exception type, stored reason, retryable)`` rows where the first match
+wins.  That one row gives both the ``transport_error`` string stored in the
+snapshot and whether the exchange is tried again.
+
 ``probe_each`` probes a corpus on ``parallelism`` worker threads and yields
 each target's result as soon as it is done, with at most 2 x parallelism
 targets submitted and not yet consumed.  ``scan`` detects and spools each
@@ -20,6 +25,7 @@ corpus size, and a slow target holds up no other.
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import threading
@@ -28,6 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cache
 from itertools import islice
 from queue import SimpleQueue
 from urllib.parse import urljoin, urlsplit
@@ -96,6 +103,8 @@ class ProbeConfig:
             raise ValueError("retries must be >= 0")
         if self.max_redirects < 1:
             raise ValueError("max_redirects must be >= 1")
+        if not self.user_agent:
+            raise ValueError("user_agent must not be empty")
 
     @property
     def tls_context(self) -> "ssl.SSLContext":
@@ -217,36 +226,35 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
     return BodyFormat.JSON
 
 
-def _classify_exception(exc: BaseException) -> str:
+@cache
+def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
+    """Ordered ``(exception type, stored reason, retryable)`` rows; the first match wins.
+
+    So a subclass comes before its base: ``RemoteDisconnected`` is both a
+    ``ConnectionResetError`` and an ``HTTPException`` and is stored as a
+    reset.  A reason may name the exception's class (``{name}``) or quote its
+    message (``{exc}``).  A failure that a retry cannot mend is not retried:
+    an untrusted certificate, a name that does not resolve, a malformed URL,
+    an unsupported stream operation (an ``OSError`` that is also a
+    ``ValueError``).  The last row takes every ``Exception``.  Built on first
+    use, because it needs ``http.client`` and ``ssl``.
+    """
     import http.client
     import ssl
 
-    if isinstance(exc, socket.gaierror):
-        return "dns failure"
-    if isinstance(exc, ssl.SSLError):
-        return "tls handshake failure"
-    if isinstance(exc, ConnectionRefusedError):
-        return "connection refused"
-    if isinstance(exc, (socket.timeout, TimeoutError)):
-        return "timeout"
-    if isinstance(exc, ConnectionResetError):
-        return "connection reset"
-    if isinstance(exc, http.client.HTTPException):
-        return f"malformed response: {exc.__class__.__name__}"
-    if isinstance(exc, OSError):
-        return f"connection error: {exc}"
-    return f"error: {exc}"
-
-
-# Failures that a retry cannot mend: an untrusted certificate, a name that
-# does not resolve, a malformed URL.  Timeouts, resets, refusals and other
-# socket errors may be transient and are retried.
-def _is_permanent(exc: BaseException) -> bool:
-    import http.client
-    import ssl
-
-    return isinstance(
-        exc, (ssl.SSLCertVerificationError, socket.gaierror, ValueError, http.client.InvalidURL)
+    return (
+        (socket.gaierror, "dns failure", False),
+        (ssl.SSLCertVerificationError, "tls handshake failure", False),
+        (ssl.SSLError, "tls handshake failure", True),
+        (ConnectionRefusedError, "connection refused", True),
+        (TimeoutError, "timeout", True),
+        (ConnectionResetError, "connection reset", True),
+        (http.client.InvalidURL, "malformed response: {name}", False),
+        (http.client.HTTPException, "malformed response: {name}", True),
+        (io.UnsupportedOperation, "connection error: {exc}", False),
+        (OSError, "connection error: {exc}", True),
+        (ValueError, "error: {exc}", False),
+        (Exception, "error: {exc}", True),
     )
 
 
@@ -274,12 +282,9 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
         # Connect honored connect_timeout; reads get their own budget.
         if conn.sock is not None:
             conn.sock.settimeout(cfg.read_timeout)
-        conn.putrequest("GET", path, skip_host=True, skip_accept_encoding=True)
-        host_header = parts.hostname or ""
-        default_port = 443 if parts.scheme.lower() == "https" else 80
-        if parts.port and parts.port != default_port:
-            host_header = f"{host_header}:{parts.port}"
-        conn.putheader("Host", host_header)
+        # http.client writes Host: brackets for IPv6, punycode for IDN hosts,
+        # and the port only when it is not the scheme's default.
+        conn.putrequest("GET", path, skip_accept_encoding=True)
         conn.putheader("User-Agent", cfg.user_agent)
         conn.putheader("Accept", "*/*")
         conn.putheader("Connection", "close")
@@ -295,40 +300,31 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
 
 
 def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
+    """One exchange, retried after each retryable failure until retries run out."""
     scheme = Scheme(urlsplit(url).scheme.lower())
-    last_reason = "unknown transport error"
     for attempt in range(cfg.retries + 1):
         try:
             status, headers, body = _exchange(url, cfg)
-        except Exception as exc:  # noqa: BLE001 - every transport fault becomes a reason string
-            last_reason = _classify_exception(exc)
-            if _is_permanent(exc):
-                break
-            if attempt < cfg.retries:
+            reason = None
+        except Exception as exc:  # noqa: BLE001 - the failure table's last row takes any Exception
+            status, headers, body = None, [], b""
+            _, template, retryable = next(r for r in _failure_table() if isinstance(exc, r[0]))
+            reason = template.format(exc=exc, name=type(exc).__name__)
+            if retryable and attempt < cfg.retries:
                 time.sleep(cfg.retry_backoff)
-            continue
-        content_type = next((v for n, v in headers if n == "content-type"), None)
-        return ProbeResult(
-            target=target,
-            url=url,
-            timestamp=datetime.now(timezone.utc),
-            scheme_used=scheme,
-            status=status,
-            headers=tuple(headers),
-            body_sample=body,
-            body_format=classify_body(body, content_type),
-            transport_error=None,
-        )
+                continue
+        break
+    content_type = next((v for n, v in headers if n == "content-type"), None)
     return ProbeResult(
         target=target,
         url=url,
         timestamp=datetime.now(timezone.utc),
         scheme_used=scheme,
-        status=None,
-        headers=(),
-        body_sample=b"",
-        body_format=BodyFormat.EMPTY,
-        transport_error=last_reason,
+        status=status,
+        headers=tuple(headers),
+        body_sample=body,
+        body_format=classify_body(body, content_type),
+        transport_error=reason,
     )
 
 

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from datetime import timedelta
 from pathlib import Path
 
@@ -12,8 +14,10 @@ import pytest
 
 import smellprobe
 
+from smellprobe import cli
 from smellprobe.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from smellprobe.harness import FixtureProfile, RouteSpec
+from smellprobe.probe import ProbeConfig
 from smellprobe.smells import detect_all
 from smellprobe.snapshot import load, save
 
@@ -120,12 +124,50 @@ def test_scan_writes_rejects_file(tmp_path, healthy_endpoint, capsys):
     assert record["reason"] == "unsupported scheme"
 
 
-def test_parallelism_env_override(tmp_path, healthy_endpoint, monkeypatch):
-    monkeypatch.setenv("SMELLPROBE_PARALLELISM", "not-a-number")
+def test_dry_run_writes_no_file(tmp_path, healthy_endpoint, capsys):
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), "ftp://files.example/"])
+    out = tmp_path / "missing" / "s.smellsnap.jsonl"
+    assert run(scan_args(corpus, out, extra=["--dry-run"])) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [healthy_endpoint.url("/")]
+    assert "rejected 1 row(s)" in captured.err
+    assert healthy_endpoint.requests == []
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
+
+
+def test_empty_user_agent_is_usage_error(tmp_path, healthy_endpoint, capsys):
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
-    assert run(scan_args(corpus, tmp_path / "s.jsonl")) == EXIT_USAGE
-    monkeypatch.setenv("SMELLPROBE_PARALLELISM", "2")
-    assert run(scan_args(corpus, tmp_path / "s.jsonl")) == EXIT_OK
+    out = tmp_path / "s.jsonl"
+    assert run(scan_args(corpus, out, extra=["--user-agent", ""])) == EXIT_USAGE
+    assert "user_agent" in capsys.readouterr().err
+    assert healthy_endpoint.requests == []
+    assert not out.exists()
+
+
+def test_scan_without_probe_flags_uses_config_defaults():
+    args = cli._build_parser().parse_args(["scan", "--corpus", "c.csv", "--out", "s.jsonl"])
+    assert cli._probe_config(args) == ProbeConfig()
+
+
+def test_probe_flags_match_config_fields_and_readme():
+    """The scan parser, ProbeConfig and the README name the same probe settings."""
+    scan = cli._build_parser()._subparsers._group_actions[0].choices["scan"]
+    other = {"-h", "--help", "--corpus", "--corpus-format", "--out", "--id", "--rejects", "--dry-run",
+             "--json-auth-heuristic"}
+    flags = {opt for action in scan._actions for opt in action.option_strings} - other
+    settings = {"--" + f.name.replace("_", "-") for f in fields(ProbeConfig)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Probe behavior is tunable with"):].split("\n\n")[0]
+    documented = set(re.findall(r"`(--[a-z-]+)`", paragraph))
+    assert len(settings) == 9
+    assert flags == settings == documented
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == smellprobe.__version__
 
 
 def test_diff_between_two_scans(tmp_path, endpoints, library, capsys):

@@ -1,4 +1,5 @@
 import http.client
+import io
 import socket
 import ssl
 import sys
@@ -289,6 +290,53 @@ class TestFollowChain:
         assert chain.chain_length == 1
 
 
+def _one_request_server(family: socket.AddressFamily, host: str):
+    """A raw listener that answers one GET with 200; returns (port, received bytes, thread)."""
+    listener = socket.socket(family)
+    try:
+        listener.bind((host, 0))
+    except OSError:
+        listener.close()
+        pytest.skip(f"no loopback listener on {host}")
+    listener.listen(1)
+    listener.settimeout(5)
+    received = []
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+                received.append(data)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], received, thread
+
+
+@pytest.mark.parametrize(
+    "family, host, netloc_host",
+    [(socket.AF_INET, "127.0.0.1", "127.0.0.1"), (socket.AF_INET6, "::1", "[::1]")],
+    ids=["ipv4", "ipv6"],
+)
+def test_host_header(family, host, netloc_host):
+    port, received, thread = _one_request_server(family, host)
+    result, _ = probe_and_follow(make_target(f"http://{netloc_host}:{port}/"), fast_cfg())
+    thread.join(5)
+    assert not thread.is_alive()
+    assert result.status == 200
+    lines = received[0].split(b"\r\n")
+    assert [line for line in lines if line.lower().startswith(b"host:")] == [
+        f"Host: {netloc_host}:{port}".encode()
+    ]
+
+
 class TestRedirectChain:
     """Properties derived from the exchanges alone, without the network."""
 
@@ -424,6 +472,8 @@ class TestConfigAndBodyFormat:
             ProbeConfig(max_redirects=0)
         with pytest.raises(ValueError):
             ProbeConfig(retries=-1)
+        with pytest.raises(ValueError):
+            ProbeConfig(user_agent="")
 
     def test_classify_body(self):
         assert classify_body(b"", None) is BodyFormat.EMPTY
@@ -558,20 +608,28 @@ class TestRetries:
         assert result.transport_error == "tls handshake failure"
 
     @pytest.mark.parametrize(
-        "exc, attempts",
+        "exc, reason, attempts",
         [
-            (ssl.SSLCertVerificationError("untrusted"), 1),
-            (socket.gaierror(-2, "Name or service not known"), 1),
-            (ValueError("url has no host"), 1),
-            (http.client.InvalidURL("nonnumeric port"), 1),
-            (socket.timeout("timed out"), 3),
-            (ConnectionResetError(), 3),
-            (ConnectionRefusedError(), 3),
-            (OSError("network unreachable"), 3),
-            (ssl.SSLError("handshake"), 3),
+            (ssl.SSLCertVerificationError("untrusted"), "tls handshake failure", 1),
+            (socket.gaierror(-2, "Name or service not known"), "dns failure", 1),
+            (ValueError("url has no host"), "error: url has no host", 1),
+            (UnicodeError("label too long"), "error: label too long", 1),
+            (http.client.InvalidURL("nonnumeric port"), "malformed response: InvalidURL", 1),
+            (io.UnsupportedOperation("not readable"), "connection error: not readable", 1),
+            (socket.timeout("timed out"), "timeout", 3),
+            (TimeoutError(), "timeout", 3),
+            (ConnectionResetError(), "connection reset", 3),
+            # Both a ConnectionResetError and an HTTPException: the reset row
+            # comes first.
+            (http.client.RemoteDisconnected("closed"), "connection reset", 3),
+            (ConnectionRefusedError(), "connection refused", 3),
+            (http.client.IncompleteRead(b"par", 5), "malformed response: IncompleteRead", 3),
+            (OSError("network unreachable"), "connection error: network unreachable", 3),
+            (ssl.SSLError("handshake"), "tls handshake failure", 3),
+            (RuntimeError("boom"), "error: boom", 3),
         ],
     )
-    def test_only_transient_errors_retried(self, monkeypatch, exc, attempts):
+    def test_only_transient_errors_retried(self, monkeypatch, exc, reason, attempts):
         calls = []
 
         def failing(url, cfg):
@@ -582,4 +640,6 @@ class TestRetries:
         cfg = fast_cfg(retries=2, retry_backoff=0.01)
         result, _ = probe_and_follow(make_target("http://127.0.0.1:1/"), cfg)
         assert len(calls) == attempts
-        assert result.transport_error == probe._classify_exception(exc)
+        assert result.transport_error == reason
+        assert result.status is None and result.headers == () and result.body_sample == b""
+        assert result.body_format is BodyFormat.EMPTY
