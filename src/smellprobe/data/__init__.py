@@ -1,0 +1,9 @@
+"""The packaged JSON tables: patterns, dictionaries and fixture profiles."""
+
+import json
+from importlib import resources
+
+
+def load_table(name: str) -> dict:
+    with resources.files(__name__).joinpath(name).open("r", encoding="utf-8") as fh:
+        return json.load(fh)

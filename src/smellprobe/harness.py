@@ -18,7 +18,6 @@ import atexit
 import datetime as _dt
 import http.client
 import ipaddress
-import json
 import socket
 import ssl
 import tempfile
@@ -27,8 +26,9 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from importlib import resources
 from pathlib import Path
+
+from .data import load_table
 
 
 @dataclass(frozen=True)
@@ -370,11 +370,7 @@ def _profile_from_dict(name: str, data: dict) -> FixtureProfile:
 
 def load_profile_library() -> ProfileLibrary:
     """The shipped fixtures: smell positives/negatives and maintenance pairs."""
-    with resources.files("smellprobe.data").joinpath("fixture_profiles.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        raw = json.load(fh)
-
+    raw = load_table("fixture_profiles.json")
     profiles = {name: _profile_from_dict(name, p) for name, p in raw["profiles"].items()}
     smell_cases = {}
     for kind, sides in raw["smells"].items():

@@ -4,6 +4,8 @@ The transport sits directly on ``http.client`` so that response headers are
 captured in wire order (including repeats) and redirects are never followed
 implicitly.  Every exchange opens a fresh connection, sends a minimal header
 set, and closes; no cookies or connection state persist between exchanges.
+A ``ProbeResult`` derives its scheme from its URL and its body format from
+its body and first Content-Type header; neither is stored.
 
 The TLS client context (the trust store and the validation settings) is the
 one exception: it is built once per ``ProbeConfig``, the first time an https
@@ -131,11 +133,9 @@ class ProbeResult:
     target: ProbeTarget
     url: str
     timestamp: datetime
-    scheme_used: Scheme
     status: int | None
     headers: tuple[tuple[str, str], ...]
     body_sample: bytes
-    body_format: BodyFormat
     transport_error: str | None = None
 
     def __post_init__(self) -> None:
@@ -155,6 +155,14 @@ class ProbeResult:
         return self.status is not None
 
     @property
+    def scheme_used(self) -> Scheme:
+        return Scheme(urlsplit(self.url).scheme)
+
+    @property
+    def body_format(self) -> BodyFormat:
+        return classify_body(self.body_sample, self.first_header("content-type"))
+
+    @property
     def redirect_location(self) -> str | None:
         """The Location value when this is a followable 3xx, else None."""
         location = self.first_header("location") if self.status in range(300, 400) else None
@@ -165,7 +173,7 @@ class ProbeResult:
 class RedirectChain:
     """Every exchange of one probe in request order; never empty.
 
-    Each exchange after the first follows the Location of the one before.
+    The first exchange requests the target's URL; each later one follows the Location before it.
     The last exchange is a redirect too when following stopped at a loop,
     at max_redirects, or at a Location that does not parse or leads off
     the web.  Hops, loop and downgrades are derived from the exchanges.
@@ -176,8 +184,10 @@ class RedirectChain:
     def __post_init__(self) -> None:
         if not self.exchanges:
             raise ValueError("a redirect chain has at least one exchange")
-        if any(e.target != self.exchanges[0].target for e in self.exchanges):
+        if any(e.target != self.result.target for e in self.exchanges):
             raise ValueError("every exchange of a chain probes the same target")
+        if self.result.url != self.result.target.url:
+            raise ValueError("the first exchange of a chain requests the target's URL")
 
     @property
     def result(self) -> ProbeResult:
@@ -270,12 +280,13 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
     if parts.query:
         path = f"{path}?{parts.query}"
 
+    # http.client would take the last group of a bare IPv6 literal as the port.
     if parts.scheme.lower() == "https":
         conn = http.client.HTTPSConnection(
-            host, parts.port, timeout=cfg.connect_timeout, context=cfg.tls_context
+            host, parts.port or 443, timeout=cfg.connect_timeout, context=cfg.tls_context
         )
     else:
-        conn = http.client.HTTPConnection(host, parts.port, timeout=cfg.connect_timeout)
+        conn = http.client.HTTPConnection(host, parts.port or 80, timeout=cfg.connect_timeout)
 
     try:
         conn.connect()
@@ -301,7 +312,6 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
 
 def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
     """One exchange, retried after each retryable failure until retries run out."""
-    scheme = Scheme(urlsplit(url).scheme.lower())
     for attempt in range(cfg.retries + 1):
         try:
             status, headers, body = _exchange(url, cfg)
@@ -314,16 +324,13 @@ def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
                 time.sleep(cfg.retry_backoff)
                 continue
         break
-    content_type = next((v for n, v in headers if n == "content-type"), None)
     return ProbeResult(
         target=target,
         url=url,
         timestamp=datetime.now(timezone.utc),
-        scheme_used=scheme,
         status=status,
         headers=tuple(headers),
         body_sample=body,
-        body_format=classify_body(body, content_type),
         transport_error=reason,
     )
 

@@ -2,7 +2,8 @@
 
 Every detector is a pure function of probe evidence: same input, same
 finding.  Pattern tables live in the packaged data files so they can be
-versioned independently of the code.
+versioned independently of the code; they are compiled on first use, so
+``diff`` and ``report``, which import this module for its types, compile none.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
+from functools import cache
 from urllib.parse import urljoin, urlsplit
 
 from .corpus import ProbeTarget
+from .data import load_table
 from .probe import BodyFormat, ProbeResult, RedirectChain, Scheme
 from .versions import BannerParse, parse_banner, parse_product_token
 
@@ -65,7 +67,6 @@ SUBFLAG_VOCABULARY: dict[SmellKind, frozenset[str]] = {
 @dataclass(frozen=True)
 class SmellFinding:
     kind: SmellKind
-    url: str
     evidence: tuple[tuple[Locus, str], ...]
     subflags: frozenset[str] = frozenset()
 
@@ -94,7 +95,6 @@ class LeakRecord:
 class SmellReport:
     """Per-URL detection outcome: the findings plus every extracted leak."""
 
-    url: str
     findings: tuple[SmellFinding, ...]
     leaks: tuple[LeakRecord, ...]
 
@@ -111,11 +111,6 @@ def _evidence(locus: Locus, text: str) -> tuple[Locus, str]:
 
 
 # --- pattern tables -------------------------------------------------------
-
-
-def _load_json(name: str) -> dict:
-    with resources.files("smellprobe.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _fold(text: str) -> str:
@@ -267,16 +262,17 @@ class _BodyBanner:
     literal: bool
 
 
-def _load_body_banners() -> tuple[_BodyBanner, ...]:
-    table = _load_json("body_banners.json")
+@cache
+def _framework_table() -> tuple[_FrameworkPattern, ...]:
+    return _framework_patterns(load_table("framework_patterns.json"))
+
+
+@cache
+def _body_banner_table() -> tuple[_BodyBanner, ...]:
     return tuple(
         _BodyBanner(e["label"], re.compile(e["pattern"]), e["template"], e["literal"])
-        for e in table["banners"]
+        for e in load_table("body_banners.json")["banners"]
     )
-
-
-FRAMEWORK_PATTERNS = _framework_patterns(_load_json("framework_patterns.json"))
-BODY_BANNERS = _load_body_banners()
 
 
 def _decode_body(body: bytes) -> str:
@@ -292,7 +288,6 @@ def detect_insecure_transport(target: ProbeTarget) -> SmellFinding | None:
         return None
     return SmellFinding(
         kind=SmellKind.INSECURE_TRANSPORT,
-        url=target.url,
         evidence=(_evidence(Locus.URL, target.url),),
     )
 
@@ -311,7 +306,7 @@ def _source_code_disclosure(result: ProbeResult, text: str) -> SmellFinding | No
         return None
     folded = _fold(text)
     best: tuple[int, int, str, str] | None = None  # (-specificity, order, framework, excerpt)
-    for pattern in FRAMEWORK_PATTERNS:
+    for pattern in _framework_table():
         matched = pattern.search(text, folded)
         if matched is None:
             continue
@@ -323,7 +318,6 @@ def _source_code_disclosure(result: ProbeResult, text: str) -> SmellFinding | No
     _, _, framework, matched = best
     return SmellFinding(
         kind=SmellKind.SOURCE_CODE_DISCLOSURE,
-        url=result.target.url,
         evidence=(_evidence(Locus.BODY, matched),),
         subflags=frozenset({framework}),
     )
@@ -346,7 +340,7 @@ def _leaks_from_parse(parsed: BannerParse, locus: str) -> list[LeakRecord]:
 
 def _body_banner_hits(text: str) -> list[tuple[str, BannerParse]]:
     hits: list[tuple[str, BannerParse]] = []
-    for banner in BODY_BANNERS:
+    for banner in _body_banner_table():
         match = banner.matcher.search(text)
         if match is None:
             continue
@@ -394,7 +388,6 @@ def _version_disclosure(
         return None, []
     finding = SmellFinding(
         kind=SmellKind.VERSION_DISCLOSURE,
-        url=result.target.url,
         evidence=tuple(evidence),
         subflags=frozenset(subflags),
     )
@@ -442,7 +435,6 @@ def detect_lack_of_access_control(
         subflags.add("json_auth_error_heuristic")
     return SmellFinding(
         kind=SmellKind.LACK_OF_ACCESS_CONTROL,
-        url=result.target.url,
         evidence=(_evidence(Locus.HEADER, f"status {result.status} without credential challenge"),),
         subflags=frozenset(subflags),
     )
@@ -469,10 +461,7 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
     flagged on any target.  An unreachable target with no observed hops is
     not judged.
     """
-    target = chain.terminal.target
-    target_parts = urlsplit(target.url)
-    target_scheme = target_parts.scheme.lower()
-    target_host = (target_parts.hostname or "").lower()
+    target_host = (urlsplit(chain.result.url).hostname or "").lower()
 
     if not chain.hops and chain.terminal.transport_error is not None:
         # The server never answered; there is no redirect behavior to judge.
@@ -499,7 +488,7 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
         )
 
     missing_upgrade = False
-    if target_scheme == "http":
+    if chain.result.scheme_used is Scheme.HTTP:
         upgraded = any(
             urlsplit(u).scheme.lower() == "https"
             and (urlsplit(u).hostname or "").lower() == target_host
@@ -520,7 +509,6 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
         return None
     return SmellFinding(
         kind=SmellKind.MISSING_HTTPS_REDIRECT,
-        url=target.url,
         evidence=tuple(evidence),
         subflags=frozenset(subflags),
     )
@@ -564,7 +552,6 @@ def detect_missing_hsts(result: ProbeResult) -> SmellFinding | None:
     if header is None:
         return SmellFinding(
             kind=SmellKind.MISSING_HSTS,
-            url=result.target.url,
             evidence=(_evidence(Locus.HEADER, "strict-transport-security header absent"),),
             subflags=frozenset({"absent"}),
         )
@@ -580,7 +567,6 @@ def detect_missing_hsts(result: ProbeResult) -> SmellFinding | None:
         return None
     return SmellFinding(
         kind=SmellKind.MISSING_HSTS,
-        url=result.target.url,
         evidence=(_evidence(Locus.HEADER, f"strict-transport-security: {header}"),),
         subflags=frozenset(subflags),
     )
@@ -621,4 +607,4 @@ def detect_all(
     if finding:
         findings.append(finding)
 
-    return SmellReport(url=target.url, findings=tuple(findings), leaks=tuple(leaks))
+    return SmellReport(findings=tuple(findings), leaks=tuple(leaks))

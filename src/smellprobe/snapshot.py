@@ -3,8 +3,8 @@
 Line 1 is a header record ``{entries, id, schema, taken_at, tool_version}``;
 each following line is one URL's record ``{url, result, redirects, report}``:
 the first exchange with its target, each later exchange of the redirect
-chain, and the smell report.  No exchange is stored twice and nothing
-derived from the chain is stored.  A body is stored as ``body_text`` when it
+chain, and the smell report.  No fact, not even the URL, is stored twice,
+and nothing derived is stored.  A body is stored as ``body_text`` when it
 is ASCII and its JSON string is no longer than its base64 form, and as
 ``body_b64`` otherwise.  Entries are sorted by URL and objects are dumped
 with sorted keys, so equal snapshots are byte-identical files.
@@ -15,8 +15,8 @@ records in a spool file beside the output in the order they arrive and
 writes them out in URL order.  ``scan`` creates the spool before it sends a
 request, so an output path that cannot be written fails the scan at once.
 Reading a ``body_text`` costs a JSON string parse and an ASCII encode, not a
-base64 decode.  Reading accepts schemas 3, 2 and 1 (see ``_v1_chain``) and
-never touches the network.
+base64 decode.  Reading accepts schemas 4 to 1, checks what older ones
+stored twice (see ``_stored_copies``), and never touches the network.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
-from urllib.parse import urlsplit
 
 from .corpus import DeclaredFormat, ProbeTarget, SourceModel
-from .probe import TOOL_VERSION, BodyFormat, ProbeResult, RedirectChain, Scheme
+from .probe import TOOL_VERSION, ProbeResult, RedirectChain
 from .smells import LeakCategory, LeakRecord, Locus, SmellFinding, SmellKind, SmellReport
 
 
@@ -41,7 +40,7 @@ class SnapshotIntegrityError(Exception):
     """Raised when a snapshot file is corrupt; names the first bad record."""
 
 
-SCHEMA = 3  # what serialize() writes; reading also accepts schemas 2 and 1
+SCHEMA = 4  # what serialize() writes; reading also accepts schemas 3, 2 and 1
 
 
 @dataclass(frozen=True)
@@ -82,14 +81,13 @@ def _target_to_dict(target: ProbeTarget) -> dict:
         "app_id": target.app_id,
         "declared_format": target.declared_format.value if target.declared_format else None,
         "source_model": target.source_model.value,
-        "url": target.url,
     }
 
 
-def _target_from_dict(data: dict) -> ProbeTarget:
+def _target_from_dict(data: dict, url: str) -> ProbeTarget:
     declared = data.get("declared_format")
     return ProbeTarget(
-        url=data["url"],
+        url=url,
         app_id=data["app_id"],
         source_model=SourceModel(data["source_model"]),
         declared_format=DeclaredFormat(declared) if declared else None,
@@ -125,29 +123,24 @@ def _body_from_dict(data: dict) -> bytes:
 
 
 def _result_to_dict(result: ProbeResult) -> dict:
-    """One exchange without its target, which the record stores once."""
+    """One exchange without its target and URL."""
     return {
         **_body_to_dict(result.body_sample),
-        "body_format": result.body_format.value,
         "headers": [[n, v] for n, v in result.headers],
-        "scheme_used": result.scheme_used.value,
         "status": result.status,
         "timestamp": _iso(result.timestamp),
         "transport_error": result.transport_error,
-        "url": result.url,
     }
 
 
-def _result_from_dict(data: dict, target: ProbeTarget) -> ProbeResult:
+def _result_from_dict(data: dict, target: ProbeTarget, url: str) -> ProbeResult:
     return ProbeResult(
         target=target,
-        url=data["url"],
+        url=url,
         timestamp=datetime.fromisoformat(data["timestamp"]),
-        scheme_used=Scheme(data["scheme_used"]),
         status=data["status"],
         headers=tuple((n, v) for n, v in data["headers"]),
         body_sample=_body_from_dict(data),
-        body_format=BodyFormat(data["body_format"]),
         transport_error=data["transport_error"],
     )
 
@@ -160,12 +153,12 @@ def _v1_chain(result: ProbeResult, data: dict) -> RedirectChain:
     them comes back with that status, a location header, no body and the
     first exchange's timestamp.
     """
-    hops = data["hops"]
-    terminal = _result_from_dict(data["terminal"], _target_from_dict(data["terminal"]["target"]))
+    hops, last = data["hops"], data["terminal"]
+    target = _target_from_dict(last["target"], last["target"]["url"])  # RedirectChain checks it
+    terminal = _result_from_dict(last, target, last["url"])
     count = max(1, len(hops) + (terminal.redirect_location is None))
     middle = tuple(
-        replace(result, url=url, scheme_used=Scheme(urlsplit(url).scheme), status=status,
-                headers=(("location", location),), body_sample=b"", body_format=BodyFormat.EMPTY)
+        replace(result, url=url, status=status, headers=(("location", location),), body_sample=b"")
         for url, status, location in hops[1 : count - 1]
     )
     chain = RedirectChain((result, *middle, terminal) if count > 1 else (result,))
@@ -185,7 +178,6 @@ def _report_to_dict(report: SmellReport) -> dict:
                 "evidence": [[locus.value, excerpt] for locus, excerpt in f.evidence],
                 "kind": f.kind.value,
                 "subflags": sorted(f.subflags),
-                "url": f.url,
             }
             for f in report.findings
         ],
@@ -198,7 +190,6 @@ def _report_to_dict(report: SmellReport) -> dict:
             }
             for leak in report.leaks
         ],
-        "url": report.url,
     }
 
 
@@ -206,7 +197,6 @@ def _report_from_dict(data: dict) -> SmellReport:
     findings = tuple(
         SmellFinding(
             kind=SmellKind(f["kind"]),
-            url=f["url"],
             evidence=tuple((Locus(locus), excerpt) for locus, excerpt in f["evidence"]),
             subflags=frozenset(f["subflags"]),
         )
@@ -221,7 +211,7 @@ def _report_from_dict(data: dict) -> SmellReport:
         )
         for leak in data["leaks"]
     )
-    return SmellReport(url=data["url"], findings=findings, leaks=leaks)
+    return SmellReport(findings=findings, leaks=leaks)
 
 
 def _dump(obj: dict) -> str:
@@ -241,7 +231,7 @@ def _header_line(snapshot_id: str, taken_at: datetime, count: int) -> str:
 
 def _record_line(entry: SnapshotEntry) -> str:
     record = {
-        "redirects": [_result_to_dict(e) for e in entry.chain.exchanges[1:]],
+        "redirects": [{**_result_to_dict(e), "url": e.url} for e in entry.chain.exchanges[1:]],
         "report": _report_to_dict(entry.report),
         "result": {**_result_to_dict(entry.result), "target": _target_to_dict(entry.result.target)},
         "url": entry.url,
@@ -360,23 +350,37 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         schema = header.get("schema", 1)
     except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
-    if type(schema) is not int or schema not in (1, 2, SCHEMA):
+    if type(schema) is not int or schema not in range(1, SCHEMA + 1):
         raise SnapshotIntegrityError(f"record 0: unknown schema {schema!r}")
     return snapshot_id, taken_at, declared, schema
 
 
+def _stored_copies(data: dict, chain: RedirectChain, schema: int) -> Iterator[tuple]:
+    """``(what, stored, derived)`` for each copy a record of schema 3, 2 or 1 stored."""
+    url, result, report = data["url"], data["result"], data["report"]
+    copies = [("target", result["target"]), ("first exchange", result), ("report", report)]
+    for what, stored in copies + [("finding", finding) for finding in report["findings"]]:
+        yield f"{what} url", stored["url"], url
+    kept = [result, data["chain"]["terminal"]] if schema == 1 else [result, *data["redirects"]]
+    exchanges = [chain.result, chain.terminal] if schema == 1 else chain.exchanges
+    for stored, exchange in zip(kept, exchanges):
+        for key in ("scheme_used", "body_format"):
+            yield f"{key} of {exchange.url}", stored[key], getattr(exchange, key).value
+
+
 def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
-    target = _target_from_dict(data["result"]["target"])
-    result = _result_from_dict(data["result"], target)
+    target = _target_from_dict(data["result"]["target"], data["url"])
+    result = _result_from_dict(data["result"], target, data["url"])
     if schema == 1:
         chain = _v1_chain(result, data["chain"])
     else:
-        redirects = (_result_from_dict(e, target) for e in data["redirects"])
+        redirects = (_result_from_dict(e, target, e["url"]) for e in data["redirects"])
         chain = RedirectChain((result, *redirects))
-    entry = SnapshotEntry(result=result, chain=chain, report=_report_from_dict(data["report"]))
-    if entry.url != data["url"]:
-        raise ValueError("key does not match target url")
-    return entry
+    if schema < SCHEMA:
+        for what, stored, derived in _stored_copies(data, chain, schema):
+            if stored != derived:
+                raise ValueError(f"stored {what} {stored!r} disagrees with {derived!r}")
+    return SnapshotEntry(result=result, chain=chain, report=_report_from_dict(data["report"]))
 
 
 class _EntryReader:
@@ -434,7 +438,7 @@ class _EntryReader:
 
 
 def iter_entries(path: str | Path) -> _EntryReader:
-    """Open a snapshot of schema 3, 2 or 1 and read its entries one line at a time.
+    """Open a snapshot of schema 4, 3, 2 or 1 and read its entries one line at a time.
 
     The header is read at once: the returned iterator has ``id``,
     ``taken_at`` and ``declared`` (the entry count).  It yields the entries
@@ -448,7 +452,7 @@ def iter_entries(path: str | Path) -> _EntryReader:
 
 
 def load(path: str | Path) -> Snapshot:
-    """Read a whole snapshot of schema 3, 2 or 1 with the checks of ``iter_entries``."""
+    """Read a whole snapshot of schema 4, 3, 2 or 1 with the checks of ``iter_entries``."""
     with iter_entries(path) as reader:
         entries = {entry.url: entry for entry in reader}
     return Snapshot(id=reader.id, taken_at=reader.taken_at, entries=entries)

@@ -9,10 +9,10 @@ classified as operating-system leaks; everything else is kept verbatim.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
+
+from .data import load_table
 
 # Leading dotted-numeric run of a version string; anything after the first
 # character outside [0-9.] is kept only in `raw` and ignored for ordering.
@@ -21,24 +21,9 @@ _NUMERIC_PREFIX = re.compile(r"^([0-9]+(?:\.[0-9]+)*)")
 _PAREN = re.compile(r"\(([^)]*)\)")
 
 
-def _load_table(name: str) -> dict:
-    with resources.files("smellprobe.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _os_dictionary() -> dict[str, str]:
-    # lowercase key -> display name
-    table = _load_table("os_dictionary.json")
-    return {k.lower(): v for k, v in table["names"].items()}
-
-
-def _service_dictionary() -> dict[str, str]:
-    table = _load_table("service_names.json")
-    return {k.lower(): v for k, v in table["names"].items()}
-
-
-OS_DICTIONARY = _os_dictionary()
-SERVICE_DICTIONARY = _service_dictionary()
+# lowercase key -> display name
+OS_DICTIONARY = {k.lower(): v for k, v in load_table("os_dictionary.json")["names"].items()}
+SERVICE_DICTIONARY = {k.lower(): v for k, v in load_table("service_names.json")["names"].items()}
 
 
 @dataclass(frozen=True)

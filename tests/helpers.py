@@ -6,7 +6,7 @@ import random
 from datetime import datetime, timedelta, timezone
 
 from smellprobe.corpus import DeclaredFormat, ProbeTarget, SourceModel
-from smellprobe.probe import BodyFormat, ProbeConfig, ProbeResult, RedirectChain, Scheme
+from smellprobe.probe import ProbeConfig, ProbeResult, RedirectChain
 from smellprobe.smells import (
     LeakCategory,
     LeakRecord,
@@ -49,27 +49,17 @@ def make_result(
     status: int | None = 200,
     headers: tuple[tuple[str, str], ...] = (),
     body: bytes = b"",
-    body_format: BodyFormat | None = None,
     error: str | None = None,
     url: str | None = None,
     timestamp: datetime | None = None,
 ) -> ProbeResult:
-    url = url or target.url
-    scheme = Scheme.HTTPS if url.lower().startswith("https") else Scheme.HTTP
-    if body_format is None:
-        content_type = next((v for n, v in headers if n == "content-type"), None)
-        from smellprobe.probe import classify_body
-
-        body_format = classify_body(body, content_type)
     return ProbeResult(
         target=target,
-        url=url,
+        url=url or target.url,
         timestamp=timestamp or EPOCH,
-        scheme_used=scheme,
         status=None if error else status,
         headers=tuple((n.lower(), v) for n, v in headers),
         body_sample=body,
-        body_format=body_format if not error else BodyFormat.EMPTY,
         transport_error=error,
     )
 
@@ -82,7 +72,6 @@ def direct_chain(result: ProbeResult) -> RedirectChain:
 def make_finding(kind: SmellKind, url: str, subflags: frozenset[str] = frozenset()) -> SmellFinding:
     return SmellFinding(
         kind=kind,
-        url=url,
         evidence=((Locus.URL, url),),
         subflags=subflags,
     )
@@ -110,7 +99,7 @@ def build_entry(
     result = make_result(target, status=status, headers=all_headers, body=body, error=error)
     if findings is None:
         findings = tuple(make_finding(kind, url) for kind in kinds)
-    report = SmellReport(url=url, findings=findings, leaks=leaks)
+    report = SmellReport(findings=findings, leaks=leaks)
     return SnapshotEntry(result=result, chain=direct_chain(result), report=report)
 
 

@@ -291,6 +291,26 @@ def test_plain_http_scan_runs_without_cryptography(tmp_path, healthy_endpoint):
     assert load(out).entries[healthy_endpoint.url("/")].result.status == 200
 
 
+def test_cli_import_and_diff_compile_no_detector_pattern(tmp_path):
+    """diff never detects, so it builds neither detector pattern table."""
+    data = Path(__file__).parent / "data" / "schema3"
+    rounds = [str(data / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    child = (
+        "import sys\n"
+        "from smellprobe import smells\n"
+        "from smellprobe.cli import run\n"
+        "code = run(sys.argv[1:])\n"
+        "tables = (smells._framework_table, smells._body_banner_table)\n"
+        "sys.exit(code if all(t.cache_info().currsize == 0 for t in tables) else 99)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "diff", *rounds, "--out", str(tmp_path / "m.jsonl")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+
+
 # --- streaming scan, diff and report ---------------------------------------------
 
 

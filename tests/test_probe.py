@@ -17,6 +17,7 @@ from smellprobe.probe import (
     BodyFormat,
     ProbeConfig,
     RedirectChain,
+    Scheme,
     classify_body,
     probe_all,
     probe_and_follow,
@@ -643,3 +644,41 @@ class TestRetries:
         assert result.transport_error == reason
         assert result.status is None and result.headers == () and result.body_sample == b""
         assert result.body_format is BodyFormat.EMPTY
+
+
+@pytest.mark.parametrize(
+    "url, address",
+    [
+        ("http://[::1]/", ("::1", 80)),
+        ("https://[2001:db8::1]/", ("2001:db8::1", 443)),
+        ("http://[::1]:8080/", ("::1", 8080)),
+        ("https://h.example/", ("h.example", 443)),
+    ],
+)
+def test_connects_to_the_url_host_and_its_default_port(monkeypatch, url, address):
+    # http.client splits an IPv6 literal without a port at its last colon.
+    addresses = []
+
+    def refuse(addr, *args, **kwargs):
+        addresses.append(addr)
+        raise ConnectionRefusedError
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    with pytest.raises(ConnectionRefusedError):
+        probe._exchange(url, fast_cfg())
+    assert addresses == [address]
+
+
+def test_scheme_and_body_format_derived_from_url_body_and_first_content_type():
+    target = make_target("https://h.example/")
+    headers = (("Content-Type", "application/json"), ("Content-Type", "text/html"))
+    labelled = make_result(target, headers=headers, body=b"<html>")
+    assert (labelled.scheme_used, labelled.body_format) == (Scheme.HTTPS, BodyFormat.JSON)
+    plain = make_result(target, url="HTTP://h.example/x", body=b"<html>")
+    assert (plain.scheme_used, plain.body_format) == (Scheme.HTTP, BodyFormat.NON_JSON)
+
+
+def test_chain_starts_at_the_target_url():
+    target = make_target("http://h.example/")
+    with pytest.raises(ValueError, match="requests the target's URL"):
+        RedirectChain((make_result(target, url="http://h.example/other"),))

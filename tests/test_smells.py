@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from smellprobe.probe import RedirectChain
 from smellprobe.smells import (
-    FRAMEWORK_PATTERNS,
     SUBFLAG_VOCABULARY,
     LeakCategory,
     Locus,
@@ -24,6 +23,7 @@ from smellprobe.smells import (
     _excerpt,
     _fold,
     _framework_patterns,
+    _framework_table,
 )
 
 from helpers import direct_chain, make_result, make_target
@@ -132,7 +132,7 @@ _RAW_TABLE = json.loads(
 # Regex syntax Python 3.10 lacks: atomic groups and possessive quantifiers.
 _PY311_SYNTAX = re.compile(r"\(\?>|(?<!\\)[*+?}]\+")
 
-_GATES = [pattern.gate for pattern in FRAMEWORK_PATTERNS]
+_GATES = [pattern.gate for pattern in _framework_table()]
 # IGNORECASE takes U+017F for "s", U+212A for "k", and U+0130 and U+0131 for "i".
 _GATE_ALPHABET = "".join(sorted({*"".join(_GATES), *"\u017f\u212a\u0130\u0131 \n\t0123456789"}))
 _FRAGMENTS = sorted({
@@ -255,7 +255,7 @@ class TestFrameworkTable:
 
     def test_folding_keeps_case_insensitive_gates_necessary(self):
         # Every character IGNORECASE takes for a gate letter folds to that letter.
-        letters = sorted({c for p in FRAMEWORK_PATTERNS if p.case_insensitive for c in p.gate})
+        letters = sorted({c for p in _framework_table() if p.case_insensitive for c in p.gate})
         assert letters
         every_char = "".join(map(chr, range(0x110000)))
         for letter in letters:
@@ -264,7 +264,7 @@ class TestFrameworkTable:
 
     @pytest.mark.parametrize("match", _SHORT_MATCHES)
     def test_gates_keep_short_matches(self, match):
-        matched = [p for p in FRAMEWORK_PATTERNS if p.kind != "literal" and _ungated(p, match)]
+        matched = [p for p in _framework_table() if p.kind != "literal" and _ungated(p, match)]
         assert matched
         for pattern in matched:
             assert pattern.search(match, _fold(match)) == _ungated(pattern, match), pattern.marker
@@ -274,7 +274,7 @@ class TestFrameworkTable:
     def test_gated_table_matches_ungated(self, text):
         folded = _fold(text)
         hits = []
-        for pattern in FRAMEWORK_PATTERNS:
+        for pattern in _framework_table():
             expected = _ungated(pattern, text)
             assert pattern.search(text, folded) == expected, pattern.marker
             if expected is not None:
@@ -296,7 +296,7 @@ class TestFrameworkTable:
     @example("Warning: a in b.php on line \nWarning: c in d.php on line 9")
     @example("Fatal error: a in b.php on line 7 Warning: c in d.php on line 8")
     def test_php_error_matches_old_regex(self, text):
-        for pattern in FRAMEWORK_PATTERNS:
+        for pattern in _framework_table():
             if pattern.kind == "php_error":
                 assert pattern.search(text, _fold(text)) == _ungated(pattern, text), pattern.marker
 
@@ -310,7 +310,7 @@ class TestFrameworkTable:
     @example("x\n\n  at Object.<anonymous>")
     @example("\u2028 at Object.<anonymous>")
     def test_node_frames_match_old_regexes(self, text):
-        for pattern in FRAMEWORK_PATTERNS:
+        for pattern in _framework_table():
             if pattern.kind in ("frame", "node_frame"):
                 assert pattern.search(text, _fold(text)) == _ungated(pattern, text), pattern.marker
 
@@ -320,7 +320,7 @@ class TestFrameworkTable:
         ids=lambda value: repr(value)[:40] if isinstance(value, str) else value["marker"][:30],
     )
     def test_every_entry_linear_on_adversarial_body(self, entry, unit):
-        pattern = next(p for p in FRAMEWORK_PATTERNS if p.marker == entry["marker"])
+        pattern = next(p for p in _framework_table() if p.marker == entry["marker"])
         size = 256 * 1024
         body = (unit * (size // len(unit) + 1))[:size]
         start = time.process_time()
@@ -535,7 +535,7 @@ class TestMissingHttpsRedirect:
         assert "downgrade" in finding.subflags
 
     def test_six_redirects_flagged_excessive(self):
-        target = make_target("http://h.example/")
+        target = make_target("http://h.example/0")
         hops = [(f"http://h.example/{i}", 302, f"http://h.example/{i+1}") for i in range(6)]
         terminal = make_result(target, status=200, url="http://h.example/6")
         finding = detect_missing_https_redirect(chain_of(target, hops, terminal))
@@ -543,7 +543,7 @@ class TestMissingHttpsRedirect:
         assert "excessive_chain" in finding.subflags
 
     def test_five_redirects_not_excessive(self):
-        target = make_target("http://h.example/")
+        target = make_target("http://h.example/0")
         hops = [(f"http://h.example/{i}", 302, f"http://h.example/{i+1}") for i in range(5)]
         terminal = make_result(target, status=200, url="http://h.example/5")
         finding = detect_missing_https_redirect(chain_of(target, hops, terminal))
@@ -727,13 +727,12 @@ class TestDetectAll:
 class TestFindingValidation:
     def test_evidence_required(self):
         with pytest.raises(ValueError):
-            SmellFinding(kind=SmellKind.INSECURE_TRANSPORT, url="http://x", evidence=())
+            SmellFinding(kind=SmellKind.INSECURE_TRANSPORT, evidence=())
 
     def test_subflag_vocabulary_closed(self):
         with pytest.raises(ValueError):
             SmellFinding(
                 kind=SmellKind.MISSING_HSTS,
-                url="https://x",
                 evidence=((Locus.HEADER, "x"),),
                 subflags=frozenset({"bogus"}),
             )

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 import socket
 import tracemalloc
 from dataclasses import replace
@@ -28,7 +29,8 @@ from smellprobe.snapshot import (
 
 from helpers import EPOCH, build_entry, build_snapshot, make_finding, make_result, make_target
 
-SCHEMA1 = Path(__file__).parent / "data" / "schema1"
+DATA = Path(__file__).parent / "data"
+SCHEMA1, SCHEMA2, SCHEMA3 = DATA / "schema1", DATA / "schema2", DATA / "schema3"
 
 
 def chain_entry(url, *exchanges):
@@ -47,7 +49,7 @@ def chain_entry(url, *exchanges):
         for i, (hop_url, status, headers, body) in enumerate(exchanges)
     )
     chain = RedirectChain(results)
-    report = SmellReport(url=url, findings=(), leaks=())
+    report = SmellReport(findings=(), leaks=())
     return SnapshotEntry(result=chain.result, chain=chain, report=report)
 
 
@@ -134,14 +136,17 @@ def test_each_exchange_stored_once_and_nothing_derived(tmp_path):
     path = tmp_path / "run.smellsnap.jsonl"
     save(sample_snapshot(), path)
     header, *records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert header["schema"] == SCHEMA == 3
+    assert header["schema"] == SCHEMA == 4
     for record in records:
         assert set(record) == {"url", "result", "redirects", "report"}
-        assert record["result"]["target"]["url"] == record["url"]
+        assert "url" not in record["result"] and "url" not in record["result"]["target"]
+        assert "url" not in record["report"]
+        assert all("url" not in finding for finding in record["report"]["findings"])
         for exchange in record["redirects"]:
-            assert "target" not in exchange
+            assert "target" not in exchange and "url" in exchange
         for exchange in (record["result"], *record["redirects"]):
             assert len({"body_text", "body_b64"} & set(exchange)) == 1
+            assert not {"scheme_used", "body_format"} & set(exchange)
     by_url = {record["url"]: record for record in records}
     assert by_url["http://a.example/x"]["redirects"] == []
     assert [e["url"] for e in by_url["https://d.example/"]["redirects"]] == [
@@ -230,17 +235,11 @@ def test_empty_file_detected(tmp_path):
 
 
 def test_entry_key_must_match_target(tmp_path):
-    import json
-
-    snapshot = sample_snapshot()
+    # Schema 4 stores the key only; a schema-3 key is checked against its copies.
     path = tmp_path / "run.jsonl"
-    save(snapshot, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    record = json.loads(lines[1])
-    record["url"] = "http://evil.example/"
-    lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SnapshotIntegrityError, match="does not match"):
+    path.write_bytes((SCHEMA3 / "round1.smellsnap.jsonl").read_bytes())
+    rewrite_record(path, 1, lambda record: record.update(url="http://127.0.0.1:1/"))
+    with pytest.raises(SnapshotIntegrityError, match=r"record 1: stored target url .* disagrees"):
         load(path)
 
 
@@ -275,10 +274,10 @@ def test_unknown_schema_names_record_0(tmp_path):
     save(sample_snapshot(), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     header = json.loads(lines[0])
-    header["schema"] = 4
+    header["schema"] = 5
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SnapshotIntegrityError, match=r"record 0: unknown schema 4"):
+    with pytest.raises(SnapshotIntegrityError, match=r"record 0: unknown schema 5"):
         load(path)
 
 
@@ -371,22 +370,19 @@ def assert_stored_outputs(tmp_path, paths, expected):
 
 
 def in_schema(tmp_path, name, schema):
-    """A round of the schema-1 pair as written by schema 1, 2 (checked in) or 3 (saved here)."""
+    """A round of the schema-1 pair as written by schema 1, 2, 3 (checked in) or 4 (saved here)."""
     if schema == 1:
         return SCHEMA1 / f"{name}.smellsnap.jsonl"
-    if schema == 2:
-        return SCHEMA2 / "resaved-schema1" / f"{name}.smellsnap.jsonl"
-    path = tmp_path / f"{name}.v3.smellsnap.jsonl"
+    if schema in (2, 3):
+        return DATA / f"schema{schema}" / "resaved-schema1" / f"{name}.smellsnap.jsonl"
+    path = tmp_path / f"{name}.v4.smellsnap.jsonl"
     save(load(SCHEMA1 / f"{name}.smellsnap.jsonl"), path)
     return path
 
 
-@pytest.mark.parametrize(
-    "resave",
-    [(1, 3), (3, 1), (3, 3), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)],
-)
+@pytest.mark.parametrize("resave", [(a, b) for a in range(1, 5) for b in range(1, 5)])
 def test_diff_and_report_across_schemas_match_schema1_outputs(tmp_path, resave):
-    """Every v1/v2/v3 pair gives the records and tables the schema-1 writer gave for v1/v1."""
+    """Every pair of schemas 1 to 4 gives the records and tables the schema-1 writer gave for v1/v1."""
     paths = [in_schema(tmp_path, name, schema) for name, schema in zip(("round1", "round2"), resave)]
     assert_stored_outputs(tmp_path, paths, SCHEMA1 / "report")
 
@@ -399,17 +395,26 @@ def test_diff_and_report_across_schemas_match_schema1_outputs(tmp_path, resave):
 # tables that version made from them; resaved-schema1/ is the schema-1 pair
 # saved again by that version.  Ports are baked in.
 
-SCHEMA2 = Path(__file__).parent / "data" / "schema2"
+
+# --- schema 3 -----------------------------------------------------------------
+#
+# tests/data/schema3 holds two rounds of schema-3 snapshots of every library
+# fixture profile and of bodies that are not ASCII, hold control characters or
+# many quotes, or whose Content-Type and payload disagree, written by
+# smellprobe 0.1.0 before schema 4, with the diff and the CSV report tables
+# that version made from them; resaved-schema1/ is the schema-1 pair saved
+# again by that version.  Ports are baked in.
 
 
+@pytest.mark.parametrize("schema", [2, 3])
 @pytest.mark.parametrize("name", ["round1", "round2"])
-def test_schema2_file_loads_and_resaves_as_schema3_with_equal_entries(tmp_path, name):
-    old = load(SCHEMA2 / f"{name}.smellsnap.jsonl")
+def test_old_file_loads_and_resaves_as_schema4_with_equal_entries(tmp_path, schema, name):
+    old = load(DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl")
     assert any(len(entry.chain.exchanges) > 2 for entry in old.entries.values())
-    path = tmp_path / "v3.smellsnap.jsonl"
+    path = tmp_path / "v4.smellsnap.jsonl"
     save(old, path)
     header, *records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert header["schema"] == 3
+    assert header["schema"] == 4
     stored = [
         key for record in records for e in (record["result"], *record["redirects"])
         for key in ("body_text", "body_b64") if key in e
@@ -419,34 +424,109 @@ def test_schema2_file_loads_and_resaves_as_schema3_with_equal_entries(tmp_path, 
     assert (new.id, new.taken_at, new.entries) == (old.id, old.taken_at, old.entries)
 
 
+@pytest.mark.parametrize("schema", [2, 3])
 @pytest.mark.parametrize("name", ["round1", "round2"])
-def test_schema1_pair_resaved_as_schema2_loads_to_equal_entries(name):
+def test_schema1_pair_resaved_by_later_schemas_loads_to_equal_entries(schema, name):
     v1 = load(SCHEMA1 / f"{name}.smellsnap.jsonl")
-    v2 = load(SCHEMA2 / "resaved-schema1" / f"{name}.smellsnap.jsonl")
-    assert (v2.id, v2.taken_at, v2.entries) == (v1.id, v1.taken_at, v1.entries)
+    resaved = load(DATA / f"schema{schema}" / "resaved-schema1" / f"{name}.smellsnap.jsonl")
+    assert (resaved.id, resaved.taken_at, resaved.entries) == (v1.id, v1.taken_at, v1.entries)
 
 
+@pytest.mark.parametrize("schema", [2, 3])
 @pytest.mark.parametrize("resave", [(False, False), (False, True), (True, False), (True, True)])
-def test_diff_and_report_across_schemas_match_schema2_outputs(tmp_path, resave):
-    """v2/v3 pairs give the records and tables the schema-2 writer gave for v2/v2."""
+def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, schema, resave):
+    """Each round as stored or resaved as v4 gives the records and tables its writer gave."""
     paths = []
-    for name, as_v3 in zip(("round1", "round2"), resave):
-        path = SCHEMA2 / f"{name}.smellsnap.jsonl"
-        if as_v3:
+    for name, as_v4 in zip(("round1", "round2"), resave):
+        path = DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl"
+        if as_v4:
             save(load(path), tmp_path / path.name)
             path = tmp_path / path.name
         paths.append(path)
-    assert_stored_outputs(tmp_path, paths, SCHEMA2 / "report")
+    assert_stored_outputs(tmp_path, paths, DATA / f"schema{schema}" / "report")
 
 
-# --- schema 3: bodies as text -------------------------------------------------
+def https_redirect_record(schema):
+    """(path, record number) of the first https record with a redirect and a finding."""
+    path = DATA / f"schema{schema}" / "round1.smellsnap.jsonl"
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines()[1:], start=1):
+        record = json.loads(line)
+        redirects = record["chain"]["hops"] if schema == 1 else record["redirects"]
+        if record["url"].startswith("https:") and redirects and record["report"]["findings"]:
+            return path, number
+    raise AssertionError(f"no https record with a redirect in {path}")
+
+
+def flip_format(exchange):
+    exchange["body_format"] = "json" if exchange["body_format"] != "json" else "non_json"
+
+
+STORED_COPIES = {
+    "report url": lambda r: r["report"].update(url="https://127.0.0.1:1/"),
+    "finding url": lambda r: r["report"]["findings"][-1].update(url="https://127.0.0.1:1/"),
+    "target url": lambda r: r["result"]["target"].update(url="https://127.0.0.1:1/"),
+    "first exchange url": lambda r: r["result"].update(url="https://127.0.0.1:1/"),
+    # an https URL stored as fetched over http
+    "scheme_used": lambda r: r["result"].update(scheme_used="http"),
+    # a redirect's; schema 1 stored only the terminal one in full
+    "body_format": lambda r: flip_format(r["chain"]["terminal"] if "chain" in r else r["redirects"][-1]),
+}
+
+
+@pytest.mark.parametrize("copy", sorted(STORED_COPIES))
+@pytest.mark.parametrize("schema", [1, 2, 3])
+def test_old_record_whose_stored_copy_disagrees_rejected(tmp_path, schema, copy):
+    source, number = https_redirect_record(schema)
+    path = tmp_path / "bad.smellsnap.jsonl"
+    path.write_bytes(source.read_bytes())
+    assert load(path).entries
+    rewrite_record(path, number, STORED_COPIES[copy])
+    with pytest.raises(SnapshotIntegrityError, match=rf"record {number}: stored {copy}.* disagrees"):
+        load(path)
+
+
+def readme_key_sets():
+    """Label -> key set of each ``- label: `{keys}``` line of the README's "Snapshot format"."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Snapshot format", 1)[1].split("\n#", 1)[0]
+    return {
+        label: set(keys.split(", "))
+        for label, keys in re.findall(r"^- ([a-z ]+): `\{([^}]*)\}`", section, re.MULTILINE)
+    }
+
+
+def written_key_set(obj):
+    return {"body_text|body_b64" if key in ("body_text", "body_b64") else key for key in obj}
+
+
+def test_readme_lists_the_keys_the_writer_writes():
+    entry = sample_snapshot().entries["https://d.example/"]
+    finding = make_finding(SmellKind.MISSING_HSTS, entry.url, frozenset({"absent"}))
+    leak = LeakRecord(LeakCategory.SERVICE, "edge", None, "server")
+    entry = replace(entry, report=SmellReport(findings=(finding,), leaks=(leak,)))
+    record = json.loads(snapshot_module._record_line(entry))
+    header = json.loads(snapshot_module._header_line("s", EPOCH, 1))
+    written = {
+        "header": header,
+        "record": record,
+        "first exchange": record["result"],
+        "target": record["result"]["target"],
+        "redirect": record["redirects"][0],
+        "report": record["report"],
+        "finding": record["report"]["findings"][0],
+        "leak": record["report"]["leaks"][0],
+    }
+    assert readme_key_sets() == {label: written_key_set(obj) for label, obj in written.items()}
+
+
+# --- bodies as text -------------------------------------------------
 
 
 def stored_body(body):
     """The body fields an exchange with ``body`` is stored with."""
     target = make_target("http://a.example/")
     result = make_result(target, body=body)
-    report = SmellReport(url=target.url, findings=(), leaks=())
+    report = SmellReport(findings=(), leaks=())
     entry = SnapshotEntry(result=result, chain=RedirectChain((result,)), report=report)
     record = json.loads(snapshot_module._record_line(entry))
     return {k: v for k, v in record["result"].items() if k in ("body_text", "body_b64")}
