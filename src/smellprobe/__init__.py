@@ -3,142 +3,71 @@
 Probes HTTP(S) endpoints, detects six response-level security smells,
 persists scan snapshots, and classifies how server software changed
 between two snapshots taken months apart.
+
+Importing the package loads none of its modules: each name below loads
+its home module on first use (PEP 562), so a command loads only the
+modules it runs.
 """
 
-from .corpus import (
-    DeclaredFormat,
-    LoadResult,
-    ProbeTarget,
-    RejectedRow,
-    SourceModel,
-    load_targets,
-    normalize_url,
-    write_rejects,
-)
-from .maintenance import (
-    Classification,
-    MaintenanceRecord,
-    MaintenanceScenario,
-    UnclassifiableReason,
-    classify_change,
-    diff_entries,
-    diff_snapshots,
-    server_banner,
-)
-from .probe import (
-    TOOL_VERSION,
-    BodyFormat,
-    ProbeConfig,
-    ProbeResult,
-    RedirectChain,
-    Scheme,
-    probe_all,
-    probe_and_follow,
-    probe_each,
-)
-from .reports import (
-    CorrelationMatrix,
-    GroupKey,
-    HstsStats,
-    LeakBreakdown,
-    PrevalenceTable,
-    correlate,
-    export,
-    group_key,
-    hsts_stats,
-    leak_breakdown,
-    pct_display,
-    prevalence,
-    tabulate,
-)
-from .smells import (
-    LeakCategory,
-    LeakRecord,
-    Locus,
-    SmellFinding,
-    SmellKind,
-    SmellReport,
-    detect_all,
-    detect_insecure_transport,
-    detect_lack_of_access_control,
-    detect_missing_hsts,
-    detect_missing_https_redirect,
-    detect_source_code_disclosure,
-    detect_version_disclosure,
-)
-from .snapshot import (
-    Snapshot,
-    SnapshotEntry,
-    SnapshotIntegrityError,
-    SnapshotSpool,
-    iter_entries,
-    load,
-    save,
-)
-from .versions import BannerParse, SoftwareId, compare_versions, parse_banner
+from importlib import import_module
 
-__version__ = TOOL_VERSION
+# Each public name and the module it lives in.
+_HOMES = {
+    **dict.fromkeys(
+        ("LoadResult", "RejectedRow", "load_targets", "normalize_url", "write_rejects"),
+        "corpus",
+    ),
+    **dict.fromkeys(
+        (
+            "Classification", "MaintenanceRecord", "MaintenanceScenario", "UnclassifiableReason",
+            "classify_change", "diff_entries", "diff_snapshots", "server_banner",
+        ),
+        "maintenance",
+    ),
+    **dict.fromkeys(
+        (
+            "BodyFormat", "DeclaredFormat", "LeakCategory", "LeakRecord", "Locus", "ProbeResult",
+            "ProbeTarget", "RedirectChain", "Scheme", "SmellFinding", "SmellKind", "SmellReport",
+            "SourceModel",
+        ),
+        "model",
+    ),
+    **dict.fromkeys(("ProbeConfig", "probe_all", "probe_and_follow", "probe_each"), "probe"),
+    **dict.fromkeys(
+        (
+            "CorrelationMatrix", "GroupKey", "HstsStats", "LeakBreakdown", "PrevalenceTable",
+            "correlate", "export", "group_key", "hsts_stats", "leak_breakdown", "pct_display",
+            "prevalence", "tabulate",
+        ),
+        "reports",
+    ),
+    **dict.fromkeys(
+        (
+            "detect_all", "detect_insecure_transport", "detect_lack_of_access_control",
+            "detect_missing_hsts", "detect_missing_https_redirect",
+            "detect_source_code_disclosure", "detect_version_disclosure",
+        ),
+        "smells",
+    ),
+    **dict.fromkeys(
+        (
+            "Snapshot", "SnapshotEntry", "SnapshotIntegrityError", "SnapshotSpool",
+            "iter_entries", "load", "save",
+        ),
+        "snapshot",
+    ),
+    **dict.fromkeys(("BannerParse", "SoftwareId", "compare_versions", "parse_banner"), "versions"),
+}
 
-__all__ = [
-    "BannerParse",
-    "BodyFormat",
-    "Classification",
-    "CorrelationMatrix",
-    "DeclaredFormat",
-    "GroupKey",
-    "HstsStats",
-    "LeakBreakdown",
-    "LeakCategory",
-    "LeakRecord",
-    "LoadResult",
-    "Locus",
-    "MaintenanceRecord",
-    "MaintenanceScenario",
-    "PrevalenceTable",
-    "ProbeConfig",
-    "ProbeResult",
-    "ProbeTarget",
-    "RedirectChain",
-    "RejectedRow",
-    "Scheme",
-    "SmellFinding",
-    "SmellKind",
-    "SmellReport",
-    "Snapshot",
-    "SnapshotEntry",
-    "SnapshotIntegrityError",
-    "SnapshotSpool",
-    "SoftwareId",
-    "SourceModel",
-    "UnclassifiableReason",
-    "classify_change",
-    "compare_versions",
-    "correlate",
-    "detect_all",
-    "detect_insecure_transport",
-    "detect_lack_of_access_control",
-    "detect_missing_hsts",
-    "detect_missing_https_redirect",
-    "detect_source_code_disclosure",
-    "detect_version_disclosure",
-    "diff_entries",
-    "diff_snapshots",
-    "export",
-    "group_key",
-    "hsts_stats",
-    "iter_entries",
-    "leak_breakdown",
-    "load",
-    "load_targets",
-    "normalize_url",
-    "parse_banner",
-    "pct_display",
-    "prevalence",
-    "probe_all",
-    "probe_and_follow",
-    "probe_each",
-    "save",
-    "server_banner",
-    "tabulate",
-    "write_rejects",
-]
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    if name == "__version__":
+        return import_module(".model", __name__).TOOL_VERSION
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+

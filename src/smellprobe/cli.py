@@ -14,19 +14,13 @@ from contextlib import ExitStack
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import reports as reports_mod
-from .corpus import load_targets, write_rejects
-from .maintenance import MaintenanceRecord, diff_entries, require_chronological
-from .probe import ProbeConfig, probe_each
-from .smells import SmellKind, detect_all
-from .snapshot import (
-    SnapshotEntry,
-    SnapshotIntegrityError,
-    SnapshotSpool,
-    iter_entries,
-    replacing,
-)
+# Each command imports the modules it runs when it starts, so diff and report
+# load no probe or detector code, and a dry run no detector or snapshot code.
+if TYPE_CHECKING:
+    from .maintenance import MaintenanceRecord
+    from .probe import ProbeConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,6 +84,8 @@ def _build_parser() -> _Parser:
 
 def _probe_config(args: argparse.Namespace) -> ProbeConfig:
     """The scan's ProbeConfig: each probe flag not given keeps its field default."""
+    from .probe import ProbeConfig
+
     if args.ca_bundle is not None:
         # Checked here, not when the first https exchange loads it, so a bad
         # path fails the scan once instead of failing every https URL.
@@ -112,6 +108,8 @@ def _corpus_format(path: str, explicit: str | None) -> str:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .corpus import load_targets, write_rejects
+
     cfg = _probe_config(args)
     try:
         loaded = load_targets(args.corpus, format=_corpus_format(args.corpus, args.corpus_format))
@@ -136,6 +134,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         for target in loaded.targets:
             print(target.url)
         return EXIT_OK
+
+    from .model import SmellKind
+    from .probe import probe_each
+    from .smells import detect_all
+    from .snapshot import SnapshotEntry, SnapshotSpool
 
     # The spool opens before the first request, so an --out that cannot be
     # written fails the scan before it probes anything.
@@ -190,6 +193,8 @@ def write_maintenance_records(records, path: str | Path, format: str = "jsonl") 
     Returns how many were written.  If ``records`` raises, ``path`` is left
     as it was.
     """
+    from .snapshot import replacing
+
     count = 0
     with replacing(path) as fh:
         if format == "jsonl":
@@ -208,6 +213,9 @@ def write_maintenance_records(records, path: str | Path, format: str = "jsonl") 
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from .maintenance import diff_entries, require_chronological
+    from .snapshot import SnapshotIntegrityError, iter_entries
+
     try:
         with iter_entries(args.snapshots[0]) as first, iter_entries(args.snapshots[1]) as second:
             try:
@@ -231,21 +239,31 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if len(args.snapshots) > 2:
         raise UsageError("report takes one or two snapshots")
+    from .maintenance import require_chronological
+    from .reports import export, tabulate
+    from .snapshot import SnapshotIntegrityError, iter_entries
+
     out_dir = Path(args.out_dir)
     try:
         with ExitStack() as stack:
             readers = [stack.enter_context(iter_entries(p)) for p in args.snapshots]
+            if len(readers) == 2:
+                try:
+                    require_chronological(readers[0].taken_at, readers[1].taken_at)
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return EXIT_USAGE
             corpus = None
             if args.corpus:
+                from .corpus import load_targets
+
                 corpus = load_targets(
                     args.corpus, format=_corpus_format(args.corpus, args.corpus_format)
                 ).targets
-            if len(readers) == 2:
-                require_chronological(readers[0].taken_at, readers[1].taken_at)
-            tables, records = reports_mod.tabulate(*readers, corpus=corpus)
+            tables, records = tabulate(*readers, corpus=corpus)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, table in tables.items():
-            reports_mod.export(table, out_dir / f"{name}.{args.format}", args.format)
+            export(table, out_dir / f"{name}.{args.format}", args.format)
         if records is not None:
             write_maintenance_records(records, out_dir / "maintenance.jsonl", "jsonl")
     except (OSError, ValueError, SnapshotIntegrityError) as exc:

@@ -1,8 +1,9 @@
 """Corpus loading: URL targets with app metadata, deduplicated and validated.
 
 Accepted inputs are CSV with a ``url,app_id,source_model,declared_format``
-header or JSONL with the same keys.  Rows that fail validation are kept in
-a rejects list, never dropped silently.
+header or JSONL with the same keys, in UTF-8 with or without a byte-order
+mark.  Rows that fail validation are kept in a rejects list, never dropped
+silently.
 """
 
 from __future__ import annotations
@@ -10,34 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
 
-
-class SourceModel(str, Enum):
-    OPEN_SOURCE = "open_source"
-    CLOSED_SOURCE = "closed_source"
-
-
-class DeclaredFormat(str, Enum):
-    JSON = "json"
-    NON_JSON = "non_json"
-
-
-@dataclass(frozen=True)
-class ProbeTarget:
-    """A URL under test plus its corpus metadata."""
-
-    url: str
-    app_id: str
-    source_model: SourceModel
-    declared_format: DeclaredFormat | None = None
-
-    def __post_init__(self) -> None:
-        scheme = urlsplit(self.url).scheme.lower()
-        if scheme not in ("http", "https"):
-            raise ValueError(f"unsupported scheme: {self.url!r}")
+from .model import DeclaredFormat, ProbeTarget, SourceModel
 
 
 @dataclass(frozen=True)
@@ -107,7 +84,7 @@ def _validate_row(raw: str, fields: dict) -> ProbeTarget:
 
 
 def _iter_csv(path: Path):
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             return
@@ -117,7 +94,7 @@ def _iter_csv(path: Path):
 
 
 def _iter_jsonl(path: Path):
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line:

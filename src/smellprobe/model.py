@@ -1,0 +1,254 @@
+"""The records every command reads or writes: targets, exchanges, findings.
+
+A corpus row becomes a ``ProbeTarget``; probing it gives ``ProbeResult``
+exchanges grouped into a ``RedirectChain``; detection gives a
+``SmellReport``.  Snapshots store all three, and ``diff`` and ``report``
+read them back.  This module imports nothing from the package, so a
+command that only reads snapshots loads no detector, transport or corpus
+code.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from datetime import datetime
+from enum import Enum
+from urllib.parse import urlsplit
+
+TOOL_VERSION = "0.1.0"
+
+
+# --- corpus ---------------------------------------------------------------
+
+
+class SourceModel(str, Enum):
+    OPEN_SOURCE = "open_source"
+    CLOSED_SOURCE = "closed_source"
+
+
+class DeclaredFormat(str, Enum):
+    JSON = "json"
+    NON_JSON = "non_json"
+
+
+@dataclass(frozen=True)
+class ProbeTarget:
+    """A URL under test plus its corpus metadata."""
+
+    url: str
+    app_id: str
+    source_model: SourceModel
+    declared_format: DeclaredFormat | None = None
+
+    def __post_init__(self) -> None:
+        scheme = urlsplit(self.url).scheme.lower()
+        if scheme not in ("http", "https"):
+            raise ValueError(f"unsupported scheme: {self.url!r}")
+
+
+# --- probe ----------------------------------------------------------------
+
+
+class BodyFormat(str, Enum):
+    JSON = "json"
+    NON_JSON = "non_json"
+    EMPTY = "empty"
+
+
+class Scheme(str, Enum):
+    HTTP = "http"
+    HTTPS = "https"
+
+
+def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
+    """json when the payload parses as JSON or the content type says so."""
+    if content_type and "json" in content_type.lower():
+        return BodyFormat.JSON
+    if not body:
+        return BodyFormat.EMPTY
+    try:
+        json.loads(body)
+    except (ValueError, UnicodeDecodeError):
+        return BodyFormat.NON_JSON
+    return BodyFormat.JSON
+
+
+@dataclass(frozen=True)
+class ProbeResult:
+    """One HTTP exchange. Exactly one of status / transport_error is set.
+
+    The scheme comes from ``url`` and the body format from ``body_sample``
+    and the first Content-Type header; neither is stored.
+    """
+
+    target: ProbeTarget
+    url: str
+    timestamp: datetime
+    status: int | None
+    headers: tuple[tuple[str, str], ...]
+    body_sample: bytes
+    transport_error: str | None = None
+
+    def __post_init__(self) -> None:
+        if (self.status is None) == (self.transport_error is None):
+            raise ValueError("exactly one of status and transport_error must be set")
+
+    def header_values(self, name: str) -> tuple[str, ...]:
+        name = name.lower()
+        return tuple(v for n, v in self.headers if n == name)
+
+    def first_header(self, name: str) -> str | None:
+        values = self.header_values(name)
+        return values[0] if values else None
+
+    @property
+    def ok(self) -> bool:
+        return self.status is not None
+
+    @property
+    def scheme_used(self) -> Scheme:
+        return Scheme(urlsplit(self.url).scheme)
+
+    @property
+    def body_format(self) -> BodyFormat:
+        return classify_body(self.body_sample, self.first_header("content-type"))
+
+    @property
+    def redirect_location(self) -> str | None:
+        """The Location value when this is a followable 3xx, else None."""
+        location = self.first_header("location") if self.status in range(300, 400) else None
+        return location if location and location.strip() else None
+
+
+@dataclass(frozen=True)
+class RedirectChain:
+    """Every exchange of one probe in request order; never empty.
+
+    The first exchange requests the target's URL; each later one follows the Location before it.
+    The last exchange is a redirect too when following stopped at a loop,
+    at max_redirects, or at a Location that does not parse or leads off
+    the web.  Hops, loop and downgrades are derived from the exchanges.
+    """
+
+    exchanges: tuple[ProbeResult, ...]
+
+    def __post_init__(self) -> None:
+        if not self.exchanges:
+            raise ValueError("a redirect chain has at least one exchange")
+        if any(e.target != self.result.target for e in self.exchanges):
+            raise ValueError("every exchange of a chain probes the same target")
+        if self.result.url != self.result.target.url:
+            raise ValueError("the first exchange of a chain requests the target's URL")
+
+    @property
+    def result(self) -> ProbeResult:
+        return self.exchanges[0]
+
+    @property
+    def terminal(self) -> ProbeResult:
+        return self.exchanges[-1]
+
+    @property
+    def hops(self) -> tuple[ProbeResult, ...]:
+        """The exchanges that answered with a followable redirect."""
+        return tuple(e for e in self.exchanges if e.redirect_location is not None)
+
+    @property
+    def chain_length(self) -> int:
+        return len(self.hops)
+
+    @property
+    def loop_detected(self) -> bool:
+        """The last exchange redirects and its URL was requested before."""
+        last = self.terminal
+        return last.redirect_location is not None and last.url in self.requested_urls()[:-1]
+
+    @property
+    def downgrade_hops(self) -> int:
+        """How many https requests were followed by an http one."""
+        schemes = [e.scheme_used for e in self.exchanges]
+        return sum(a is Scheme.HTTPS and b is Scheme.HTTP for a, b in zip(schemes, schemes[1:]))
+
+    def requested_urls(self) -> tuple[str, ...]:
+        """Every URL an exchange was issued to, in order."""
+        return tuple(e.url for e in self.exchanges)
+
+
+# --- smells ---------------------------------------------------------------
+
+VERSION_HEADER_KEYS = ("engine", "server", "x-aspnet-version", "x-powered-by")
+
+
+class SmellKind(str, Enum):
+    INSECURE_TRANSPORT = "insecure_transport"
+    SOURCE_CODE_DISCLOSURE = "source_code_disclosure"
+    VERSION_DISCLOSURE = "version_disclosure"
+    LACK_OF_ACCESS_CONTROL = "lack_of_access_control"
+    MISSING_HTTPS_REDIRECT = "missing_https_redirect"
+    MISSING_HSTS = "missing_hsts"
+
+
+class Locus(str, Enum):
+    URL = "url"
+    HEADER = "header"
+    BODY = "body"
+    CHAIN = "chain"
+
+
+class LeakCategory(str, Enum):
+    OS = "os"
+    SERVICE = "service"
+    VERSION = "version"
+
+
+FRAMEWORK_SUBFLAGS = frozenset({"asp", "cherrypy", "java", "nodejs", "php", "unknown_framework"})
+
+SUBFLAG_VOCABULARY: dict[SmellKind, frozenset[str]] = {
+    SmellKind.INSECURE_TRANSPORT: frozenset(),
+    SmellKind.SOURCE_CODE_DISCLOSURE: FRAMEWORK_SUBFLAGS,
+    SmellKind.VERSION_DISCLOSURE: frozenset({*VERSION_HEADER_KEYS, "body_banner"}),
+    SmellKind.LACK_OF_ACCESS_CONTROL: frozenset({"json_auth_error_heuristic"}),
+    SmellKind.MISSING_HTTPS_REDIRECT: frozenset({"downgrade", "loop", "excessive_chain"}),
+    SmellKind.MISSING_HSTS: frozenset(
+        {"absent", "short_max_age", "missing_include_subdomains", "missing_preload"}
+    ),
+}
+
+
+@dataclass(frozen=True)
+class SmellFinding:
+    kind: SmellKind
+    evidence: tuple[tuple[Locus, str], ...]
+    subflags: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        if not self.evidence:
+            raise ValueError("finding needs at least one piece of evidence")
+        allowed = SUBFLAG_VOCABULARY[self.kind]
+        stray = self.subflags - allowed
+        if stray:
+            raise ValueError(f"subflags {sorted(stray)} not in {self.kind.value} vocabulary")
+
+
+@dataclass(frozen=True)
+class LeakRecord:
+    category: LeakCategory
+    software: str
+    version: str | None
+    locus: str  # header name, or "body"
+
+    def __post_init__(self) -> None:
+        if self.category is LeakCategory.VERSION and not self.version:
+            raise ValueError("version leak records must carry a version")
+
+
+@dataclass(frozen=True)
+class SmellReport:
+    """Per-URL detection outcome: the findings plus every extracted leak."""
+
+    findings: tuple[SmellFinding, ...]
+    leaks: tuple[LeakRecord, ...]
+
+    def kinds(self) -> frozenset[SmellKind]:
+        return frozenset(f.kind for f in self.findings)

@@ -4,8 +4,8 @@ The transport sits directly on ``http.client`` so that response headers are
 captured in wire order (including repeats) and redirects are never followed
 implicitly.  Every exchange opens a fresh connection, sends a minimal header
 set, and closes; no cookies or connection state persist between exchanges.
-A ``ProbeResult`` derives its scheme from its URL and its body format from
-its body and first Content-Type header; neither is stored.
+Each exchange is a ``ProbeResult`` and each probe a ``RedirectChain``; both
+live in ``smellprobe.model``.
 
 The TLS client context (the trust store and the validation settings) is the
 one exception: it is built once per ``ProbeConfig``, the first time an https
@@ -28,38 +28,22 @@ corpus size, and a slow target holds up no other.
 from __future__ import annotations
 
 import io
-import json
-import socket
 import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from enum import Enum
 from functools import cache
 from itertools import islice
 from queue import SimpleQueue
 from urllib.parse import urljoin, urlsplit
 
-from .corpus import ProbeTarget
+from .model import TOOL_VERSION, ProbeResult, ProbeTarget, RedirectChain
 
-# http.client, ssl and concurrent.futures are imported by the functions that
-# probe: diff, report and a dry run never need them, and they take about a
-# fifth of the CLI's start-up.
+# http.client, ssl, socket and concurrent.futures are imported by the
+# functions that probe, so a dry run loads none of them.
 
-TOOL_VERSION = "0.1.0"
 DEFAULT_USER_AGENT = f"smellprobe/{TOOL_VERSION}"
-
-
-class BodyFormat(str, Enum):
-    JSON = "json"
-    NON_JSON = "non_json"
-    EMPTY = "empty"
-
-
-class Scheme(str, Enum):
-    HTTP = "http"
-    HTTPS = "https"
 
 
 # Serialises the first build of each config's TLS context, so that workers
@@ -126,116 +110,6 @@ class ProbeConfig:
         return context
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """One HTTP exchange. Exactly one of status / transport_error is set."""
-
-    target: ProbeTarget
-    url: str
-    timestamp: datetime
-    status: int | None
-    headers: tuple[tuple[str, str], ...]
-    body_sample: bytes
-    transport_error: str | None = None
-
-    def __post_init__(self) -> None:
-        if (self.status is None) == (self.transport_error is None):
-            raise ValueError("exactly one of status and transport_error must be set")
-
-    def header_values(self, name: str) -> tuple[str, ...]:
-        name = name.lower()
-        return tuple(v for n, v in self.headers if n == name)
-
-    def first_header(self, name: str) -> str | None:
-        values = self.header_values(name)
-        return values[0] if values else None
-
-    @property
-    def ok(self) -> bool:
-        return self.status is not None
-
-    @property
-    def scheme_used(self) -> Scheme:
-        return Scheme(urlsplit(self.url).scheme)
-
-    @property
-    def body_format(self) -> BodyFormat:
-        return classify_body(self.body_sample, self.first_header("content-type"))
-
-    @property
-    def redirect_location(self) -> str | None:
-        """The Location value when this is a followable 3xx, else None."""
-        location = self.first_header("location") if self.status in range(300, 400) else None
-        return location if location and location.strip() else None
-
-
-@dataclass(frozen=True)
-class RedirectChain:
-    """Every exchange of one probe in request order; never empty.
-
-    The first exchange requests the target's URL; each later one follows the Location before it.
-    The last exchange is a redirect too when following stopped at a loop,
-    at max_redirects, or at a Location that does not parse or leads off
-    the web.  Hops, loop and downgrades are derived from the exchanges.
-    """
-
-    exchanges: tuple[ProbeResult, ...]
-
-    def __post_init__(self) -> None:
-        if not self.exchanges:
-            raise ValueError("a redirect chain has at least one exchange")
-        if any(e.target != self.result.target for e in self.exchanges):
-            raise ValueError("every exchange of a chain probes the same target")
-        if self.result.url != self.result.target.url:
-            raise ValueError("the first exchange of a chain requests the target's URL")
-
-    @property
-    def result(self) -> ProbeResult:
-        return self.exchanges[0]
-
-    @property
-    def terminal(self) -> ProbeResult:
-        return self.exchanges[-1]
-
-    @property
-    def hops(self) -> tuple[ProbeResult, ...]:
-        """The exchanges that answered with a followable redirect."""
-        return tuple(e for e in self.exchanges if e.redirect_location is not None)
-
-    @property
-    def chain_length(self) -> int:
-        return len(self.hops)
-
-    @property
-    def loop_detected(self) -> bool:
-        """The last exchange redirects and its URL was requested before."""
-        last = self.terminal
-        return last.redirect_location is not None and last.url in self.requested_urls()[:-1]
-
-    @property
-    def downgrade_hops(self) -> int:
-        """How many https requests were followed by an http one."""
-        schemes = [e.scheme_used for e in self.exchanges]
-        return sum(a is Scheme.HTTPS and b is Scheme.HTTP for a, b in zip(schemes, schemes[1:]))
-
-    def requested_urls(self) -> tuple[str, ...]:
-        """Every URL an exchange was issued to, in order."""
-        return tuple(e.url for e in self.exchanges)
-
-
-def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
-    """json when the payload parses as JSON or the content type says so."""
-    if content_type and "json" in content_type.lower():
-        return BodyFormat.JSON
-    if not body:
-        return BodyFormat.EMPTY
-    try:
-        json.loads(body)
-    except (ValueError, UnicodeDecodeError):
-        return BodyFormat.NON_JSON
-    return BodyFormat.JSON
-
-
 @cache
 def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
     """Ordered ``(exception type, stored reason, retryable)`` rows; the first match wins.
@@ -247,9 +121,10 @@ def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
     an untrusted certificate, a name that does not resolve, a malformed URL,
     an unsupported stream operation (an ``OSError`` that is also a
     ``ValueError``).  The last row takes every ``Exception``.  Built on first
-    use, because it needs ``http.client`` and ``ssl``.
+    use, because it needs ``http.client``, ``socket`` and ``ssl``.
     """
     import http.client
+    import socket
     import ssl
 
     return (

@@ -17,10 +17,17 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 
-from .corpus import DeclaredFormat, ProbeTarget, SourceModel
 from .maintenance import MaintenanceRecord, MaintenanceScenario, classify_pair, pair_entries
-from .probe import BodyFormat, ProbeResult, Scheme
-from .smells import LeakCategory, SmellKind
+from .model import (
+    BodyFormat,
+    DeclaredFormat,
+    LeakCategory,
+    ProbeResult,
+    ProbeTarget,
+    Scheme,
+    SmellKind,
+    SourceModel,
+)
 from .snapshot import Snapshot, SnapshotEntry
 from .versions import OS_DICTIONARY, canonical_service_name
 

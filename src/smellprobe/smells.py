@@ -1,9 +1,10 @@
 """Detectors for the six server-side security smells.
 
 Every detector is a pure function of probe evidence: same input, same
-finding.  Pattern tables live in the packaged data files so they can be
-versioned independently of the code; they are compiled on first use, so
-``diff`` and ``report``, which import this module for its types, compile none.
+finding.  The findings and leak records they return live in
+``smellprobe.model``.  Pattern tables live in the packaged data files so
+they can be versioned independently of the code; they are compiled on first
+use.  Of the CLI's commands, only ``scan`` imports this module.
 """
 
 from __future__ import annotations
@@ -11,95 +12,30 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from urllib.parse import urljoin, urlsplit
 
-from .corpus import ProbeTarget
 from .data import load_table
-from .probe import BodyFormat, ProbeResult, RedirectChain, Scheme
+from .model import (
+    VERSION_HEADER_KEYS,
+    BodyFormat,
+    LeakCategory,
+    LeakRecord,
+    Locus,
+    ProbeResult,
+    ProbeTarget,
+    RedirectChain,
+    Scheme,
+    SmellFinding,
+    SmellKind,
+    SmellReport,
+)
 from .versions import BannerParse, parse_banner, parse_product_token
 
 HSTS_MIN_MAX_AGE = 31_536_000  # one year, the recommended floor
 REDIRECT_CHAIN_THRESHOLD = 5  # more redirects than this is flagged as excessive
 
-VERSION_HEADER_KEYS = ("engine", "server", "x-aspnet-version", "x-powered-by")
-
 _EXCERPT_LIMIT = 200
-
-
-class SmellKind(str, Enum):
-    INSECURE_TRANSPORT = "insecure_transport"
-    SOURCE_CODE_DISCLOSURE = "source_code_disclosure"
-    VERSION_DISCLOSURE = "version_disclosure"
-    LACK_OF_ACCESS_CONTROL = "lack_of_access_control"
-    MISSING_HTTPS_REDIRECT = "missing_https_redirect"
-    MISSING_HSTS = "missing_hsts"
-
-
-class Locus(str, Enum):
-    URL = "url"
-    HEADER = "header"
-    BODY = "body"
-    CHAIN = "chain"
-
-
-class LeakCategory(str, Enum):
-    OS = "os"
-    SERVICE = "service"
-    VERSION = "version"
-
-
-FRAMEWORK_SUBFLAGS = frozenset({"asp", "cherrypy", "java", "nodejs", "php", "unknown_framework"})
-
-SUBFLAG_VOCABULARY: dict[SmellKind, frozenset[str]] = {
-    SmellKind.INSECURE_TRANSPORT: frozenset(),
-    SmellKind.SOURCE_CODE_DISCLOSURE: FRAMEWORK_SUBFLAGS,
-    SmellKind.VERSION_DISCLOSURE: frozenset({*VERSION_HEADER_KEYS, "body_banner"}),
-    SmellKind.LACK_OF_ACCESS_CONTROL: frozenset({"json_auth_error_heuristic"}),
-    SmellKind.MISSING_HTTPS_REDIRECT: frozenset({"downgrade", "loop", "excessive_chain"}),
-    SmellKind.MISSING_HSTS: frozenset(
-        {"absent", "short_max_age", "missing_include_subdomains", "missing_preload"}
-    ),
-}
-
-
-@dataclass(frozen=True)
-class SmellFinding:
-    kind: SmellKind
-    evidence: tuple[tuple[Locus, str], ...]
-    subflags: frozenset[str] = frozenset()
-
-    def __post_init__(self) -> None:
-        if not self.evidence:
-            raise ValueError("finding needs at least one piece of evidence")
-        allowed = SUBFLAG_VOCABULARY[self.kind]
-        stray = self.subflags - allowed
-        if stray:
-            raise ValueError(f"subflags {sorted(stray)} not in {self.kind.value} vocabulary")
-
-
-@dataclass(frozen=True)
-class LeakRecord:
-    category: LeakCategory
-    software: str
-    version: str | None
-    locus: str  # header name, or "body"
-
-    def __post_init__(self) -> None:
-        if self.category is LeakCategory.VERSION and not self.version:
-            raise ValueError("version leak records must carry a version")
-
-
-@dataclass(frozen=True)
-class SmellReport:
-    """Per-URL detection outcome: the findings plus every extracted leak."""
-
-    findings: tuple[SmellFinding, ...]
-    leaks: tuple[LeakRecord, ...]
-
-    def kinds(self) -> frozenset[SmellKind]:
-        return frozenset(f.kind for f in self.findings)
 
 
 def _excerpt(text: str) -> str:

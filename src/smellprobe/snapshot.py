@@ -31,9 +31,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
 
-from .corpus import DeclaredFormat, ProbeTarget, SourceModel
-from .probe import TOOL_VERSION, ProbeResult, RedirectChain
-from .smells import LeakCategory, LeakRecord, Locus, SmellFinding, SmellKind, SmellReport
+from .model import (
+    TOOL_VERSION,
+    DeclaredFormat,
+    LeakCategory,
+    LeakRecord,
+    Locus,
+    ProbeResult,
+    ProbeTarget,
+    RedirectChain,
+    SmellFinding,
+    SmellKind,
+    SmellReport,
+    SourceModel,
+)
 
 
 class SnapshotIntegrityError(Exception):

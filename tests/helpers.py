@@ -5,16 +5,20 @@ from __future__ import annotations
 import random
 from datetime import datetime, timedelta, timezone
 
-from smellprobe.corpus import DeclaredFormat, ProbeTarget, SourceModel
-from smellprobe.probe import ProbeConfig, ProbeResult, RedirectChain
-from smellprobe.smells import (
+from smellprobe.model import (
+    DeclaredFormat,
     LeakCategory,
     LeakRecord,
     Locus,
+    ProbeResult,
+    ProbeTarget,
+    RedirectChain,
     SmellFinding,
     SmellKind,
     SmellReport,
+    SourceModel,
 )
+from smellprobe.probe import ProbeConfig
 from smellprobe.snapshot import Snapshot, SnapshotEntry
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)

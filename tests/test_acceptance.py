@@ -22,7 +22,8 @@ from smellprobe.maintenance import (
     classify_change,
     diff_snapshots,
 )
-from smellprobe.probe import RedirectChain, probe_and_follow
+from smellprobe.model import DeclaredFormat, RedirectChain, SmellKind, SourceModel
+from smellprobe.probe import probe_and_follow
 from smellprobe.reports import (
     GroupKey,
     correlate,
@@ -31,9 +32,8 @@ from smellprobe.reports import (
     pct_display,
     prevalence,
 )
-from smellprobe.smells import SmellKind, detect_all, detect_missing_hsts
+from smellprobe.smells import detect_all, detect_missing_hsts
 from smellprobe.snapshot import Snapshot, SnapshotEntry, load, serialize
-from smellprobe.corpus import DeclaredFormat, SourceModel
 from smellprobe.versions import compare_versions, parse_product_token
 
 from helpers import (

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -188,15 +189,6 @@ def test_diff_between_two_scans(tmp_path, endpoints, library, capsys):
     assert records[0]["after"] == "nginx/1.12.1"
 
 
-def test_diff_rejects_reversed_order(tmp_path, healthy_endpoint):
-    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
-    s1, s2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
-    run(scan_args(corpus, s1))
-    run(scan_args(corpus, s2))
-    code = run(["diff", str(s2), str(s1), "--out", str(tmp_path / "d.jsonl")])
-    assert code == EXIT_USAGE
-
-
 def test_diff_csv_format(tmp_path, healthy_endpoint):
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
     s1, s2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
@@ -311,6 +303,72 @@ def test_cli_import_and_diff_compile_no_detector_pattern(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
 
 
+# --- what each command loads -------------------------------------------------------
+
+SCHEMA3 = Path(__file__).parent / "data" / "schema3"
+
+# The smellprobe modules each command leaves in sys.modules.
+COMMAND_MODULES = {
+    "dry run": {"cli", "corpus", "model", "probe"},
+    "scan": {"cli", "corpus", "data", "model", "probe", "smells", "snapshot", "versions"},
+    "diff": {"cli", "data", "maintenance", "model", "snapshot", "versions"},
+    "report": {"cli", "data", "maintenance", "model", "reports", "snapshot", "versions"},
+    "report --corpus": {
+        "cli", "corpus", "data", "maintenance", "model", "reports", "snapshot", "versions",
+    },
+}
+
+
+def loaded_modules(code: str, args=()) -> set[str]:
+    """The ``smellprobe.*`` modules a child interpreter holds after running ``code``."""
+    child = (
+        f"import sys\n{code}\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('smellprobe.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return {name.removeprefix("smellprobe.") for name in done.stdout.splitlines()[-1].split()}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint, command):
+    rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    covered_url = json.loads(Path(rounds[0]).read_text(encoding="utf-8").splitlines()[1])["url"]
+    covered = write_corpus(tmp_path, [covered_url], name="covered.csv")
+    out = tmp_path / "s.smellsnap.jsonl"
+    args = {
+        "dry run": scan_args(corpus, out, extra=["--dry-run"]),
+        "scan": scan_args(corpus, out),
+        "diff": ["diff", *rounds, "--out", str(tmp_path / "m.jsonl")],
+        "report": ["report", *rounds, "--out-dir", str(tmp_path / "r")],
+        "report --corpus": ["report", rounds[0], "--out-dir", str(tmp_path / "r"),
+                            "--corpus", str(covered)],
+    }[command]
+    code = "from smellprobe.cli import run\nassert run(sys.argv[1:]) == 0"
+    assert loaded_modules(code, args) == COMMAND_MODULES[command]
+
+
+def test_package_names_load_their_home_module_on_first_use():
+    assert loaded_modules("import smellprobe") == set()
+    assert loaded_modules("from smellprobe import diff_snapshots") == {
+        "data", "maintenance", "model", "snapshot", "versions",
+    }
+    names = {}
+    exec("from smellprobe import *", names)
+    assert set(smellprobe.__all__) <= set(names)
+    for name in smellprobe.__all__:
+        value = getattr(smellprobe, name)
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value is names[name]
+        assert home.__name__.startswith("smellprobe.")
+    with pytest.raises(AttributeError):
+        smellprobe.no_such_name
+
+
 # --- streaming scan, diff and report ---------------------------------------------
 
 
@@ -354,7 +412,7 @@ def test_scan_failing_midway_cancels_queue_and_keeps_previous_snapshot(
             raise fault("detector failed")
         return detect_all(*args, **kwargs)
 
-    monkeypatch.setattr("smellprobe.cli.detect_all", third_call_fails)
+    monkeypatch.setattr("smellprobe.smells.detect_all", third_call_fails)
     start = time.monotonic()
     with pytest.raises(fault):
         run(scan_args(corpus, out))
@@ -434,4 +492,13 @@ def test_corrupt_record_in_second_snapshot_leaves_no_output(tmp_path, capsys):
     reports = tmp_path / "reports"
     assert run(["report", str(first), str(second), "--out-dir", str(reports)]) == EXIT_IO
     assert "record 3" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]
+
+
+@pytest.mark.parametrize("command", ["diff", "report"])
+def test_snapshots_in_wrong_order_are_usage_error(tmp_path, capsys, command):
+    first, second = two_rounds(tmp_path)
+    out = ["--out", str(tmp_path / "m.jsonl")] if command == "diff" else ["--out-dir", str(tmp_path / "r")]
+    assert run([command, str(second), str(first), *out]) == EXIT_USAGE
+    assert "first snapshot must predate the second" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]

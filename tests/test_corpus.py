@@ -183,3 +183,27 @@ def test_normalize_url_keeps_query_case():
 def test_probe_target_validates_scheme():
     with pytest.raises(ValueError):
         ProbeTarget(url="ftp://x", app_id="a", source_model=SourceModel.OPEN_SOURCE)
+
+
+def test_csv_with_byte_order_mark(tmp_path):
+    path = tmp_path / "corpus.csv"
+    rows = HEADER + "http://a.example/,app-a,open_source,json\nhttp://b.example/,app-b,closed_source,\n"
+    path.write_text(rows, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    loaded = load_targets(path, format="csv")
+    assert [t.url for t in loaded.targets] == ["http://a.example/", "http://b.example/"]
+    assert loaded.targets[0].declared_format is DeclaredFormat.JSON
+    assert loaded.rejects == ()
+
+
+def test_jsonl_with_byte_order_mark(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    rows = [
+        {"url": "http://a.example/", "app_id": "app-a", "source_model": "open_source"},
+        {"url": "http://b.example/", "app_id": "app-b", "source_model": "closed_source"},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    loaded = load_targets(path, format="jsonl")
+    assert [t.url for t in loaded.targets] == ["http://a.example/", "http://b.example/"]
+    assert loaded.rejects == ()

@@ -5,8 +5,8 @@ from urllib.parse import urlsplit
 import pytest
 
 from smellprobe.harness import FixtureProfile, MutationPlan, RouteSpec
+from smellprobe.model import SmellKind
 from smellprobe.probe import probe_and_follow
-from smellprobe.smells import SmellKind
 
 from helpers import fast_cfg, make_target
 

@@ -13,15 +13,8 @@ import pytest
 from smellprobe import probe
 from smellprobe.cli import EXIT_OK, run
 from smellprobe.harness import FixtureProfile, RouteSpec
-from smellprobe.probe import (
-    BodyFormat,
-    ProbeConfig,
-    RedirectChain,
-    Scheme,
-    classify_body,
-    probe_all,
-    probe_and_follow,
-)
+from smellprobe.model import BodyFormat, RedirectChain, Scheme, classify_body
+from smellprobe.probe import ProbeConfig, probe_all, probe_and_follow
 
 from helpers import fast_cfg, make_result, make_target
 

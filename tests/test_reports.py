@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from smellprobe.corpus import DeclaredFormat, SourceModel
 from smellprobe.maintenance import MaintenanceRecord, MaintenanceScenario, diff_snapshots
+from smellprobe.model import DeclaredFormat, LeakCategory, LeakRecord, SmellKind, SourceModel
 from smellprobe.reports import (
     GroupKey,
     correlate,
@@ -14,7 +14,6 @@ from smellprobe.reports import (
     pct_display,
     prevalence,
 )
-from smellprobe.smells import LeakCategory, LeakRecord, SmellKind
 from smellprobe.versions import parse_product_token
 
 from helpers import (

@@ -6,13 +6,15 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smellprobe.probe import RedirectChain
-from smellprobe.smells import (
+from smellprobe.model import (
     SUBFLAG_VOCABULARY,
     LeakCategory,
     Locus,
+    RedirectChain,
     SmellFinding,
     SmellKind,
+)
+from smellprobe.smells import (
     detect_all,
     detect_insecure_transport,
     detect_lack_of_access_control,

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smellprobe.cli import EXIT_OK, run
-from smellprobe.probe import RedirectChain
-from smellprobe.smells import LeakCategory, LeakRecord, SmellKind, SmellReport
+from smellprobe.model import LeakCategory, LeakRecord, RedirectChain, SmellKind, SmellReport
 from smellprobe import snapshot as snapshot_module
 from smellprobe.snapshot import (
     SCHEMA,
