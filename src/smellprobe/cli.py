@@ -54,14 +54,19 @@ def _build_parser() -> _Parser:
                       help="annotate 2xx findings whose JSON body looks like an auth error")
     # Probe flags default to None, meaning "not given": ProbeConfig's field
     # defaults are the only ones.
-    scan.add_argument("--connect-timeout", type=float)
-    scan.add_argument("--read-timeout", type=float)
-    scan.add_argument("--retries", type=int)
-    scan.add_argument("--retry-backoff", type=float)
-    scan.add_argument("--max-redirects", type=int)
-    scan.add_argument("--body-sample-limit", type=int)
+    scan.add_argument("--connect-timeout", type=float,
+                      help="seconds to open a connection, TLS handshake included")
+    scan.add_argument("--read-timeout", type=float,
+                      help="seconds each read may wait once connected")
+    scan.add_argument("--retries", type=int,
+                      help="further attempts of an exchange after a retryable error")
+    scan.add_argument("--retry-backoff", type=float, help="seconds to wait before each retry")
+    scan.add_argument("--max-redirects", type=int,
+                      help="most exchanges per URL, the first included, when following redirects")
+    scan.add_argument("--body-sample-limit", type=int,
+                      help="bytes of each response body kept and scanned")
     scan.add_argument("--parallelism", type=int, help="worker count")
-    scan.add_argument("--user-agent")
+    scan.add_argument("--user-agent", help="User-Agent header of every request")
     scan.add_argument("--ca-bundle",
                       help="PEM trust roots used instead of the system store "
                            "(validation always stays on)")

@@ -44,7 +44,7 @@ def normalize_url(url: str) -> str:
     return urlunsplit((parts.scheme.lower(), netloc, parts.path, parts.query, parts.fragment))
 
 
-def _validate_row(raw: str, fields: dict) -> ProbeTarget:
+def _validate_row(fields: dict) -> ProbeTarget:
     url = (fields.get("url") or "").strip()
     if not url:
         raise ValueError("missing url")
@@ -83,23 +83,33 @@ def _validate_row(raw: str, fields: dict) -> ProbeTarget:
     )
 
 
+_FIELDS = ("url", "app_id", "source_model", "declared_format")
+
+
 def _iter_csv(path: Path):
+    """Yield ``(raw, fields)`` for each data row."""
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return
-        for record in reader:
-            raw = ",".join((record.get(k) or "") for k in ("url", "app_id", "source_model", "declared_format"))
-            yield raw, {k: record.get(k) for k in ("url", "app_id", "source_model", "declared_format")}
+        for record in csv.DictReader(fh):
+            fields = {k: record.get(k) for k in _FIELDS}
+            yield ",".join(value or "" for value in fields.values()), fields
 
 
 def _iter_jsonl(path: Path):
+    """Yield ``(raw, fields)`` for each non-blank line, or its RejectedRow if it is no JSON object."""
     with path.open("r", encoding="utf-8-sig") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            raw = line.strip()
+            if not raw:
                 continue
-            yield line, line
+            try:
+                fields = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                yield RejectedRow(row=raw, reason=f"invalid json: {exc.msg}")
+                continue
+            if isinstance(fields, dict):
+                yield raw, fields
+            else:
+                yield RejectedRow(row=raw, reason="row is not an object")
 
 
 def load_targets(path: str | Path, format: str = "csv") -> LoadResult:
@@ -120,25 +130,13 @@ def load_targets(path: str | Path, format: str = "csv") -> LoadResult:
     seen: set[str] = set()
     collapsed = 0
 
-    if format == "csv":
-        rows = _iter_csv(path)
-    else:
-        rows = _iter_jsonl(path)
-
-    for raw, payload in rows:
-        if isinstance(payload, str):
-            try:
-                fields = json.loads(payload)
-            except json.JSONDecodeError as exc:
-                rejects.append(RejectedRow(row=raw, reason=f"invalid json: {exc.msg}"))
-                continue
-            if not isinstance(fields, dict):
-                rejects.append(RejectedRow(row=raw, reason="row is not an object"))
-                continue
-        else:
-            fields = payload
+    for row in _iter_csv(path) if format == "csv" else _iter_jsonl(path):
+        if isinstance(row, RejectedRow):
+            rejects.append(row)
+            continue
+        raw, fields = row
         try:
-            target = _validate_row(raw, fields)
+            target = _validate_row(fields)
         except ValueError as exc:
             rejects.append(RejectedRow(row=raw, reason=str(exc)))
             continue

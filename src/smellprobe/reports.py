@@ -12,7 +12,7 @@ import csv
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
@@ -28,7 +28,7 @@ from .model import (
     SmellKind,
     SourceModel,
 )
-from .snapshot import Snapshot, SnapshotEntry
+from .snapshot import Snapshot, SnapshotEntry, replacing
 from .versions import OS_DICTIONARY, canonical_service_name
 
 
@@ -89,60 +89,30 @@ class PrevalenceCell:
         return pct_display(self.apps_affected, self.apps_total)
 
 
-_PREVALENCE_COLUMNS = [
-    "group",
-    "smell",
-    "urls_affected",
-    "urls_total",
-    "url_pct",
-    "url_pct_display",
-    "apps_affected",
-    "apps_total",
-    "app_pct",
-    "app_pct_display",
-]
-
-
-@dataclass(frozen=True)
 class PrevalenceTable:
-    cells: dict[tuple[GroupKey, SmellKind], PrevalenceCell]
+    """Per-group, per-smell affected counts at URL and app granularity.
 
-    columns = _PREVALENCE_COLUMNS
-
-    def cell(self, group: GroupKey, kind: SmellKind) -> PrevalenceCell:
-        return self.cells[(group, kind)]
-
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for group in GroupKey:
-            for kind in SmellKind:
-                cell = self.cells[(group, kind)]
-                rows.append(
-                    {
-                        "group": group.value,
-                        "smell": kind.value,
-                        "urls_affected": cell.urls_affected,
-                        "urls_total": cell.urls_total,
-                        "url_pct": cell.url_pct,
-                        "url_pct_display": cell.url_pct_display,
-                        "apps_affected": cell.apps_affected,
-                        "apps_total": cell.apps_total,
-                        "app_pct": cell.app_pct,
-                        "app_pct_display": cell.app_pct_display,
-                    }
-                )
-        return rows
-
-
-class _PrevalenceCounter:
-    """Prevalence tallies fed one entry at a time.
-
-    With a corpus, an entry counts once for each corpus target with its URL
-    and entries outside the corpus are skipped; without one, every entry
-    counts under its own target.
+    An app suffers from a smell when at least one of its URLs in the group
+    has the finding; denominators are group sizes.  With a corpus, an added
+    entry counts once for each corpus target with its URL and entries
+    outside the corpus are skipped; without one, every entry counts under
+    its own target.
     """
 
-    def __init__(self, corpus: list[ProbeTarget] | tuple[ProbeTarget, ...] | None) -> None:
+    columns = [
+        "group",
+        "smell",
+        "urls_affected",
+        "urls_total",
+        "url_pct",
+        "url_pct_display",
+        "apps_affected",
+        "apps_total",
+        "app_pct",
+        "app_pct_display",
+    ]
+
+    def __init__(self, corpus: list[ProbeTarget] | tuple[ProbeTarget, ...] | None = None) -> None:
         self._uncovered: dict[str, list[ProbeTarget]] | None = None
         if corpus is not None:
             self._uncovered = {}
@@ -168,41 +138,52 @@ class _PrevalenceCounter:
                 self._flagged_urls[(group, kind)] += 1
                 self._flagged_apps[(group, kind)].add(target.app_id)
 
-    def table(self) -> PrevalenceTable:
+    def require_covered(self) -> None:
+        """Raise ValueError if some corpus URL was never added."""
         if self._uncovered:
             missing = sum(len(targets) for targets in self._uncovered.values())
             raise ValueError(f"snapshot does not cover corpus: {missing} url(s) missing")
-        cells = {}
-        for group in GroupKey:
-            for kind in SmellKind:
-                cells[(group, kind)] = PrevalenceCell(
-                    urls_affected=self._flagged_urls[(group, kind)],
-                    urls_total=self._group_urls[group],
-                    apps_affected=len(self._flagged_apps[(group, kind)]),
-                    apps_total=len(self._group_apps[group]),
-                )
-        return PrevalenceTable(cells=cells)
+
+    def cell(self, group: GroupKey, kind: SmellKind) -> PrevalenceCell:
+        return PrevalenceCell(
+            urls_affected=self._flagged_urls[(group, kind)],
+            urls_total=self._group_urls[group],
+            apps_affected=len(self._flagged_apps[(group, kind)]),
+            apps_total=len(self._group_apps[group]),
+        )
+
+    @property
+    def cells(self) -> dict[tuple[GroupKey, SmellKind], PrevalenceCell]:
+        return {(group, kind): self.cell(group, kind) for group in GroupKey for kind in SmellKind}
+
+    def to_rows(self) -> list[dict]:
+        return [
+            {"group": group.value, "smell": kind.value}
+            | {name: getattr(cell, name) for name in self.columns[2:]}
+            for (group, kind), cell in self.cells.items()
+        ]
 
 
 def prevalence(snapshot: Snapshot, corpus: list[ProbeTarget] | tuple[ProbeTarget, ...]) -> PrevalenceTable:
-    """Per-group, per-smell affected counts at URL and app granularity.
-
-    An app suffers from a smell when at least one of its URLs in the group
-    has the finding.  Denominators are group sizes.
-    """
-    counter = _PrevalenceCounter(corpus)
+    """The prevalence of every smell over the corpus, which the snapshot must cover."""
+    table = PrevalenceTable(corpus)
     for entry in snapshot.entries.values():
-        counter.add(entry)
-    return counter.table()
+        table.add(entry)
+    table.require_covered()
+    return table
 
 
-@dataclass(frozen=True)
+@dataclass
 class LeakBreakdown:
     """Counts keyed by (category, lowercased software name, locus)."""
 
-    counts: dict[tuple[LeakCategory, str, str], int]
+    counts: Counter[tuple[LeakCategory, str, str]] = field(default_factory=Counter)
 
     columns = ["category", "software", "display", "locus", "count"]
+
+    def add(self, entry: SnapshotEntry) -> None:
+        for leak in entry.report.leaks:
+            self.counts[(leak.category, leak.software.lower(), leak.locus)] += 1
 
     @property
     def total(self) -> int:
@@ -243,27 +224,15 @@ class LeakBreakdown:
         return rows
 
 
-class _LeakCounter:
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
-
-    def add(self, entry: SnapshotEntry) -> None:
-        for leak in entry.report.leaks:
-            self._counts[(leak.category, leak.software.lower(), leak.locus)] += 1
-
-    def table(self) -> LeakBreakdown:
-        return LeakBreakdown(counts=dict(self._counts))
-
-
 def leak_breakdown(snapshot: Snapshot) -> LeakBreakdown:
     """Tally every stored leak record by category, software, and locus."""
-    counter = _LeakCounter()
+    breakdown = LeakBreakdown()
     for entry in snapshot.entries.values():
-        counter.add(entry)
-    return counter.table()
+        breakdown.add(entry)
+    return breakdown
 
 
-@dataclass(frozen=True)
+@dataclass
 class HstsStats:
     """HSTS posture tallies over the https endpoints that answered.
 
@@ -271,74 +240,58 @@ class HstsStats:
     the respective directive, including those with no HSTS header at all.
     """
 
-    https_total: int
-    protected: int
-    absent: int
-    short_max_age: int
-    missing_include_subdomains: int
-    missing_preload: int
+    https_total: int = 0
+    protected: int = 0
+    absent: int = 0
+    short_max_age: int = 0
+    missing_include_subdomains: int = 0
+    missing_preload: int = 0
 
     columns = ["metric", "count"]
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"metric": "https_total", "count": self.https_total},
-            {"metric": "protected", "count": self.protected},
-            {"metric": "absent", "count": self.absent},
-            {"metric": "short_max_age", "count": self.short_max_age},
-            {"metric": "missing_include_subdomains", "count": self.missing_include_subdomains},
-            {"metric": "missing_preload", "count": self.missing_preload},
-        ]
-
-
-class _HstsCounter:
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
 
     def add(self, entry: SnapshotEntry) -> None:
         result = entry.result
         if result.scheme_used is not Scheme.HTTPS or result.status is None:
             return
-        self._counts["https_total"] += 1
+        self.https_total += 1
         finding = next(
             (f for f in entry.report.findings if f.kind is SmellKind.MISSING_HSTS), None
         )
         if finding is None:
-            self._counts["protected"] += 1
+            self.protected += 1
         elif "absent" in finding.subflags:
-            self._counts.update(("absent", "missing_include_subdomains", "missing_preload"))
+            self.absent += 1
+            self.missing_include_subdomains += 1
+            self.missing_preload += 1
         else:
-            for flag in ("short_max_age", "missing_include_subdomains", "missing_preload"):
-                if flag in finding.subflags:
-                    self._counts[flag] += 1
+            self.short_max_age += "short_max_age" in finding.subflags
+            self.missing_include_subdomains += "missing_include_subdomains" in finding.subflags
+            self.missing_preload += "missing_preload" in finding.subflags
 
-    def table(self) -> HstsStats:
-        c = self._counts
-        return HstsStats(
-            https_total=c["https_total"],
-            protected=c["protected"],
-            absent=c["absent"],
-            short_max_age=c["short_max_age"],
-            missing_include_subdomains=c["missing_include_subdomains"],
-            missing_preload=c["missing_preload"],
-        )
+    def to_rows(self) -> list[dict]:
+        return [{"metric": f.name, "count": getattr(self, f.name)} for f in fields(self)]
 
 
 def hsts_stats(snapshot: Snapshot) -> HstsStats:
     """Tally detect_missing_hsts outcomes stored in the snapshot."""
-    counter = _HstsCounter()
+    stats = HstsStats()
     for entry in snapshot.entries.values():
-        counter.add(entry)
-    return counter.table()
+        stats.add(entry)
+    return stats
 
 
-@dataclass(frozen=True)
+@dataclass
 class CorrelationMatrix:
     """scenario x smell-count cells; total equals the classified URL count."""
 
-    cells: dict[tuple[MaintenanceScenario, int], int]
+    cells: Counter[tuple[MaintenanceScenario, int]] = field(default_factory=Counter)
 
     columns = ["scenario", "smell_count", "urls"]
+
+    def add(self, record: MaintenanceRecord, smell_count: int) -> None:
+        """Count a classified record; an unclassifiable one is left out."""
+        if record.scenario is not None:
+            self.cells[(record.scenario, smell_count)] += 1
 
     @property
     def total(self) -> int:
@@ -353,19 +306,6 @@ class CorrelationMatrix:
         return rows
 
 
-class _CorrelationCounter:
-    def __init__(self) -> None:
-        self._cells: Counter = Counter()
-
-    def add(self, record: MaintenanceRecord, smell_count: int) -> None:
-        """Count a classified record; an unclassifiable one is left out."""
-        if record.scenario is not None:
-            self._cells[(record.scenario, smell_count)] += 1
-
-    def table(self) -> CorrelationMatrix:
-        return CorrelationMatrix(cells=dict(self._cells))
-
-
 def correlate(
     smell_counts: dict[str, int], records: list[MaintenanceRecord]
 ) -> CorrelationMatrix:
@@ -374,12 +314,12 @@ def correlate(
     Only classified records participate; every classified record's URL must
     appear in smell_counts.
     """
-    counter = _CorrelationCounter()
+    matrix = CorrelationMatrix()
     for record in records:
         if record.scenario is not None and record.url not in smell_counts:
             raise KeyError(f"no smell count for {record.url!r}")
-        counter.add(record, smell_counts.get(record.url, 0))
-    return counter.table()
+        matrix.add(record, smell_counts.get(record.url, 0))
+    return matrix
 
 
 def tabulate(
@@ -396,12 +336,12 @@ def tabulate(
     the merge-join of both streams, and a URL's smell count for the
     correlation is the first stream's, or the second's for a URL new there.
     """
-    prevalence_counter, leaks, hsts = _PrevalenceCounter(corpus), _LeakCounter(), _HstsCounter()
+    table, leaks, hsts = PrevalenceTable(corpus), LeakBreakdown(), HstsStats()
     records: list[MaintenanceRecord] = []
-    correlation = _CorrelationCounter()
+    correlation = CorrelationMatrix()
     for url, before, after in pair_entries(first, () if second is None else second):
         if before is not None:
-            prevalence_counter.add(before)
+            table.add(before)
             leaks.add(before)
             hsts.add(before)
         if second is None:
@@ -412,31 +352,29 @@ def tabulate(
         records.append(record)
         counted = before if before is not None else after
         correlation.add(record, len(counted.report.findings))
-    tables = {"prevalence": prevalence_counter.table(), "leaks": leaks.table(), "hsts": hsts.table()}
+    table.require_covered()
+    tables = {"prevalence": table, "leaks": leaks, "hsts": hsts}
     if second is None:
         return tables, None
-    tables["correlation"] = correlation.table()
+    tables["correlation"] = correlation
     return tables, records
 
 
 def export(report, path: str | Path, format: str = "csv") -> None:
-    """Write a report's rows with a stable column order.
+    """Write a report's rows with a stable column order, replacing ``path`` atomically.
 
-    Re-exports of the same report are byte-identical.
+    Re-exports of the same report are byte-identical.  If writing fails,
+    ``path`` is left as it was.
     """
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown export format: {format!r}")
     rows = report.to_rows()
     columns = report.columns
-    path = Path(path)
-    if format == "csv":
-        with path.open("w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
+        if format == "csv":
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
-    elif format == "json":
-        payload = {"columns": columns, "rows": rows}
-        path.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-    else:
-        raise ValueError(f"unknown export format: {format!r}")
+        else:
+            payload = {"columns": columns, "rows": rows}
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")

@@ -516,31 +516,14 @@ def detect_all(
     json_auth_heuristic: bool = False,
 ) -> SmellReport:
     """Run all six detectors in their fixed order and collect the report."""
-    findings: list[SmellFinding] = []
     text = _decode_body(result.body_sample)
-
-    finding = detect_insecure_transport(target)
-    if finding:
-        findings.append(finding)
-
-    finding = _source_code_disclosure(result, text)
-    if finding:
-        findings.append(finding)
-
-    finding, leaks = _version_disclosure(result, text)
-    if finding:
-        findings.append(finding)
-
-    finding = detect_lack_of_access_control(result, json_auth_heuristic=json_auth_heuristic)
-    if finding:
-        findings.append(finding)
-
-    finding = detect_missing_https_redirect(chain)
-    if finding:
-        findings.append(finding)
-
-    finding = detect_missing_hsts(result)
-    if finding:
-        findings.append(finding)
-
-    return SmellReport(findings=tuple(findings), leaks=tuple(leaks))
+    version_finding, leaks = _version_disclosure(result, text)
+    findings = (
+        detect_insecure_transport(target),
+        _source_code_disclosure(result, text),
+        version_finding,
+        detect_lack_of_access_control(result, json_auth_heuristic=json_auth_heuristic),
+        detect_missing_https_redirect(chain),
+        detect_missing_hsts(result),
+    )
+    return SmellReport(findings=tuple(f for f in findings if f is not None), leaks=tuple(leaks))

@@ -185,8 +185,15 @@ _SOFTWARE_POOL = [
 ]
 
 
+_HSTS_SUBFLAGS = (
+    frozenset({"absent"}),
+    frozenset({"short_max_age", "missing_preload"}),
+    frozenset({"missing_include_subdomains"}),
+)
+
+
 def random_snapshot(rng: random.Random, n_urls: int = 30) -> tuple[Snapshot, tuple[ProbeTarget, ...]]:
-    """A synthetic snapshot with randomized groups, findings, and leaks."""
+    """A synthetic snapshot with randomized groups, findings, leaks, and Server banners."""
     entries: dict[str, SnapshotEntry] = {}
     corpus: list[ProbeTarget] = []
     for index in range(n_urls):
@@ -196,7 +203,13 @@ def random_snapshot(rng: random.Random, n_urls: int = 30) -> tuple[Snapshot, tup
         model = rng.choice(list(SourceModel))
         declared = rng.choice([None, DeclaredFormat.JSON, DeclaredFormat.NON_JSON])
         kinds = tuple(kind for kind in SmellKind if rng.random() < 0.4)
+        hsts_flags = _HSTS_SUBFLAGS[index % len(_HSTS_SUBFLAGS)]
+        findings = tuple(
+            make_finding(kind, url, hsts_flags if kind is SmellKind.MISSING_HSTS else frozenset())
+            for kind in kinds
+        )
         leaks = []
+        banner = None
         if rng.random() < 0.5:
             name, banner = rng.choice(_SOFTWARE_POOL)
             if name is not None:
@@ -211,8 +224,9 @@ def random_snapshot(rng: random.Random, n_urls: int = 30) -> tuple[Snapshot, tup
             app_id=app_id,
             model=model,
             declared=declared,
-            kinds=kinds,
+            findings=findings,
             leaks=tuple(leaks),
+            server=banner,
             body=b'{"a":1}' if rng.random() < 0.5 else b"<html></html>",
         )
         entries[url] = entry

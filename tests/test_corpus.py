@@ -141,6 +141,21 @@ def test_jsonl_bad_json_rejected(tmp_path):
     assert loaded.rejects[0].reason.startswith("invalid json")
 
 
+def test_jsonl_row_not_an_object_rejected(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    lines = ['["https://a.example/x", "app-a"]', '"https://b.example/"', "null", "{not json}",
+             '{"url": "https://c.example/", "app_id": "app-c", "source_model": "open_source"}']
+    path.write_text("".join(f"  {line}\n" for line in lines), encoding="utf-8")
+    loaded = load_targets(path, format="jsonl")
+    assert [t.url for t in loaded.targets] == ["https://c.example/"]
+    assert [(r.row, r.reason) for r in loaded.rejects] == [
+        (lines[0], "row is not an object"),
+        (lines[1], "row is not an object"),
+        (lines[2], "row is not an object"),
+        (lines[3], "invalid json: Expecting property name enclosed in double quotes"),
+    ]
+
+
 def test_missing_file_raises():
     with pytest.raises(FileNotFoundError):
         load_targets("/nonexistent/corpus.csv", format="csv")

@@ -1,8 +1,14 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from smellprobe.maintenance import MaintenanceRecord, MaintenanceScenario, diff_snapshots
+from smellprobe.maintenance import (
+    MaintenanceRecord,
+    MaintenanceScenario,
+    UnclassifiableReason,
+    diff_snapshots,
+)
 from smellprobe.model import DeclaredFormat, LeakCategory, LeakRecord, SmellKind, SourceModel
 from smellprobe.reports import (
     GroupKey,
@@ -13,6 +19,7 @@ from smellprobe.reports import (
     leak_breakdown,
     pct_display,
     prevalence,
+    tabulate,
 )
 from smellprobe.versions import parse_product_token
 
@@ -26,6 +33,7 @@ from helpers import (
     recount_correlation,
     recount_leaks,
     recount_prevalence,
+    snapshot_pair,
 )
 
 
@@ -326,6 +334,74 @@ class TestCorrelate:
             correlate({}, records)
 
 
+def url_sorted(snapshot):
+    return (snapshot.entries[url] for url in sorted(snapshot.entries))
+
+
+def random_pair(rng):
+    """Two snapshots that share some URLs, and a corpus over part of the first."""
+    first, targets = random_snapshot(rng, n_urls=rng.randint(0, 30))
+    second, _ = random_snapshot(rng, n_urls=rng.randint(0, 30))
+    corpus = rng.sample(targets, rng.randint(0, len(targets)))
+    if corpus:
+        # A second app behind a corpus URL counts that URL once more.
+        corpus.append(replace(corpus[0], app_id="shared-url-app"))
+    return *snapshot_pair(first.entries, second.entries), tuple(corpus)
+
+
+class TestTabulate:
+    """tabulate's single pass gives what the whole-run functions give."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_whole_run_functions(self, seed):
+        rng = random.Random(seed)
+        first, second, corpus = random_pair(rng)
+        own_targets = tuple(entry.result.target for entry in first.entries.values())
+        records = diff_snapshots(first, second)
+        smell_counts = {url: len(e.report.findings) for url, e in second.entries.items()}
+        smell_counts.update((url, len(e.report.findings)) for url, e in first.entries.items())
+        matrix = correlate(smell_counts, records)
+        for table_corpus in (None, corpus):
+            expected = {
+                "prevalence": prevalence(first, own_targets if table_corpus is None else corpus),
+                "leaks": leak_breakdown(first),
+                "hsts": hsts_stats(first),
+            }
+            tables, got_records = tabulate(url_sorted(first), corpus=table_corpus)
+            assert got_records is None
+            assert {name: t.to_rows() for name, t in tables.items()} == {
+                name: t.to_rows() for name, t in expected.items()
+            }
+            tables, got_records = tabulate(url_sorted(first), url_sorted(second), table_corpus)
+            expected["correlation"] = matrix
+            assert {name: t.to_rows() for name, t in tables.items()} == {
+                name: t.to_rows() for name, t in expected.items()
+            }
+            assert got_records == records
+
+    def test_pairs_reach_every_table_branch(self):
+        scenarios, reasons, hsts_flags = set(), set(), set()
+        for seed in range(12):
+            first, second, _ = random_pair(random.Random(seed))
+            for record in diff_snapshots(first, second):
+                scenarios.add(record.scenario)
+                reasons.add(record.unclassifiable_reason)
+            hsts = hsts_stats(first)
+            hsts_flags.update(row["metric"] for row in hsts.to_rows() if row["count"])
+        assert None in scenarios and len(scenarios) >= 5
+        assert UnclassifiableReason.SHUTDOWN_NO_COMPARISON in reasons
+        assert {"absent", "short_max_age", "missing_include_subdomains"} <= hsts_flags
+
+    def test_corpus_url_missing_from_snapshot_raises(self):
+        snapshot, corpus = random_snapshot(random.Random(3), n_urls=5)
+        corpus += (make_target("http://missing.example/"),)
+        with pytest.raises(ValueError) as from_prevalence:
+            prevalence(snapshot, corpus)
+        with pytest.raises(ValueError) as from_tabulate:
+            tabulate(url_sorted(snapshot), corpus=corpus)
+        assert str(from_tabulate.value) == str(from_prevalence.value)
+
+
 class TestExport:
     def test_csv_reexport_byte_identical(self, tmp_path):
         rng = random.Random(13)
@@ -355,3 +431,21 @@ class TestExport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export(hsts_stats(build_snapshot({})), tmp_path / "x.bin", "parquet")
+
+    @pytest.mark.parametrize("failure", [ValueError, KeyboardInterrupt])
+    def test_failed_export_leaves_previous_file(self, tmp_path, failure):
+        out = tmp_path / "hsts.csv"
+        export(hsts_stats(build_snapshot({})), out, "csv")
+        before = out.read_bytes()
+
+        class Failing:
+            columns = ["metric", "count"]
+
+            def to_rows(self):
+                yield {"metric": "https_total", "count": 1}
+                raise failure("interrupted while writing rows")
+
+        with pytest.raises(failure):
+            export(Failing(), out, "csv")
+        assert out.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out]
