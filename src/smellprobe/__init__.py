@@ -19,8 +19,8 @@ _HOMES = {
     ),
     **dict.fromkeys(
         (
-            "Classification", "MaintenanceRecord", "MaintenanceScenario", "UnclassifiableReason",
-            "classify_change", "diff_entries", "diff_snapshots", "server_banner",
+            "MaintenanceRecord", "MaintenanceScenario", "UnclassifiableReason", "diff_entries",
+            "diff_snapshots", "server_banner",
         ),
         "maintenance",
     ),

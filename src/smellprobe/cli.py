@@ -157,7 +157,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     with spool:
         results = probe_each(loaded.targets, cfg)
         try:
-            for _, result, chain in results:
+            for _, chain in results:
+                result = chain.result
                 report = detect_all(
                     result.target, result, chain, json_auth_heuristic=args.json_auth_heuristic
                 )

@@ -154,8 +154,13 @@ def load_targets(path: str | Path, format: str = "csv") -> LoadResult:
 
 
 def write_rejects(rejects, path: str | Path) -> None:
-    """Emit rejects as JSONL records of ``{row, reason}``."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Emit rejects as JSONL records of ``{row, reason}``, replacing ``path`` atomically.
+
+    If ``rejects`` raises, ``path`` is left as it was.
+    """
+    from .snapshot import replacing
+
+    with replacing(path) as fh:
         for reject in rejects:
             fh.write(json.dumps({"row": reject.row, "reason": reject.reason}, sort_keys=True))
             fh.write("\n")

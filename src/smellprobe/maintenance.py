@@ -75,82 +75,51 @@ class MaintenanceRecord:
                 raise ValueError(f"{self.scenario.value} requires an unchanged software name")
 
 
-@dataclass(frozen=True)
-class Classification:
-    scenario: MaintenanceScenario | None
-    reason: UnclassifiableReason | None
-
-
-class _Endpoint(Enum):
-    """What a snapshot says about a URL's endpoint."""
-
-    MISSING = "missing"  # the URL is not in the snapshot
-    DOWN = "down"  # the probe failed at the transport level
-    UP = "up"  # the endpoint answered
-
-
-def _endpoint(entry: SnapshotEntry | None) -> _Endpoint:
-    if entry is None:
-        return _Endpoint.MISSING
-    return _Endpoint.UP if entry.result.status is not None else _Endpoint.DOWN
-
-
 def _classify(
     before: SoftwareId | None,
     after: SoftwareId | None,
-    first: _Endpoint,
-    second: _Endpoint,
-) -> Classification | None:
-    """The whole decision table of the module docstring; None when both banners are absent.
+    first: SnapshotEntry | None,
+    second: SnapshotEntry | None,
+) -> tuple[MaintenanceScenario | None, UnclassifiableReason | None] | None:
+    """The whole decision table of the module docstring as ``(scenario, reason)``.
 
-    ``first`` and ``second`` matter only on the side without a banner: a side
-    with one always answered.
+    None when both banners are absent.  ``first`` and ``second`` are the
+    URL's entries (None where a snapshot lacks it); they matter only on the
+    side without a banner, since a side with one answered.
     """
     if before is None and after is None:
         return None
     if before is None:
-        if first is _Endpoint.DOWN:
-            return Classification(None, UnclassifiableReason.SPAWNED_UNKNOWN_CONFIG)
-        return Classification(MaintenanceScenario.SERVER_SPAWNED, None)
+        if first is not None and not first.result.ok:
+            return None, UnclassifiableReason.SPAWNED_UNKNOWN_CONFIG
+        return MaintenanceScenario.SERVER_SPAWNED, None
     if after is None:
-        if second is _Endpoint.MISSING:
-            return Classification(None, UnclassifiableReason.SHUTDOWN_NO_COMPARISON)
-        if second is _Endpoint.UP:
-            return Classification(MaintenanceScenario.LEAK_CLOSED, None)
-        return Classification(MaintenanceScenario.SERVER_SHUTDOWN, None)
+        if second is None:
+            return None, UnclassifiableReason.SHUTDOWN_NO_COMPARISON
+        if second.result.ok:
+            return MaintenanceScenario.LEAK_CLOSED, None
+        return MaintenanceScenario.SERVER_SHUTDOWN, None
 
     if before.name != after.name:
         if after.name == "cloudflare":
-            return Classification(MaintenanceScenario.CLOUDFLARE_ENABLED, None)
-        return Classification(MaintenanceScenario.ENVIRONMENT_CHANGED, None)
+            return MaintenanceScenario.CLOUDFLARE_ENABLED, None
+        return MaintenanceScenario.ENVIRONMENT_CHANGED, None
 
     before_text = before.version_text
     after_text = after.version_text
     if before_text is None and after_text is None:
-        return Classification(MaintenanceScenario.NO_UPDATE, None)
+        return MaintenanceScenario.NO_UPDATE, None
     if before_text is not None and after_text is None:
-        return Classification(MaintenanceScenario.LEAK_CLOSED, None)
+        return MaintenanceScenario.LEAK_CLOSED, None
     if before.version is None or after.version is None:
         # Version text exists on a side we cannot order numerically.
-        return Classification(None, UnclassifiableReason.VERSIONING_SCHEME_CHANGED)
+        return None, UnclassifiableReason.VERSIONING_SCHEME_CHANGED
     ordering = compare_versions(after.version, before.version)
     if ordering < 0:
-        return Classification(MaintenanceScenario.VERSION_DOWNGRADE, None)
+        return MaintenanceScenario.VERSION_DOWNGRADE, None
     if ordering > 0:
-        return Classification(MaintenanceScenario.VERSION_UPGRADE, None)
-    return Classification(MaintenanceScenario.NO_UPDATE, None)
-
-
-def classify_change(
-    before: SoftwareId | None, after: SoftwareId | None
-) -> Classification | None:
-    """Apply the name/version decision table. None when both sides are absent.
-
-    This is the pure banner-level view: without endpoint liveness, a banner
-    that appears reads as server_spawned and one that disappears as
-    server_shutdown.  diff_snapshots() refines both with liveness.
-    """
-    return _classify(before, after, _Endpoint.UP, _Endpoint.DOWN)
+        return MaintenanceScenario.VERSION_UPGRADE, None
+    return MaintenanceScenario.NO_UPDATE, None
 
 
 def server_banner(entry: SnapshotEntry | None) -> tuple[SoftwareId | None, tuple[str, ...]]:
@@ -175,12 +144,10 @@ def classify_pair(
     """The record of one URL from its entries in the two snapshots (None where absent)."""
     before, before_rest = server_banner(first)
     after, after_rest = server_banner(second)
-    outcome = _classify(before, after, _endpoint(first), _endpoint(second))
+    outcome = _classify(before, after, first, second)
     if outcome is None:
         return None
-    return MaintenanceRecord(
-        url, before, after, outcome.scenario, outcome.reason, before_rest + after_rest
-    )
+    return MaintenanceRecord(url, before, after, *outcome, before_rest + after_rest)
 
 
 def pair_entries(

@@ -19,9 +19,9 @@ wins.  That one row gives both the ``transport_error`` string stored in the
 snapshot and whether the exchange is tried again.
 
 ``probe_each`` probes a corpus on ``parallelism`` worker threads and yields
-each target's result as soon as it is done, with at most 2 x parallelism
+each target's chain as soon as it is done, with at most 2 x parallelism
 targets submitted and not yet consumed.  ``scan`` detects and spools each
-result as it arrives, so it holds at most that many results whatever the
+chain as it arrives, so it holds at most that many chains whatever the
 corpus size, and a slow target holds up no other.
 """
 
@@ -214,8 +214,9 @@ def probe_and_follow(target: ProbeTarget, cfg: ProbeConfig) -> tuple[ProbeResult
     """Probe the target URL and follow its Location headers by hand.
 
     Following stops at the first exchange that is not a followable 3xx,
-    after max_redirects redirects, right after a request URL repeats (a
-    loop), or at a Location that does not parse or leads off the web.
+    once the chain holds max_redirects exchanges (the first included),
+    right after a request URL repeats (a loop), or at a Location that does
+    not parse or leads off the web.
     Returns the first exchange and the whole chain.
     """
     exchanges = [_probe_url(target, target.url, cfg)]
@@ -239,15 +240,15 @@ def probe_and_follow(target: ProbeTarget, cfg: ProbeConfig) -> tuple[ProbeResult
 def probe_each(
     corpus: list[ProbeTarget] | tuple[ProbeTarget, ...],
     cfg: ProbeConfig,
-) -> Iterator[tuple[int, ProbeResult, RedirectChain]]:
-    """Probe every target; yield ``(corpus index, result, chain)`` as each finishes.
+) -> Iterator[tuple[int, RedirectChain]]:
+    """Probe every target; yield ``(corpus index, chain)`` as each finishes.
 
     cfg.parallelism targets are probed at once, and at most twice that many
     are submitted and not yet consumed, so a caller holds at most
-    2 x parallelism results and a slow target delays no other.  Closing the
+    2 x parallelism chains and a slow target delays no other.  Closing the
     generator, or an exception or interrupt while it waits, cancels the
     targets not yet started and waits for the running ones to finish.
-    Per-target transport errors are embedded in the results, never raised.
+    Per-target transport errors are embedded in the chains, never raised.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -265,8 +266,8 @@ def probe_each(
                 if not pending:
                     return
                 future = finished.get()
-                result, chain = future.result()
-                yield pending.pop(future), result, chain
+                _, chain = future.result()
+                yield pending.pop(future), chain
         finally:
             for future in pending:
                 future.cancel()
@@ -278,6 +279,6 @@ def probe_all(
 ) -> list[tuple[ProbeResult, RedirectChain]]:
     """Probe every target (see ``probe_each``) and return the pairs in corpus order."""
     pairs: list = [None] * len(corpus)
-    for index, result, chain in probe_each(corpus, cfg):
-        pairs[index] = (result, chain)
+    for index, chain in probe_each(corpus, cfg):
+        pairs[index] = (chain.result, chain)
     return pairs

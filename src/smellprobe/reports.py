@@ -144,17 +144,18 @@ class PrevalenceTable:
             missing = sum(len(targets) for targets in self._uncovered.values())
             raise ValueError(f"snapshot does not cover corpus: {missing} url(s) missing")
 
-    def cell(self, group: GroupKey, kind: SmellKind) -> PrevalenceCell:
-        return PrevalenceCell(
-            urls_affected=self._flagged_urls[(group, kind)],
-            urls_total=self._group_urls[group],
-            apps_affected=len(self._flagged_apps[(group, kind)]),
-            apps_total=len(self._group_apps[group]),
-        )
-
     @property
     def cells(self) -> dict[tuple[GroupKey, SmellKind], PrevalenceCell]:
-        return {(group, kind): self.cell(group, kind) for group in GroupKey for kind in SmellKind}
+        return {
+            (group, kind): PrevalenceCell(
+                urls_affected=self._flagged_urls[(group, kind)],
+                urls_total=self._group_urls[group],
+                apps_affected=len(self._flagged_apps[(group, kind)]),
+                apps_total=len(self._group_apps[group]),
+            )
+            for group in GroupKey
+            for kind in SmellKind
+        }
 
     def to_rows(self) -> list[dict]:
         return [
@@ -184,24 +185,6 @@ class LeakBreakdown:
     def add(self, entry: SnapshotEntry) -> None:
         for leak in entry.report.leaks:
             self.counts[(leak.category, leak.software.lower(), leak.locus)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def by_software(self, category: LeakCategory) -> dict[str, int]:
-        tally: Counter = Counter()
-        for (cat, name, _), count in self.counts.items():
-            if cat is category:
-                tally[name] += count
-        return dict(tally)
-
-    def by_locus_kind(self) -> dict[str, int]:
-        """Header-field leaks vs body leaks."""
-        tally = {"header": 0, "body": 0}
-        for (_, _, locus), count in self.counts.items():
-            tally["body" if locus == "body" else "header"] += count
-        return tally
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -282,7 +265,7 @@ def hsts_stats(snapshot: Snapshot) -> HstsStats:
 
 @dataclass
 class CorrelationMatrix:
-    """scenario x smell-count cells; total equals the classified URL count."""
+    """scenario x smell-count cells; they sum to the classified URL count."""
 
     cells: Counter[tuple[MaintenanceScenario, int]] = field(default_factory=Counter)
 
@@ -292,10 +275,6 @@ class CorrelationMatrix:
         """Count a classified record; an unclassifiable one is left out."""
         if record.scenario is not None:
             self.cells[(record.scenario, smell_count)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.cells.values())
 
     def to_rows(self) -> list[dict]:
         rows = []

@@ -51,7 +51,7 @@ class SnapshotIntegrityError(Exception):
     """Raised when a snapshot file is corrupt; names the first bad record."""
 
 
-SCHEMA = 4  # what serialize() writes; reading also accepts schemas 3, 2 and 1
+SCHEMA = 4  # what save() and SnapshotSpool write; reading also accepts schemas 3, 2 and 1
 
 
 @dataclass(frozen=True)
@@ -256,11 +256,6 @@ def _lines(snapshot: Snapshot) -> Iterator[str]:
         yield _record_line(snapshot.entries[url])
 
 
-def serialize(snapshot: Snapshot) -> str:
-    """Canonical text form of a snapshot (what save() writes)."""
-    return "".join(_lines(snapshot))
-
-
 def _beside(path: Path, suffix: str) -> Path:
     """A fresh hidden file name in the directory of ``path``."""
     return path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.{suffix}")
@@ -387,7 +382,7 @@ def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
     else:
         redirects = (_result_from_dict(e, target, e["url"]) for e in data["redirects"])
         chain = RedirectChain((result, *redirects))
-    if schema < SCHEMA:
+    if schema <= 3:
         for what, stored, derived in _stored_copies(data, chain, schema):
             if stored != derived:
                 raise ValueError(f"stored {what} {stored!r} disagrees with {derived!r}")

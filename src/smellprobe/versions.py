@@ -3,8 +3,8 @@
 A banner is a product listing such as ``nginx/1.14.1 (Ubuntu)`` or
 ``Apache/2.4.41 (Ubuntu) OpenSSL/1.1.1``: whitespace-separated product
 tokens of the form ``name[/version]``, optionally interleaved with
-parenthesized annotations.  Annotations matching the OS dictionary are
-classified as operating-system leaks; everything else is kept verbatim.
+parenthesized annotations.  The first annotation matching the OS dictionary
+is classified as an operating-system leak.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class BannerParse:
 
     software: tuple[SoftwareId, ...] = ()
     os: str | None = None
-    annotations: tuple[str, ...] = ()
 
 
 def parse_version(text: str) -> tuple[int, ...] | None:
@@ -95,29 +94,12 @@ def parse_product_token(token: str, *, literal: bool = False) -> SoftwareId:
 def parse_banner(value: str) -> BannerParse:
     """Split a banner into product tokens plus an OS classification.
 
-    Parenthesized groups are pulled out first and checked against the OS
-    dictionary; the first hit wins and the rest stay as annotations.
+    Parenthesized groups are pulled out first; the first one that
+    ``classify_os`` recognises names the OS.
     """
-    annotations: list[str] = []
-    os_name: str | None = None
-
-    def _stash(match: re.Match) -> str:
-        annotations.append(match.group(1).strip())
-        return " "
-
-    remainder = _PAREN.sub(_stash, value)
-    software = tuple(
-        parse_product_token(tok) for tok in remainder.split() if tok.strip()
-    )
-
-    kept: list[str] = []
-    for note in annotations:
-        classified = classify_os(note)
-        if classified is not None and os_name is None:
-            os_name = classified
-        else:
-            kept.append(note)
-    return BannerParse(software=software, os=os_name, annotations=tuple(kept))
+    software = tuple(parse_product_token(tok) for tok in _PAREN.sub(" ", value).split())
+    notes = (classify_os(note.strip()) for note in _PAREN.findall(value))
+    return BannerParse(software=software, os=next((n for n in notes if n is not None), None))
 
 
 def canonical_service_name(name: str) -> str:

@@ -122,6 +122,21 @@ def snapshot_pair(first: dict[str, SnapshotEntry], second: dict[str, SnapshotEnt
     )
 
 
+# What a snapshot can say about one URL: not in the snapshot, probed but
+# failed at the transport level, answered without a Server banner, or
+# answered with one.
+SIDE_STATES = ("missing", "failed", "bannerless", "banner")
+
+
+def side_entry(url: str, state: str, server: str | None = None) -> SnapshotEntry | None:
+    """One side of a maintenance pair in ``state``; ``server`` is the banner of a "banner" side."""
+    if state == "missing":
+        return None
+    if state == "failed":
+        return build_entry(url, status=None, error="connection refused")
+    return build_entry(url, server=server if state == "banner" else None)
+
+
 # --- independent oracles ----------------------------------------------------
 
 
@@ -164,6 +179,21 @@ def recount_leaks(snapshot: Snapshot) -> dict:
             key = (leak.category, leak.software.lower(), leak.locus)
             counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def one_sided_outcome(before_state: str, after_state: str) -> tuple:
+    """``(scenario, reason)`` for a pair with a banner on one side only, per the
+    table of the ``smellprobe.maintenance`` docstring."""
+    from smellprobe.maintenance import MaintenanceScenario as S, UnclassifiableReason as R
+
+    return {
+        ("banner", "bannerless"): (S.LEAK_CLOSED, None),
+        ("banner", "failed"): (S.SERVER_SHUTDOWN, None),
+        ("banner", "missing"): (None, R.SHUTDOWN_NO_COMPARISON),
+        ("missing", "banner"): (S.SERVER_SPAWNED, None),
+        ("bannerless", "banner"): (S.SERVER_SPAWNED, None),
+        ("failed", "banner"): (None, R.SPAWNED_UNKNOWN_CONFIG),
+    }[(before_state, after_state)]
 
 
 def recount_correlation(smell_counts: dict[str, int], records) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from smellprobe.corpus import (
     DeclaredFormat,
     ProbeTarget,
+    RejectedRow,
     SourceModel,
     load_targets,
     normalize_url,
@@ -189,6 +190,21 @@ def test_write_rejects_schema(tmp_path):
     record = json.loads(lines[0])
     assert set(record) == {"row", "reason"}
     assert record["reason"] == "unsupported scheme"
+
+
+def test_write_rejects_that_fails_midway_keeps_previous_file(tmp_path):
+    out = tmp_path / "rejects.jsonl"
+    out.write_text('{"reason": "earlier", "row": "earlier"}\n', encoding="utf-8")
+    before = out.read_bytes()
+
+    def rejects():
+        yield RejectedRow(row="ftp://x,app-a,open_source,", reason="unsupported scheme")
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_rejects(rejects(), out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
 def test_normalize_url_keeps_query_case():

@@ -1,106 +1,94 @@
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
 from smellprobe.maintenance import (
-    Classification,
     MaintenanceRecord,
     MaintenanceScenario,
     UnclassifiableReason,
-    classify_change,
+    classify_pair,
     diff_snapshots,
     server_banner,
 )
 from smellprobe.versions import parse_product_token
 
-from helpers import build_entry, snapshot_pair
+from helpers import SIDE_STATES, build_entry, one_sided_outcome, side_entry, snapshot_pair
+
+URL = "http://u.example/"
 
 
 def sid(token):
     return parse_product_token(token) if token is not None else None
 
 
+def outcome_of(first, second):
+    """``(scenario, reason)`` of classify_pair for two entries, None when it gives no record."""
+    record = classify_pair(URL, first, second)
+    return None if record is None else (record.scenario, record.unclassifiable_reason)
+
+
 def outcome(before, after):
-    return classify_change(sid(before), sid(after))
+    """The outcome for two answering entries with these Server banners (None: no banner)."""
+    return outcome_of(build_entry(URL, server=before), build_entry(URL, server=after))
 
 
-class TestClassifyChange:
+class TestClassifyPair:
     def test_downgrade(self):
-        assert outcome("nginx/1.14.1", "nginx/1.12.1") == Classification(
+        assert outcome("nginx/1.14.1", "nginx/1.12.1") == (
             MaintenanceScenario.VERSION_DOWNGRADE, None
         )
 
     def test_identity_is_no_update(self):
-        assert outcome("nginx/1.14.1", "nginx/1.14.1") == Classification(
-            MaintenanceScenario.NO_UPDATE, None
-        )
+        assert outcome("nginx/1.14.1", "nginx/1.14.1") == (MaintenanceScenario.NO_UPDATE, None)
 
     def test_upgrade(self):
-        assert outcome("nginx/1.12.1", "nginx/1.14.1") == Classification(
+        assert outcome("nginx/1.12.1", "nginx/1.14.1") == (
             MaintenanceScenario.VERSION_UPGRADE, None
         )
 
     def test_cloudflare_gateway(self):
-        assert outcome("apache/2.4.41", "cloudflare") == Classification(
+        assert outcome("apache/2.4.41", "cloudflare") == (
             MaintenanceScenario.CLOUDFLARE_ENABLED, None
         )
 
     def test_cloudflare_requires_after_side(self):
         # moving OFF cloudflare is an environment change, not cloudflare_enabled
-        assert outcome("cloudflare", "apache/2.4.41") == Classification(
+        assert outcome("cloudflare", "apache/2.4.41") == (
             MaintenanceScenario.ENVIRONMENT_CHANGED, None
         )
 
     def test_environment_changed(self):
-        assert outcome("Apache/2.4.41", "Microsoft-IIS/10.0") == Classification(
+        assert outcome("Apache/2.4.41", "Microsoft-IIS/10.0") == (
             MaintenanceScenario.ENVIRONMENT_CHANGED, None
         )
 
     def test_leak_closed_when_version_disappears(self):
-        assert outcome("Apache/2.4.41", "Apache") == Classification(
-            MaintenanceScenario.LEAK_CLOSED, None
-        )
+        assert outcome("Apache/2.4.41", "Apache") == (MaintenanceScenario.LEAK_CLOSED, None)
 
     def test_bare_names_both_sides_is_no_update(self):
-        assert outcome("cloudflare", "cloudflare") == Classification(
-            MaintenanceScenario.NO_UPDATE, None
-        )
-
-    def test_spawned_and_shutdown_defaults(self):
-        assert outcome(None, "nginx/1.14.1") == Classification(
-            MaintenanceScenario.SERVER_SPAWNED, None
-        )
-        assert outcome("nginx/1.14.1", None) == Classification(
-            MaintenanceScenario.SERVER_SHUTDOWN, None
-        )
+        assert outcome("cloudflare", "cloudflare") == (MaintenanceScenario.NO_UPDATE, None)
 
     def test_both_absent_yields_nothing(self):
-        assert classify_change(None, None) is None
+        assert outcome(None, None) is None
+        assert outcome_of(None, None) is None
 
     def test_unorderable_version_text(self):
-        assert outcome("nginx/1.14.1", "nginx/beta2") == Classification(
+        assert outcome("nginx/1.14.1", "nginx/beta2") == (
             None, UnclassifiableReason.VERSIONING_SCHEME_CHANGED
         )
 
     def test_version_appearing_is_unorderable(self):
-        assert outcome("nginx", "nginx/1.14.1") == Classification(
+        assert outcome("nginx", "nginx/1.14.1") == (
             None, UnclassifiableReason.VERSIONING_SCHEME_CHANGED
         )
 
     def test_name_comparison_case_insensitive(self):
-        assert outcome("Apache/2.4.41", "apache/2.4.41") == Classification(
-            MaintenanceScenario.NO_UPDATE, None
-        )
+        assert outcome("Apache/2.4.41", "apache/2.4.41") == (MaintenanceScenario.NO_UPDATE, None)
 
     def test_zero_padded_versions_equal(self):
-        assert outcome("thing/1.0", "thing/1.0.0") == Classification(
-            MaintenanceScenario.NO_UPDATE, None
-        )
+        assert outcome("thing/1.0", "thing/1.0.0") == (MaintenanceScenario.NO_UPDATE, None)
 
 
 TOKENS = [
-    None,
     "nginx",
     "nginx/1.12.1",
     "nginx/1.14.1",
@@ -111,36 +99,53 @@ TOKENS = [
     "Microsoft-IIS/10.0",
 ]
 
+LIVENESS_SCENARIOS = (MaintenanceScenario.SERVER_SPAWNED, MaintenanceScenario.SERVER_SHUTDOWN)
+LIVENESS_REASONS = (
+    UnclassifiableReason.SPAWNED_UNKNOWN_CONFIG, UnclassifiableReason.SHUTDOWN_NO_COMPARISON
+)
+
+# Every side a snapshot can give one URL: each state, and a banner state with each token.
+SIDES = [(state, None) for state in SIDE_STATES if state != "banner"] + [
+    ("banner", token) for token in TOKENS
+]
+
 
 class TestClassifyProperties:
-    def test_partition_over_randomized_pairs(self):
-        rng = random.Random(2024)
-        for _ in range(1000):
-            before, after = rng.choice(TOKENS), rng.choice(TOKENS)
-            result = classify_change(sid(before), sid(after))
-            if before is None and after is None:
+    @pytest.mark.parametrize("before_state, before", SIDES)
+    def test_partition_over_every_pair_of_sides(self, before_state, before):
+        for after_state, after in SIDES:
+            first = side_entry(URL, before_state, before)
+            second = side_entry(URL, after_state, after)
+            result = outcome_of(first, second)
+            banners = (before_state == "banner", after_state == "banner")
+            if banners == (False, False):
                 assert result is None
+                continue
+            scenario, reason = result
+            assert (scenario is None) != (reason is None)
+            if banners != (True, True):
+                assert result == one_sided_outcome(before_state, after_state)
             else:
-                assert result is not None
-                assert (result.scenario is None) != (result.reason is None)
+                # liveness outcomes come only from a pair with one banner
+                assert scenario not in LIVENESS_SCENARIOS and reason not in LIVENESS_REASONS
 
     @given(
-        st.sampled_from(TOKENS[1:]),
+        st.sampled_from(TOKENS),
         st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=4),
         st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=4),
     )
     def test_antisymmetry_of_version_moves(self, name, seg_a, seg_b):
         name = name.split("/")[0]
-        a = sid(f"{name}/{'.'.join(map(str, seg_a))}")
-        b = sid(f"{name}/{'.'.join(map(str, seg_b))}")
-        forward = classify_change(a, b)
-        backward = classify_change(b, a)
+        a = f"{name}/{'.'.join(map(str, seg_a))}"
+        b = f"{name}/{'.'.join(map(str, seg_b))}"
+        forward, _ = outcome(a, b)
+        backward, _ = outcome(b, a)
         mapping = {
             MaintenanceScenario.VERSION_UPGRADE: MaintenanceScenario.VERSION_DOWNGRADE,
             MaintenanceScenario.VERSION_DOWNGRADE: MaintenanceScenario.VERSION_UPGRADE,
             MaintenanceScenario.NO_UPDATE: MaintenanceScenario.NO_UPDATE,
         }
-        assert backward.scenario == mapping[forward.scenario]
+        assert backward == mapping[forward]
 
 
 class TestMaintenanceRecord:

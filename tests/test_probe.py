@@ -440,8 +440,10 @@ class TestProbeEach:
         routes = {"/slow": RouteSpec(delay=0.5), **{f"/fast{i}": RouteSpec() for i in range(5)}}
         ep = endpoints(FixtureProfile(name="mixed", routes=routes))
         corpus = [make_target(ep.url(path)) for path in routes]
-        order = [index for index, _, _ in probe.probe_each(corpus, fast_cfg(parallelism=2))]
+        yielded = list(probe.probe_each(corpus, fast_cfg(parallelism=2)))
+        order = [index for index, _ in yielded]
         assert sorted(order) == list(range(6))
+        assert all(chain.result.target == corpus[index] for index, chain in yielded)
         assert order[-1] == 0
         pairs = probe_all(corpus, fast_cfg(parallelism=2))
         assert [result.target for result, _ in pairs] == corpus

@@ -92,7 +92,7 @@ class TestPrevalence:
             entries[url] = entry
             corpus.append(entry.result.target)
         table = prevalence(build_snapshot(entries), corpus)
-        cell = table.cell(GroupKey.OPEN_NONJSON, SmellKind.INSECURE_TRANSPORT)
+        cell = table.cells[(GroupKey.OPEN_NONJSON, SmellKind.INSECURE_TRANSPORT)]
         assert cell.urls_affected == 10
         assert cell.urls_total == 20
         assert cell.url_pct_display == 50
@@ -111,7 +111,7 @@ class TestPrevalence:
             entries[url] = entry
             corpus.append(entry.result.target)
         table = prevalence(build_snapshot(entries), corpus)
-        cell = table.cell(GroupKey.OPEN_NONJSON, SmellKind.MISSING_HSTS)
+        cell = table.cells[(GroupKey.OPEN_NONJSON, SmellKind.MISSING_HSTS)]
         assert cell.apps_total == 1
         assert cell.apps_affected == 1
         assert cell.urls_affected == 1
@@ -183,10 +183,11 @@ class TestLeakBreakdown:
             ),
         )
         breakdown = leak_breakdown(build_snapshot(entries))
-        services = breakdown.by_software(LeakCategory.SERVICE)
-        assert services == {"nginx": 3, "apache": 1}
-        loci = breakdown.by_locus_kind()
-        assert loci == {"header": 3, "body": 2}
+        assert breakdown.counts == {
+            (LeakCategory.SERVICE, "nginx", "server"): 3,
+            (LeakCategory.SERVICE, "apache", "body"): 1,
+            (LeakCategory.VERSION, "apache", "body"): 1,
+        }
 
     def test_single_response_packs_multiple_leaks(self):
         url = "http://h.example/"
@@ -197,19 +198,24 @@ class TestLeakBreakdown:
             LeakRecord(LeakCategory.VERSION, "PHP", "7.4", "x-powered-by"),
         )
         breakdown = leak_breakdown(build_snapshot({url: build_entry(url, leaks=leaks)}))
-        assert sum(breakdown.by_software(LeakCategory.SERVICE).values()) == 2
-        assert sum(breakdown.by_software(LeakCategory.OS).values()) == 1
-        assert sum(breakdown.by_software(LeakCategory.VERSION).values()) == 1
+        assert breakdown.counts == {
+            (LeakCategory.SERVICE, "nginx", "server"): 1,
+            (LeakCategory.OS, "ubuntu", "server"): 1,
+            (LeakCategory.SERVICE, "php", "x-powered-by"): 1,
+            (LeakCategory.VERSION, "php", "x-powered-by"): 1,
+        }
 
     def test_empty_snapshot(self):
         breakdown = leak_breakdown(build_snapshot({}))
-        assert breakdown.total == 0
+        assert breakdown.counts == {}
+        assert breakdown.to_rows() == []
 
-    def test_locus_sum_equals_total(self):
+    def test_rows_count_every_leak_once(self):
         rng = random.Random(11)
         snapshot, _ = random_snapshot(rng, n_urls=40)
         breakdown = leak_breakdown(snapshot)
-        assert sum(breakdown.by_locus_kind().values()) == breakdown.total
+        leaks = sum(len(entry.report.leaks) for entry in snapshot.entries.values())
+        assert sum(row["count"] for row in breakdown.to_rows()) == leaks
         assert breakdown.counts == recount_leaks(snapshot)
 
     def test_rows_carry_canonical_display_names(self):
@@ -325,7 +331,7 @@ class TestCorrelate:
                 records.append(record_for(u, scenario))
                 classified += 1
         matrix = correlate(counts, records)
-        assert matrix.total == classified
+        assert sum(matrix.cells.values()) == classified
         assert matrix.cells == recount_correlation(counts, records)
 
     def test_missing_smell_count_raises(self):

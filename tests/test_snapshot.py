@@ -23,13 +23,12 @@ from smellprobe.snapshot import (
     iter_entries,
     load,
     save,
-    serialize,
 )
 
 from helpers import EPOCH, build_entry, build_snapshot, make_finding, make_result, make_target
 
 DATA = Path(__file__).parent / "data"
-SCHEMA1, SCHEMA2, SCHEMA3 = DATA / "schema1", DATA / "schema2", DATA / "schema3"
+SCHEMA1, SCHEMA2, SCHEMA3, SCHEMA4 = (DATA / f"schema{n}" for n in (1, 2, 3, 4))
 
 
 def chain_entry(url, *exchanges):
@@ -158,16 +157,12 @@ def test_each_exchange_stored_once_and_nothing_derived(tmp_path):
 
 
 def test_two_saves_byte_identical(tmp_path):
+    """The same snapshot saved twice, and an equal one built apart, give the same bytes."""
     snapshot = sample_snapshot()
-    first = tmp_path / "one.jsonl"
-    second = tmp_path / "two.jsonl"
-    save(snapshot, first)
-    save(snapshot, second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_equal_snapshots_serialize_identically():
-    assert serialize(sample_snapshot()) == serialize(sample_snapshot())
+    paths = [tmp_path / "one.jsonl", tmp_path / "two.jsonl", tmp_path / "equal.jsonl"]
+    for saved, path in zip((snapshot, snapshot, sample_snapshot()), paths):
+        save(saved, path)
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
 
 @pytest.mark.parametrize("failure", ["write", "replace"])
@@ -405,7 +400,25 @@ def test_diff_and_report_across_schemas_match_schema1_outputs(tmp_path, resave):
 # again by that version.  Ports are baked in.
 
 
-@pytest.mark.parametrize("schema", [2, 3])
+# --- schema 4 -----------------------------------------------------------------
+#
+# tests/data/schema4 holds the two schema-3 rounds saved again by smellprobe
+# 0.1.0 as schema 4, the last schema before 5.  They have no report/ of their
+# own: their diff and report must match schema3/report.
+
+
+@pytest.mark.parametrize("name", ["round1", "round2"])
+def test_schema4_file_loads_when_schema_moves_on(monkeypatch, name):
+    """A schema-4 record stores no copies, so a later reader looks for none."""
+    schema3 = load(SCHEMA3 / f"{name}.smellsnap.jsonl")
+    monkeypatch.setattr(snapshot_module, "SCHEMA", 5)
+    schema4 = load(SCHEMA4 / f"{name}.smellsnap.jsonl")
+    assert (schema4.id, schema4.taken_at, schema4.entries) == (
+        schema3.id, schema3.taken_at, schema3.entries
+    )
+
+
+@pytest.mark.parametrize("schema", [2, 3, 4])
 @pytest.mark.parametrize("name", ["round1", "round2"])
 def test_old_file_loads_and_resaves_as_schema4_with_equal_entries(tmp_path, schema, name):
     old = load(DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl")
@@ -431,10 +444,13 @@ def test_schema1_pair_resaved_by_later_schemas_loads_to_equal_entries(schema, na
     assert (resaved.id, resaved.taken_at, resaved.entries) == (v1.id, v1.taken_at, v1.entries)
 
 
-@pytest.mark.parametrize("schema", [2, 3])
+@pytest.mark.parametrize("schema", [2, 3, 4])
 @pytest.mark.parametrize("resave", [(False, False), (False, True), (True, False), (True, True)])
 def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, schema, resave):
-    """Each round as stored or resaved as v4 gives the records and tables its writer gave."""
+    """Each round as stored or resaved as v4 gives the records and tables its writer gave.
+
+    The schema-4 rounds are the schema-3 ones saved again, so they share its outputs.
+    """
     paths = []
     for name, as_v4 in zip(("round1", "round2"), resave):
         path = DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl"
@@ -442,7 +458,7 @@ def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, schema, r
             save(load(path), tmp_path / path.name)
             path = tmp_path / path.name
         paths.append(path)
-    assert_stored_outputs(tmp_path, paths, DATA / f"schema{schema}" / "report")
+    assert_stored_outputs(tmp_path, paths, DATA / f"schema{min(schema, 3)}" / "report")
 
 
 def https_redirect_record(schema):
@@ -618,13 +634,16 @@ def test_iter_entries_reads_header_then_entries_in_url_order(tmp_path):
 
 def test_spool_writes_records_in_url_order_whatever_their_arrival(tmp_path):
     snapshot = sample_snapshot()
-    path = tmp_path / "run.smellsnap.jsonl"
+    saved = tmp_path / "saved.smellsnap.jsonl"
+    save(snapshot, saved)
+    path = tmp_path / "spooled" / "run.smellsnap.jsonl"
+    path.parent.mkdir()
     with SnapshotSpool(path) as spool:
         for url in sorted(snapshot.entries, reverse=True):
             spool.add(snapshot.entries[url])
         assert spool.commit(snapshot.id, snapshot.taken_at) == 6
-    assert path.read_text(encoding="utf-8") == serialize(snapshot)
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == saved.read_bytes()
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 
 def test_spool_closed_without_commit_leaves_nothing(tmp_path):

@@ -46,10 +46,15 @@ class TestParseBanner:
         assert names == ["apache", "openssl", "mod_wsgi"]
         assert parsed.os == "Ubuntu"
 
-    def test_unknown_annotation_kept(self):
+    def test_unknown_annotation_is_neither_os_nor_product(self):
         parsed = parse_banner("Apache/2.4.41 (Custom Build 7)")
         assert parsed.os is None
-        assert parsed.annotations == ("Custom Build 7",)
+        assert [sid.raw for sid in parsed.software] == ["Apache/2.4.41"]
+
+    def test_first_recognised_annotation_names_the_os(self):
+        parsed = parse_banner("Apache/2.4.41 (Custom Build 7) ( Debian ) (Ubuntu) PHP/7.4")
+        assert parsed.os == "Debian"
+        assert [sid.raw for sid in parsed.software] == ["Apache/2.4.41", "PHP/7.4"]
 
     def test_numeric_suffix_dropped_for_ordering(self):
         sid = parse_product_token("PHP/5.5.23-1ubuntu3")
