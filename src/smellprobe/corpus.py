@@ -87,9 +87,18 @@ _FIELDS = ("url", "app_id", "source_model", "declared_format")
 
 
 def _iter_csv(path: Path):
-    """Yield ``(raw, fields)`` for each data row."""
+    """Yield ``(raw, fields)`` for each data row, or a RejectedRow where the csv reader fails."""
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        for record in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        while True:
+            try:
+                record = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:
+                # The reader skips past the bad row but keeps no copy of its text.
+                yield RejectedRow(row="", reason=f"unreadable csv row: {exc}")
+                continue
             fields = {k: record.get(k) for k in _FIELDS}
             yield ",".join(value or "" for value in fields.values()), fields
 

@@ -1,4 +1,4 @@
-"""The packaged JSON tables: patterns, dictionaries and fixture profiles."""
+"""The packaged JSON tables: detector patterns, body banners and name dictionaries."""
 
 import json
 from importlib import resources

@@ -1,4 +1,9 @@
-"""Loopback HTTP/HTTPS fixture servers for tests.
+"""Loopback HTTP/HTTPS fixture servers for tests and the benchmark.
+
+The package ships the servers only; the profiles they serve are the
+caller's.  ``spawn`` starts an endpoint, ``mutate(routes)`` swaps its route
+table, ``start()`` brings an ``initially_down`` endpoint up on its reserved
+ports, and ``shutdown()`` closes its listeners.
 
 Each endpoint serves the exact bytes its profile describes: the handler
 writes the status line and headers itself, so no implicit Server or Date
@@ -28,8 +33,6 @@ from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .data import load_table
-
 
 @dataclass(frozen=True)
 class RouteSpec:
@@ -42,29 +45,10 @@ class RouteSpec:
 
 
 @dataclass(frozen=True)
-class MutationPlan:
-    """Second-run treatment of an endpoint.
-
-    action 'swap' replaces the routes in place, 'start' brings an
-    initially-down endpoint up, 'shutdown' closes the listener, and 'drop'
-    is a caller-interpreted directive to leave the URL out of the second
-    probe run.
-    """
-
-    action: str = "swap"
-    routes: dict[str, RouteSpec] | None = None
-
-    def __post_init__(self) -> None:
-        if self.action not in ("swap", "start", "shutdown", "drop"):
-            raise ValueError(f"unknown mutation action: {self.action!r}")
-
-
-@dataclass(frozen=True)
 class FixtureProfile:
     name: str
     schemes: tuple[str, ...] = ("http",)
     routes: dict[str, RouteSpec] = field(default_factory=dict)
-    mutation: MutationPlan | None = None
     initially_down: bool = False
 
     def __post_init__(self) -> None:
@@ -205,21 +189,21 @@ class FixtureEndpoint:
         self._lock = threading.Lock()
         self._routes = dict(profile.routes)
         self._servers: dict[str, _FixtureServer] = {}
-        self._threads: list[threading.Thread] = []
         self._ports: dict[str, int] = {}
         self.ca_file: str | None = None
 
         if profile.initially_down:
             # Reserve ports now so the URL is stable; nothing listens until
-            # a 'start' mutation brings the endpoint up.
+            # start() brings the endpoint up.
             for scheme in profile.schemes:
                 self._ports[scheme] = _free_port()
         else:
-            self._start_listeners()
+            self.start()
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _start_listeners(self) -> None:
+    def start(self) -> None:
+        """Start one listener per scheme, on its reserved port if it has one."""
         for scheme in self.profile.schemes:
             port = self._ports.get(scheme, 0)
             server = _FixtureServer(("127.0.0.1", port), _FixtureHandler)
@@ -233,26 +217,14 @@ class FixtureEndpoint:
                 server.socket = context.wrap_socket(server.socket, server_side=True)
             self._ports[scheme] = server.server_address[1]
             self._servers[scheme] = server
-            thread = threading.Thread(
+            threading.Thread(
                 target=server.serve_forever, kwargs={"poll_interval": _POLL_INTERVAL}, daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            ).start()
 
-    def mutate(self, plan: MutationPlan | dict[str, RouteSpec]) -> None:
-        """Swap the route table (or execute the plan's action) atomically."""
-        if isinstance(plan, dict):
-            plan = MutationPlan(action="swap", routes=plan)
-        if plan.action == "shutdown":
-            self.shutdown()
-            return
-        if plan.action == "drop":
-            return
-        if plan.routes is not None:
-            with self._lock:
-                self._routes = dict(plan.routes)
-        if plan.action == "start" and not self._servers:
-            self._start_listeners()
+    def mutate(self, routes: dict[str, RouteSpec]) -> None:
+        """Swap the route table atomically."""
+        with self._lock:
+            self._routes = dict(routes)
 
     def shutdown(self) -> None:
         for server in self._servers.values():
@@ -316,78 +288,3 @@ def _free_port() -> int:
         return sock.getsockname()[1]
     finally:
         sock.close()
-
-
-# --- profile library --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmellCase:
-    profile: str
-    path: str = "/"
-    scheme: str | None = None
-
-
-@dataclass(frozen=True)
-class ProfileLibrary:
-    profiles: dict[str, FixtureProfile]
-    smell_cases: dict[str, dict[str, tuple[SmellCase, ...]]]
-    maintenance_cases: dict[str, str]
-    unclassifiable_cases: dict[str, str]
-
-    def profile(self, name: str) -> FixtureProfile:
-        return self.profiles[name]
-
-
-def _route_from_dict(data: dict) -> RouteSpec:
-    body = data.get("body", "")
-    if data.get("body_encoding") == "latin-1":
-        body = body.encode("latin-1")
-    return RouteSpec(
-        status=data.get("status", 200),
-        headers=tuple((n, v) for n, v in data.get("headers", [])),
-        body=body,
-        delay=data.get("delay", 0.0),
-    )
-
-
-def _profile_from_dict(name: str, data: dict) -> FixtureProfile:
-    mutation = None
-    if "mutation" in data:
-        m = data["mutation"]
-        routes = None
-        if "routes" in m:
-            routes = {path: _route_from_dict(r) for path, r in m["routes"].items()}
-        mutation = MutationPlan(action=m.get("action", "swap"), routes=routes)
-    return FixtureProfile(
-        name=name,
-        schemes=tuple(data.get("schemes", ["http"])),
-        routes={path: _route_from_dict(r) for path, r in data.get("routes", {}).items()},
-        mutation=mutation,
-        initially_down=data.get("initially_down", False),
-    )
-
-
-def load_profile_library() -> ProfileLibrary:
-    """The shipped fixtures: smell positives/negatives and maintenance pairs."""
-    raw = load_table("fixture_profiles.json")
-    profiles = {name: _profile_from_dict(name, p) for name, p in raw["profiles"].items()}
-    smell_cases = {}
-    for kind, sides in raw["smells"].items():
-        smell_cases[kind] = {
-            side: tuple(
-                SmellCase(
-                    profile=c["profile"],
-                    path=c.get("path", "/"),
-                    scheme=c.get("scheme"),
-                )
-                for c in cases
-            )
-            for side, cases in sides.items()
-        }
-    return ProfileLibrary(
-        profiles=profiles,
-        smell_cases=smell_cases,
-        maintenance_cases=dict(raw["maintenance"]),
-        unclassifiable_cases=dict(raw["unclassifiable"]),
-    )

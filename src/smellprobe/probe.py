@@ -28,6 +28,7 @@ corpus size, and a slow target holds up no other.
 from __future__ import annotations
 
 import io
+import math
 import threading
 import time
 from collections.abc import Iterator
@@ -85,6 +86,8 @@ class ProbeConfig:
         for name, value in numeric.items():
             if value <= 0:
                 raise ValueError(f"{name} must be > 0")
+            if not value < math.inf:  # NaN or infinity
+                raise ValueError(f"{name} must be finite")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.max_redirects < 1:

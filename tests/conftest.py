@@ -1,11 +1,12 @@
 import pytest
 
-from smellprobe.harness import load_profile_library, spawn
+import fixture_library
+from smellprobe.harness import spawn
 
 
 @pytest.fixture(scope="session")
 def library():
-    return load_profile_library()
+    return fixture_library
 
 
 @pytest.fixture

@@ -168,7 +168,7 @@ def test_criterion_3_redirect_analysis(library, endpoints):
 
 
 def run_maintenance_pair(library, name):
-    """Probe, mutate per plan, probe again; None marks a missing second entry."""
+    """Probe, apply the second-round step, probe again; None marks a missing second entry."""
     profile = library.profile(name)
     endpoint = spawn(profile)
     try:
@@ -177,14 +177,17 @@ def run_maintenance_pair(library, name):
         result1, chain1 = probe_and_follow(target, cfg)
         entry1 = SnapshotEntry(result1, chain1, detect_all(target, result1, chain1))
 
-        plan = profile.mutation
-        assert plan is not None
-        endpoint.mutate(plan)
-        if plan.action == "drop":
-            entry2 = None
+        step = library.second_round[name]
+        if step.action == "drop":
+            return target.url, entry1, None
+        if step.action == "shutdown":
+            endpoint.shutdown()
         else:
-            result2, chain2 = probe_and_follow(target, cfg)
-            entry2 = SnapshotEntry(result2, chain2, detect_all(target, result2, chain2))
+            endpoint.mutate(step.routes)
+        if step.action == "start":
+            endpoint.start()
+        result2, chain2 = probe_and_follow(target, cfg)
+        entry2 = SnapshotEntry(result2, chain2, detect_all(target, result2, chain2))
         return target.url, entry1, entry2
     finally:
         endpoint.shutdown()

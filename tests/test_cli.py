@@ -145,6 +145,16 @@ def test_empty_user_agent_is_usage_error(tmp_path, healthy_endpoint, capsys):
     assert not out.exists()
 
 
+def test_non_finite_retry_backoff_is_usage_error(tmp_path, healthy_endpoint, capsys):
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    out = tmp_path / "s.jsonl"
+    code = run(scan_args(corpus, out, extra=["--retries", "1", "--retry-backoff", "nan"]))
+    assert code == EXIT_USAGE
+    assert "usage error: retry_backoff must be finite" in capsys.readouterr().err
+    assert healthy_endpoint.requests == []
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
+
+
 def test_scan_without_probe_flags_uses_config_defaults():
     args = cli._build_parser().parse_args(["scan", "--corpus", "c.csv", "--out", "s.jsonl"])
     assert cli._probe_config(args) == ProbeConfig()
@@ -176,7 +186,7 @@ def test_diff_between_two_scans(tmp_path, endpoints, library, capsys):
     corpus = write_corpus(tmp_path, [ep.url("/")])
     s1, s2 = tmp_path / "s1.jsonl", tmp_path / "s2.jsonl"
     assert run(scan_args(corpus, s1)) == EXIT_OK
-    ep.mutate(ep.profile.mutation)
+    ep.mutate(library.second_round["m_version_downgrade"].routes)
     assert run(scan_args(corpus, s2)) == EXIT_OK
 
     out = tmp_path / "diff.jsonl"

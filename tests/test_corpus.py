@@ -216,6 +216,25 @@ def test_probe_target_validates_scheme():
         ProbeTarget(url="ftp://x", app_id="a", source_model=SourceModel.OPEN_SOURCE)
 
 
+def test_oversized_csv_field_goes_to_rejects(tmp_path):
+    long_url = "http://b.example/" + "x" * 140_000
+    path = write_csv(
+        tmp_path,
+        [
+            "http://a.example/,app-a,open_source,",
+            f"{long_url},app-b,open_source,",
+            "http://c.example/,app-c,open_source,",
+        ],
+    )
+    loaded = load_targets(path, format="csv")
+    assert [t.url for t in loaded.targets] == ["http://a.example/", "http://c.example/"]
+    # The csv reader gives no access to the raw line, so the row is left empty.
+    assert loaded.rejects == (
+        RejectedRow(row="", reason="unreadable csv row: field larger than field limit (131072)"),
+    )
+    assert len(loaded.targets) + len(loaded.rejects) + loaded.duplicates_collapsed == 3
+
+
 def test_csv_with_byte_order_mark(tmp_path):
     path = tmp_path / "corpus.csv"
     rows = HEADER + "http://a.example/,app-a,open_source,json\nhttp://b.example/,app-b,closed_source,\n"

@@ -1,10 +1,9 @@
 import http.client
 import socket
+from importlib import resources
 from urllib.parse import urlsplit
 
-import pytest
-
-from smellprobe.harness import FixtureProfile, MutationPlan, RouteSpec
+from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.model import SmellKind
 from smellprobe.probe import probe_and_follow
 
@@ -79,7 +78,7 @@ def test_mutate_swaps_banner(endpoints, library):
     target = make_target(ep.url("/"))
     before = probe_and_follow(target, fast_cfg())[0]
     assert before.first_header("server") == "nginx/1.14.1"
-    ep.mutate(ep.profile.mutation)
+    ep.mutate(library.second_round["m_version_downgrade"].routes)
     after = probe_and_follow(target, fast_cfg())[0]
     assert after.first_header("server") == "nginx/1.12.1"
 
@@ -98,7 +97,8 @@ def test_initially_down_then_started(endpoints, library):
     target = make_target(ep.url("/"))
     first = probe_and_follow(target, fast_cfg())[0]
     assert first.transport_error == "connection refused"
-    ep.mutate(ep.profile.mutation)
+    ep.mutate(library.second_round["u_spawned_unknown_config"].routes)
+    ep.start()
     second = probe_and_follow(target, fast_cfg())[0]
     assert second.status == 200
     assert second.first_header("server") == "nginx/1.14.1"
@@ -130,9 +130,17 @@ def test_https_listener_uses_injectable_trust_root(endpoints, library):
     assert result.status == 200
 
 
-def test_mutation_plan_validation():
-    with pytest.raises(ValueError):
-        MutationPlan(action="explode")
+def test_package_data_holds_only_runtime_tables():
+    shipped = {
+        entry.name for entry in resources.files("smellprobe.data").iterdir()
+        if entry.name.endswith(".json")
+    }
+    assert shipped == {
+        "body_banners.json",
+        "framework_patterns.json",
+        "os_dictionary.json",
+        "service_names.json",
+    }
 
 
 class TestProfileLibrary:
@@ -158,8 +166,11 @@ class TestProfileLibrary:
             name = library.unclassifiable_cases[reason.value]
             assert name in library.profiles
 
-    def test_maintenance_profiles_carry_mutations(self, library):
-        for name in library.maintenance_cases.values():
-            profile = library.profiles[name]
-            # identity pairs still declare an explicit (identical) second run
-            assert profile.mutation is not None
+    def test_every_pair_names_a_second_round_step(self, library):
+        names = [*library.maintenance_cases.values(), *library.unclassifiable_cases.values()]
+        assert sorted(library.second_round) == sorted(names)
+        for name in names:
+            step = library.second_round[name]
+            assert (step.routes is not None) == (step.action in ("swap", "start")), name
+            assert step.action in ("swap", "start", "shutdown", "drop"), name
+            assert library.profile(name).initially_down == (step.action == "start"), name

@@ -1,5 +1,6 @@
 import http.client
 import io
+import math
 import socket
 import ssl
 import sys
@@ -470,6 +471,15 @@ class TestConfigAndBodyFormat:
             ProbeConfig(retries=-1)
         with pytest.raises(ValueError):
             ProbeConfig(user_agent="")
+
+    @pytest.mark.parametrize("name", ["connect_timeout", "read_timeout", "retry_backoff"])
+    def test_durations_must_be_positive_and_finite(self, name):
+        for value in (0, -1.5, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be > 0$"):
+                ProbeConfig(**{name: value})
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                ProbeConfig(**{name: value})
 
     def test_classify_body(self):
         assert classify_body(b"", None) is BodyFormat.EMPTY
