@@ -171,6 +171,6 @@ class TestProfileLibrary:
         assert sorted(library.second_round) == sorted(names)
         for name in names:
             step = library.second_round[name]
-            assert (step.routes is not None) == (step.action in ("swap", "start")), name
             assert step.action in ("swap", "start", "shutdown", "drop"), name
+            assert (step.routes is not None) == (step.action in ("swap", "start")), name
             assert library.profile(name).initially_down == (step.action == "start"), name
