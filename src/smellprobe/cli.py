@@ -304,3 +304,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def console_main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    console_main()

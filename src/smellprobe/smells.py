@@ -134,7 +134,8 @@ class _FrameworkPattern:
 
     The gate is tested first, so a regex runs only on a body that holds it:
     a failing regex search costs a match attempt at every position.  A
-    case-insensitive regex tests its gate against the folded body.
+    case-insensitive regex tests its gate against the folded body; no other
+    pattern reads ``folded``, so it may be None for them.
     """
 
     framework: str
@@ -144,12 +145,9 @@ class _FrameworkPattern:
     specificity: int
     order: int
     matcher: re.Pattern | None = None
+    case_insensitive: bool = False
 
-    @property
-    def case_insensitive(self) -> bool:
-        return self.matcher is not None and bool(self.matcher.flags & re.IGNORECASE)
-
-    def search(self, text: str, folded: str) -> str | None:
+    def search(self, text: str, folded: str | None) -> str | None:
         if self.gate not in (folded if self.case_insensitive else text):
             return None
         if self.kind == "literal":
@@ -167,11 +165,17 @@ class _FrameworkPattern:
 
 
 def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
+    """The table's entries in attribution order: most specific first, then table order."""
     patterns = []
     for order, entry in enumerate(table["patterns"]):
         kind, marker = entry["kind"], entry["marker"]
         if kind == "regex" and not entry.get("gate"):
             raise ValueError(f"framework pattern {order} ({marker!r}): a regex needs a gate")
+        matcher = (
+            re.compile(marker) if kind == "regex"
+            else _at_line_start(marker) if kind == "frame"
+            else None
+        )
         patterns.append(
             _FrameworkPattern(
                 framework=entry["framework"],
@@ -180,14 +184,11 @@ def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
                 gate=entry["gate"] if kind == "regex" else marker,
                 specificity=entry["specificity"],
                 order=order,
-                matcher=(
-                    re.compile(marker) if kind == "regex"
-                    else _at_line_start(marker) if kind == "frame"
-                    else None
-                ),
+                matcher=matcher,
+                case_insensitive=matcher is not None and bool(matcher.flags & re.IGNORECASE),
             )
         )
-    return tuple(patterns)
+    return tuple(sorted(patterns, key=lambda p: (-p.specificity, p.order)))
 
 
 @dataclass(frozen=True)
@@ -232,31 +233,28 @@ def detect_source_code_disclosure(result: ProbeResult) -> SmellFinding | None:
     """Fires when the body carries a stack trace or code snippet.
 
     Attribution picks the most specific matching pattern; ties break by
-    table order, so framework markers beat generic crash vocabulary.
+    table order, so framework markers beat generic crash vocabulary.  The
+    patterns are tried in that order and the first match wins.  The body is
+    folded to lowercase only when a case-insensitive pattern is reached.
     """
-    return _source_code_disclosure(result, _decode_body(result.body_sample))
+    return _source_code_disclosure(_decode_body(result.body_sample))
 
 
-def _source_code_disclosure(result: ProbeResult, text: str) -> SmellFinding | None:
+def _source_code_disclosure(text: str) -> SmellFinding | None:
     if not text:
         return None
-    folded = _fold(text)
-    best: tuple[int, int, str, str] | None = None  # (-specificity, order, framework, excerpt)
+    folded = None
     for pattern in _framework_table():
+        if pattern.case_insensitive and folded is None:
+            folded = _fold(text)
         matched = pattern.search(text, folded)
-        if matched is None:
-            continue
-        key = (-pattern.specificity, pattern.order)
-        if best is None or key < best[:2]:
-            best = (*key, pattern.framework, matched)
-    if best is None:
-        return None
-    _, _, framework, matched = best
-    return SmellFinding(
-        kind=SmellKind.SOURCE_CODE_DISCLOSURE,
-        evidence=(_evidence(Locus.BODY, matched),),
-        subflags=frozenset({framework}),
-    )
+        if matched is not None:
+            return SmellFinding(
+                kind=SmellKind.SOURCE_CODE_DISCLOSURE,
+                evidence=(_evidence(Locus.BODY, matched),),
+                subflags=frozenset({pattern.framework}),
+            )
+    return None
 
 
 def _leaks_from_parse(parsed: BannerParse, locus: str) -> list[LeakRecord]:
@@ -520,7 +518,7 @@ def detect_all(
     version_finding, leaks = _version_disclosure(result, text)
     findings = (
         detect_insecure_transport(target),
-        _source_code_disclosure(result, text),
+        _source_code_disclosure(text),
         version_finding,
         detect_lack_of_access_control(result, json_auth_heuristic=json_auth_heuristic),
         detect_missing_https_redirect(chain),

@@ -310,11 +310,13 @@ class SnapshotSpool:
         self._spool_path = _beside(self.path, "spool")
         self._file = self._spool_path.open("xb+")
         self._index: dict[str, tuple[int, int]] = {}
+        self._end = 0  # the spool's length, kept so ``add`` makes no seek call
 
     def add(self, entry: SnapshotEntry) -> None:
         line = _record_line(entry).encode("ascii")
-        self._index[entry.url] = (self._file.tell(), len(line))
+        self._index[entry.url] = (self._end, len(line))
         self._file.write(line)
+        self._end += len(line)
 
     def commit(self, snapshot_id: str, taken_at: datetime) -> int:
         """Write the snapshot to ``path``; returns its entry count."""

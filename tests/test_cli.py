@@ -313,6 +313,27 @@ def test_cli_import_and_diff_compile_no_detector_pattern(tmp_path):
     assert done.returncode == EXIT_OK, done.stderr
 
 
+def test_module_entry_runs_the_cli(tmp_path, healthy_endpoint):
+    """``python -m smellprobe.cli`` behaves as the console script does."""
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    out = tmp_path / "s.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+
+    def module(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "smellprobe.cli", *scan_args(corpus, out, extra)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    bad = module("--connect-timeout", "nan")
+    assert bad.returncode == EXIT_USAGE
+    assert "usage error: connect_timeout must be finite" in bad.stderr
+    dry = module("--dry-run")
+    assert (dry.returncode, dry.stdout) == (EXIT_OK, healthy_endpoint.url("/") + "\n")
+    assert healthy_endpoint.requests == []
+    assert not out.exists()
+
+
 # --- what each command loads -------------------------------------------------------
 
 SCHEMA3 = Path(__file__).parent / "data" / "schema3"

@@ -14,6 +14,7 @@ from smellprobe.model import (
     SmellFinding,
     SmellKind,
 )
+from smellprobe import smells
 from smellprobe.smells import (
     detect_all,
     detect_insecure_transport,
@@ -22,6 +23,7 @@ from smellprobe.smells import (
     detect_missing_https_redirect,
     detect_source_code_disclosure,
     detect_version_disclosure,
+    _FrameworkPattern,
     _excerpt,
     _fold,
     _framework_patterns,
@@ -56,6 +58,24 @@ class TestInsecureTransport:
         assert detect_insecure_transport(make_target("HTTP://X.COM")) is not None
 
 
+def _spy_on_source_code(monkeypatch):
+    """Record the marker of every pattern searched, and every body folded."""
+    searched, folds = [], []
+    search, fold = _FrameworkPattern.search, smells._fold
+
+    def counting_search(pattern, text, folded):
+        searched.append(pattern.marker)
+        return search(pattern, text, folded)
+
+    def counting_fold(text):
+        folds.append(text)
+        return fold(text)
+
+    monkeypatch.setattr(_FrameworkPattern, "search", counting_search)
+    monkeypatch.setattr(smells, "_fold", counting_fold)
+    return searched, folds
+
+
 class TestSourceCodeDisclosure:
     def test_asp_error_page(self):
         body = b"<h1>Server Error in '/' Application.</h1><b>Stack Trace:</b><pre>boom</pre>"
@@ -72,6 +92,27 @@ class TestSourceCodeDisclosure:
         finding = detect_source_code_disclosure(http_result(status=500, body=body))
         assert finding is not None
         assert finding.subflags == {"cherrypy"}
+
+    def test_top_ranked_hit_ends_the_walk(self, monkeypatch):
+        searched, folds = _spy_on_source_code(monkeypatch)
+        body = b"<h1>Server Error in '/' Application.</h1> Stack Trace: java.lang.NullPointerException"
+        finding = detect_source_code_disclosure(http_result(status=500, body=body))
+        top = _framework_table()[0]
+        assert (top.framework, top.marker) == ("asp", "Server Error in '/' Application")
+        assert finding.evidence == ((Locus.BODY, top.marker),)
+        assert searched == [top.marker]
+        assert folds == []
+
+    def test_body_folded_once_for_case_insensitive_hit(self, monkeypatch):
+        searched, folds = _spy_on_source_code(monkeypatch)
+        body = b"worker died: UNHANDLED EXCEPTION in handler"
+        finding = detect_source_code_disclosure(http_result(status=500, body=body))
+        hit = _framework_table()[-1]
+        assert (hit.specificity, hit.case_insensitive) == (1, True)
+        assert finding.subflags == {hit.framework}
+        assert finding.evidence == ((Locus.BODY, "UNHANDLED EXCEPTION"),)
+        assert searched == [p.marker for p in _framework_table()]
+        assert folds == [body.decode()]
 
     def test_empty_body_clean(self):
         assert detect_source_code_disclosure(http_result(status=500, body=b"")) is None
