@@ -7,7 +7,9 @@ errors on some targets, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
+import gc
 import json
 import sys
 from contextlib import ExitStack
@@ -281,6 +283,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The process that calls this skips the interpreter's exit-time garbage
+    collection, in-process callers included: at exit the collector ignores
+    every object alive then, so no ``__del__`` of such an object runs
+    (CPython does not promise one at exit either).
+    """
+    # Every command closes and replaces each file it writes before it returns,
+    # so the final collections and the freeing of every imported module are
+    # work nobody can observe.  atexit runs after the scan's worker threads are
+    # joined and before the standard streams are flushed; unregistering first
+    # keeps one registration however often run() is called.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

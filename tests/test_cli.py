@@ -334,6 +334,49 @@ def test_module_entry_runs_the_cli(tmp_path, healthy_endpoint):
     assert not out.exists()
 
 
+# Registered before run(), so atexit calls it after run()'s own exit hook.
+EXIT_PROBE = (
+    "import atexit, gc, sys\n"
+    "freezes = []\n"
+    "freeze = gc.freeze\n"
+    "gc.freeze = lambda: (freezes.append(1), freeze())\n"
+    "atexit.register(lambda: print(f'probe: {len(freezes)} freeze(s), {gc.get_freeze_count() > 0}'))\n"
+    "from smellprobe.cli import run\n"
+    "sys.exit(max(run(sys.argv[1:]) for _ in range(2)))\n"
+)
+SCAN_TIMES = re.compile(rb'"(taken_at|timestamp)":"[^"]*"|\["date","[^"]*"\]')
+
+
+def written_files(directory: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(directory)): SCAN_TIMES.sub(b"T", p.read_bytes())
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["scan", "diff", "report"])
+def test_exit_path_freezes_once_and_changes_no_output(tmp_path, healthy_endpoint, monkeypatch,
+                                                      capsys, command):
+    """A child that runs a command twice writes what two in-process runs write."""
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    args = {
+        "scan": scan_args(corpus, "s.smellsnap.jsonl"),
+        "diff": ["diff", *rounds, "--out", "m.jsonl"],
+        "report": ["report", *rounds, "--out-dir", "r", "--format", "json"],
+    }[command]
+    in_process, child = tmp_path / "in-process", tmp_path / "child"
+    in_process.mkdir()
+    child.mkdir()
+    monkeypatch.chdir(in_process)
+    assert [run(args) for _ in range(2)] == [EXIT_OK, EXIT_OK]
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", EXIT_PROBE, *args], cwd=child, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == expected + "probe: 1 freeze(s), True\n"
+    assert written_files(child) == written_files(in_process) != {}
+
+
 # --- what each command loads -------------------------------------------------------
 
 SCHEMA3 = Path(__file__).parent / "data" / "schema3"

@@ -2,6 +2,7 @@ import json
 import re
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from smellprobe.model import (
     SmellKind,
 )
 from smellprobe import smells
+from smellprobe.cli import EXIT_OK, EXIT_PARTIAL, run
 from smellprobe.smells import (
     detect_all,
     detect_insecure_transport,
@@ -29,6 +31,7 @@ from smellprobe.smells import (
     _framework_patterns,
     _framework_table,
 )
+from smellprobe.snapshot import load
 
 from helpers import direct_chain, make_result, make_target
 
@@ -786,3 +789,39 @@ class TestFindingValidation:
         assert finding is not None
         for _, excerpt in finding.evidence:
             assert len(excerpt) <= 200
+
+
+# --- re-detection: a stored report is a function of the stored evidence ------------
+
+DATA = Path(__file__).parent / "data"
+
+
+def redetected_and_stored(path) -> tuple[dict, dict]:
+    """Each entry's report detected again from its stored chain, and as stored."""
+    entries = load(path).entries
+    assert entries
+    redetected = {url: detect_all(e.result.target, e.result, e.chain) for url, e in entries.items()}
+    return redetected, {url: e.report for url, e in entries.items()}
+
+
+@pytest.mark.parametrize("name", ["round1", "round2"])
+@pytest.mark.parametrize("schema", [1, 2, 3, 4])
+def test_checked_in_snapshot_redetects_to_its_stored_reports(schema, name):
+    redetected, stored = redetected_and_stored(DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl")
+    assert redetected == stored
+
+
+def test_fresh_loopback_scan_redetects_to_its_stored_reports(tmp_path, endpoints, library):
+    spawned = [endpoints(profile) for profile in library.profiles.values()]
+    corpus = tmp_path / "library.csv"
+    rows = [f"{ep.url('/')},app-{i},open_source," for i, ep in enumerate(spawned)]
+    corpus.write_text("\n".join(["url,app_id,source_model,declared_format", *rows]) + "\n",
+                      encoding="utf-8")
+    bundle = next(ep.ca_file for ep in spawned if ep.ca_file)
+    out = tmp_path / "library.smellsnap.jsonl"
+    code = run(["scan", "--corpus", str(corpus), "--out", str(out), "--ca-bundle", bundle,
+                "--connect-timeout", "3", "--read-timeout", "3", "--retries", "0"])
+    assert code in (EXIT_OK, EXIT_PARTIAL)
+    redetected, stored = redetected_and_stored(out)
+    assert len(stored) == len(spawned)
+    assert redetected == stored

@@ -632,6 +632,30 @@ def test_iter_entries_reads_header_then_entries_in_url_order(tmp_path):
         assert [entry.url for entry in reader] == sorted(snapshot.entries)
 
 
+def test_record_lines_longer_than_the_read_buffer_read_back_equal(tmp_path):
+    """Five redirects of 256 KiB non-ASCII bodies, stored as base64, make a ~1.7 MiB line."""
+    entries = {}
+    for name in ("a", "b"):
+        target = make_target(f"http://{name}.example/0")
+        chain = RedirectChain(tuple(
+            make_result(
+                target,
+                url=f"http://{name}.example/{hop}",
+                status=302 if hop < 4 else 200,
+                headers=(("Location", f"/{hop + 1}"),) if hop < 4 else (),
+                body=("é" * (128 * 1024) + name + str(hop)).encode("utf-8"),
+            )
+            for hop in range(5)
+        ))
+        entries[target.url] = SnapshotEntry(result=chain.result, chain=chain, report=SmellReport((), ()))
+    snapshot = build_snapshot(entries, "long")
+    path = tmp_path / "long.smellsnap.jsonl"
+    save(snapshot, path)
+    lines = path.read_bytes().splitlines()
+    assert min(len(line) for line in lines[1:]) > snapshot_module._READ_BUFFER
+    assert load(path).entries == snapshot.entries
+
+
 def test_spool_writes_records_in_url_order_whatever_their_arrival(tmp_path):
     snapshot = sample_snapshot()
     saved = tmp_path / "saved.smellsnap.jsonl"
