@@ -52,8 +52,6 @@ def _build_parser() -> _Parser:
                       help="rejects output path (default: <out>.rejects.jsonl)")
     scan.add_argument("--dry-run", action="store_true",
                       help="list target urls without probing")
-    scan.add_argument("--json-auth-heuristic", action="store_true",
-                      help="annotate 2xx findings whose JSON body looks like an auth error")
     # Probe flags default to None, meaning "not given": ProbeConfig's field
     # defaults are the only ones.
     scan.add_argument("--connect-timeout", type=float,
@@ -161,9 +159,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         try:
             for _, chain in results:
                 result = chain.result
-                report = detect_all(
-                    result.target, result, chain, json_auth_heuristic=args.json_auth_heuristic
-                )
+                report = detect_all(result.target, result, chain)
                 spool.add(SnapshotEntry(result=result, chain=chain, report=report))
                 for kind in report.kinds():
                     tally[kind] += 1

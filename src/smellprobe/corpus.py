@@ -112,8 +112,9 @@ def _iter_jsonl(path: Path):
                 continue
             try:
                 fields = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                yield RejectedRow(row=raw, reason=f"invalid json: {exc.msg}")
+            except (json.JSONDecodeError, RecursionError) as exc:
+                message = getattr(exc, "msg", "nested too deeply")  # a RecursionError has no msg
+                yield RejectedRow(row=raw, reason=f"invalid json: {message}")
                 continue
             if isinstance(fields, dict):
                 yield raw, fields

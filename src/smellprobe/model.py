@@ -11,9 +11,11 @@ code.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import accumulate
 from urllib.parse import urlsplit
 
 TOOL_VERSION = "0.1.0"
@@ -61,8 +63,26 @@ class Scheme(str, Enum):
     HTTPS = "https"
 
 
+# A body nested deeper than this is not JSON.  json.loads recurses once per
+# level, so without a fixed bound whether a deep body parses would depend on
+# how much of the stack the caller has used.
+JSON_MAX_DEPTH = 128
+
+# _nesting gives how deep the brackets outside strings nest, in the encoding
+# json.loads detects.  _NOT_BRACKETS matches a string (one that runs to the
+# end counts) or a run without brackets; each match ends where the next can
+# start, so removing them all is linear.
+_NOT_BRACKETS = re.compile(r'"(?:[^"\\]+|\\.?)*(?:"|\Z)|[^"\[\]{}]+', re.S)
+_DEPTH_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting(body: bytes) -> int:
+    brackets = _NOT_BRACKETS.sub("", body.decode(json.detect_encoding(body), "surrogatepass"))
+    return max(accumulate(map(_DEPTH_STEP.__getitem__, brackets)), default=0)
+
+
 def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
-    """json when the payload parses as JSON or the content type says so."""
+    """json when the content type says so or the payload is JSON at most JSON_MAX_DEPTH deep."""
     if content_type and "json" in content_type.lower():
         return BodyFormat.JSON
     if not body:
@@ -71,7 +91,10 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
         json.loads(body)
     except (ValueError, UnicodeDecodeError):
         return BodyFormat.NON_JSON
-    return BodyFormat.JSON
+    except RecursionError:
+        if _nesting(body) <= JSON_MAX_DEPTH:
+            raise  # the caller left too little stack for JSON_MAX_DEPTH levels
+    return BodyFormat.JSON if _nesting(body) <= JSON_MAX_DEPTH else BodyFormat.NON_JSON
 
 
 @dataclass(frozen=True)
@@ -208,6 +231,8 @@ SUBFLAG_VOCABULARY: dict[SmellKind, frozenset[str]] = {
     SmellKind.INSECURE_TRANSPORT: frozenset(),
     SmellKind.SOURCE_CODE_DISCLOSURE: FRAMEWORK_SUBFLAGS,
     SmellKind.VERSION_DISCLOSURE: frozenset({*VERSION_HEADER_KEYS, "body_banner"}),
+    # No detector sets this any more; it stays so that snapshots written by
+    # scans run with the former --json-auth-heuristic flag still load.
     SmellKind.LACK_OF_ACCESS_CONTROL: frozenset({"json_auth_error_heuristic"}),
     SmellKind.MISSING_HTTPS_REDIRECT: frozenset({"downgrade", "loop", "excessive_chain"}),
     SmellKind.MISSING_HSTS: frozenset(

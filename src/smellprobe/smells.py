@@ -1,15 +1,16 @@
 """Detectors for the six server-side security smells.
 
 Every detector is a pure function of probe evidence: same input, same
-finding.  The findings and leak records they return live in
-``smellprobe.model``.  Pattern tables live in the packaged data files so
-they can be versioned independently of the code; they are compiled on first
-use.  Of the CLI's commands, only ``scan`` imports this module.
+finding.  ``detect_all`` takes no settings, so a stored report can always
+be derived again from the stored target and redirect chain.  The findings
+and leak records they return live in ``smellprobe.model``.  Pattern tables
+live in the packaged data files so they can be versioned independently of
+the code; they are compiled on first use.  Of the CLI's commands, only
+``scan`` imports this module.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cache
@@ -18,7 +19,6 @@ from urllib.parse import urljoin, urlsplit
 from .data import load_table
 from .model import (
     VERSION_HEADER_KEYS,
-    BodyFormat,
     LeakCategory,
     LeakRecord,
     Locus,
@@ -88,18 +88,19 @@ def _php_error_line(text: str, anchor: str) -> str | None:
     return None
 
 
-def _at_line_start(literal: str) -> re.Pattern:
-    r"""Finds the leftmost match of ``(?m)^\s*`` + literal; group 1 is the ``\s*`` part.
+def _at_line_start(regex: str) -> re.Pattern:
+    r"""Finds the leftmost match of ``(?m)^\s*`` + regex; it starts where group 1 does.
 
     ``^\s*`` tried at every line start scans a run of blank lines once per
-    line of the run, which is quadratic.  A leftmost match starts at the
-    text's start or on the line after the last line holding non-whitespace,
-    so this tries only there and scans each run once.
+    line of the run, which is quadratic.  A regex not starting with whitespace
+    makes the leftmost match start at the text's start or on the line after
+    the last line holding non-whitespace, so this tries only there.
     """
-    return re.compile(r"(?:\A|(?<=\S)[^\S\n]*\n)(\s*)(?=" + re.escape(literal) + ")")
+    return re.compile(r"(?:\A|(?<=\S)[^\S\n]*\n)(\s*)(?:" + regex + ")")
 
 
-_FRAME = _at_line_start("at ")
+# Zero-width after the whitespace, so finditer goes on from the "at " itself.
+_FRAME = _at_line_start("(?=at )")
 _NODE_LOCATION = re.compile(r"\.js:\d+:\d+\)")
 
 
@@ -113,17 +114,17 @@ def _node_frame(text: str) -> str | None:
     lies between ``at `` plus one character and that ``node_modules``.
     """
     for frame in _FRAME.finditer(text):
-        at = frame.end()
-        end = text.find("\n", at)
+        rest = frame.end() + len("at ")
+        end = text.find("\n", rest)
         if end < 0:
             end = len(text)
-        location = text.rfind(".js:", at + 3, end)
+        location = text.rfind(".js:", rest, end)
         while location >= 0 and not (match := _NODE_LOCATION.match(text, location, end)):
-            location = text.rfind(".js:", at + 3, location)
+            location = text.rfind(".js:", rest, location)
         if location < 0:
             continue
-        modules = text.rfind("node_modules", at + 3, location - 1)
-        if modules >= 0 and text.find("(", at + 4, modules) >= 0:
+        modules = text.rfind("node_modules", rest, location - 1)
+        if modules >= 0 and text.find("(", rest + 1, modules) >= 0:
             return text[frame.start(1) : match.end()]
     return None
 
@@ -158,8 +159,11 @@ class _FrameworkPattern:
             return _node_frame(text)
         assert self.matcher is not None
         if self.kind == "frame":
-            match = self.matcher.search(text)
-            return text[match.start(1) : match.end() + len(self.marker)] if match else None
+            # The gate is on a match's last line, so no match starts before the
+            # whitespace that ends where the first gate's line starts.
+            line = text.rfind("\n", 0, text.find(self.gate)) + 1
+            match = self.matcher.search(text, len(text[:line].rstrip()))
+            return text[match.start(1) : match.end()] if match else None
         match = self.matcher.search(text)
         return match.group(0) if match else None
 
@@ -169,8 +173,8 @@ def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
     patterns = []
     for order, entry in enumerate(table["patterns"]):
         kind, marker = entry["kind"], entry["marker"]
-        if kind == "regex" and not entry.get("gate"):
-            raise ValueError(f"framework pattern {order} ({marker!r}): a regex needs a gate")
+        if kind in ("regex", "frame") and not entry.get("gate"):
+            raise ValueError(f"framework pattern {order} ({marker!r}): a {kind} needs a gate")
         matcher = (
             re.compile(marker) if kind == "regex"
             else _at_line_start(marker) if kind == "frame"
@@ -181,7 +185,7 @@ def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
                 framework=entry["framework"],
                 kind=kind,
                 marker=marker,
-                gate=entry["gate"] if kind == "regex" else marker,
+                gate=entry.get("gate", marker),
                 specificity=entry["specificity"],
                 order=order,
                 matcher=matcher,
@@ -197,6 +201,31 @@ class _BodyBanner:
     matcher: re.Pattern
     template: str
     literal: bool
+
+
+_ANCHOR_TAG = "(?:<a[^>]*>)?"
+
+
+def _banner_search(matcher: re.Pattern, text: str) -> re.Match | None:
+    """``matcher.search(text)``, in linear time for ``prefix + _ANCHOR_TAG + rest`` patterns."""
+    prefix, tag, rest = matcher.pattern.partition(_ANCHOR_TAG)
+    if not tag:
+        return matcher.search(text)
+    rest = re.compile(rest)
+    # The regex scans from each start to the next ">", which is quadratic on
+    # many starts before one ">".  They all reach it, so rest is tried there once.
+    gt, tagged = -1, False
+    start = text.find(prefix)
+    while start >= 0:
+        after = start + len(prefix)
+        anchor = text.startswith("<a", after)
+        if anchor and gt < after + 2:
+            gt = text.find(">", after + 2) % (len(text) + 1)  # len(text) when there is none
+            tagged = rest.match(text, gt + 1) is not None
+        if (anchor and tagged) or rest.match(text, after):
+            return matcher.match(text, start)
+        start = text.find(prefix, start + 1)
+    return None
 
 
 @cache
@@ -275,7 +304,7 @@ def _leaks_from_parse(parsed: BannerParse, locus: str) -> list[LeakRecord]:
 def _body_banner_hits(text: str) -> list[tuple[str, BannerParse]]:
     hits: list[tuple[str, BannerParse]] = []
     for banner in _body_banner_table():
-        match = banner.matcher.search(text)
+        match = _banner_search(banner.matcher, text)
         if match is None:
             continue
         token = match.expand(banner.template)
@@ -328,49 +357,17 @@ def _version_disclosure(
     return finding, leaks
 
 
-_JSON_AUTH_MARKERS = re.compile(
-    r"(?i)(token|auth|credential|unauthorized|forbidden|denied|permission)"
-)
-
-
-def _looks_like_json_auth_error(result: ProbeResult) -> bool:
-    if result.body_format is not BodyFormat.JSON or not result.body_sample:
-        return False
-    try:
-        payload = json.loads(result.body_sample)
-    except (ValueError, UnicodeDecodeError):
-        return False
-    if not isinstance(payload, dict):
-        return False
-    for key in ("error", "error_description", "errors"):
-        value = payload.get(key)
-        if isinstance(value, str) and _JSON_AUTH_MARKERS.search(value):
-            return True
-    return False
-
-
-def detect_lack_of_access_control(
-    result: ProbeResult, *, json_auth_heuristic: bool = False
-) -> SmellFinding | None:
-    """Fires when the server answers 2xx without demanding credentials.
-
-    401/403 (and every non-2xx status) produce no finding.  The optional
-    JSON heuristic marks 2xx responses whose body looks like an OAuth-style
-    authorization error; it never suppresses the finding, only annotates it.
-    """
+def detect_lack_of_access_control(result: ProbeResult) -> SmellFinding | None:
+    """Fires when the server answers 2xx without demanding credentials; 401/403 never fire."""
     if result.status is None:
         return None
     if not (200 <= result.status < 300):
         return None
     if result.header_values("www-authenticate"):
         return None
-    subflags: set[str] = set()
-    if json_auth_heuristic and _looks_like_json_auth_error(result):
-        subflags.add("json_auth_error_heuristic")
     return SmellFinding(
         kind=SmellKind.LACK_OF_ACCESS_CONTROL,
         evidence=(_evidence(Locus.HEADER, f"status {result.status} without credential challenge"),),
-        subflags=frozenset(subflags),
     )
 
 
@@ -506,13 +503,7 @@ def detect_missing_hsts(result: ProbeResult) -> SmellFinding | None:
     )
 
 
-def detect_all(
-    target: ProbeTarget,
-    result: ProbeResult,
-    chain: RedirectChain,
-    *,
-    json_auth_heuristic: bool = False,
-) -> SmellReport:
+def detect_all(target: ProbeTarget, result: ProbeResult, chain: RedirectChain) -> SmellReport:
     """Run all six detectors in their fixed order and collect the report."""
     text = _decode_body(result.body_sample)
     version_finding, leaks = _version_disclosure(result, text)
@@ -520,7 +511,7 @@ def detect_all(
         detect_insecure_transport(target),
         _source_code_disclosure(text),
         version_finding,
-        detect_lack_of_access_control(result, json_auth_heuristic=json_auth_heuristic),
+        detect_lack_of_access_control(result),
         detect_missing_https_redirect(chain),
         detect_missing_hsts(result),
     )

@@ -342,8 +342,9 @@ class SnapshotSpool:
         self.close()
 
 
-# A corrupt record raises one of these while it is parsed.
-_RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
+# A corrupt record raises one of these while it is parsed; json.loads raises
+# RecursionError on a line nested deeper than the stack allows.
+_RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 
 def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
@@ -360,6 +361,9 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
     if type(schema) is not int or schema not in range(1, SCHEMA + 1):
         raise SnapshotIntegrityError(f"record 0: unknown schema {schema!r}")
+    if taken_at.tzinfo is None:
+        # Every writer stores UTC; a naive time cannot be ordered against it.
+        raise SnapshotIntegrityError(f"record 0: taken_at {header['taken_at']!r} has no UTC offset")
     return snapshot_id, taken_at, declared, schema
 
 

@@ -16,7 +16,9 @@ from .data import load_table
 
 # Leading dotted-numeric run of a version string; anything after the first
 # character outside [0-9.] is kept only in `raw` and ignored for ordering.
-_NUMERIC_PREFIX = re.compile(r"^([0-9]+(?:\.[0-9]+)*)")
+# The run also stops before a segment of more than 640 digits: int() refuses
+# longer digit strings when int_max_str_digits is at its lowest allowed value.
+_NUMERIC_PREFIX = re.compile(r"^([0-9]{1,640}(?:\.[0-9]{1,640})*)(?![0-9])")
 
 _PAREN = re.compile(r"\(([^)]*)\)")
 
@@ -97,8 +99,11 @@ def parse_banner(value: str) -> BannerParse:
     Parenthesized groups are pulled out first; the first one that
     ``classify_os`` recognises names the OS.
     """
-    software = tuple(parse_product_token(tok) for tok in _PAREN.sub(" ", value).split())
-    notes = (classify_os(note.strip()) for note in _PAREN.findall(value))
+    # Every group ends at a ")", so none lies past the last one; searching
+    # only up to it keeps a "(" with no ")" after it from rescanning the rest.
+    end = value.rfind(")") + 1
+    software = tuple(map(parse_product_token, (_PAREN.sub(" ", value[:end]) + value[end:]).split()))
+    notes = (classify_os(note.strip()) for note in _PAREN.findall(value, 0, end))
     return BannerParse(software=software, os=next((n for n in notes if n is not None), None))
 
 

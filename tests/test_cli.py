@@ -18,9 +18,10 @@ import smellprobe
 from smellprobe import cli
 from smellprobe.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from smellprobe.harness import FixtureProfile, RouteSpec
+from smellprobe.model import BodyFormat, Locus, SmellFinding, SmellKind
 from smellprobe.probe import ProbeConfig
 from smellprobe.smells import detect_all
-from smellprobe.snapshot import load, save
+from smellprobe.snapshot import iter_entries, load, save
 
 from helpers import EPOCH, build_entry, build_snapshot
 
@@ -155,6 +156,15 @@ def test_non_finite_retry_backoff_is_usage_error(tmp_path, healthy_endpoint, cap
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
 
 
+def test_json_auth_heuristic_flag_is_gone(tmp_path, healthy_endpoint, capsys):
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    out = tmp_path / "s.jsonl"
+    assert run(scan_args(corpus, out, extra=["--json-auth-heuristic"])) == EXIT_USAGE
+    assert "--json-auth-heuristic" in capsys.readouterr().err
+    assert healthy_endpoint.requests == []
+    assert not out.exists()
+
+
 def test_scan_without_probe_flags_uses_config_defaults():
     args = cli._build_parser().parse_args(["scan", "--corpus", "c.csv", "--out", "s.jsonl"])
     assert cli._probe_config(args) == ProbeConfig()
@@ -163,8 +173,7 @@ def test_scan_without_probe_flags_uses_config_defaults():
 def test_probe_flags_match_config_fields_and_readme():
     """The scan parser, ProbeConfig and the README name the same probe settings."""
     scan = cli._build_parser()._subparsers._group_actions[0].choices["scan"]
-    other = {"-h", "--help", "--corpus", "--corpus-format", "--out", "--id", "--rejects", "--dry-run",
-             "--json-auth-heuristic"}
+    other = {"-h", "--help", "--corpus", "--corpus-format", "--out", "--id", "--rejects", "--dry-run"}
     flags = {opt for action in scan._actions for opt in action.option_strings} - other
     settings = {"--" + f.name.replace("_", "-") for f in fields(ProbeConfig)}
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -576,3 +585,83 @@ def test_snapshots_in_wrong_order_are_usage_error(tmp_path, capsys, command):
     assert run([command, str(second), str(first), *out]) == EXIT_USAGE
     assert "first snapshot must predate the second" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]
+
+
+def test_stored_json_auth_subflag_loads_diffs_and_reports(tmp_path, capsys):
+    """Scans run with the former --json-auth-heuristic flag stored this subflag."""
+    url = "http://api.example.com/"
+    finding = SmellFinding(
+        kind=SmellKind.LACK_OF_ACCESS_CONTROL,
+        evidence=((Locus.HEADER, "status 200 without credential challenge"),),
+        subflags=frozenset({"json_auth_error_heuristic"}),
+    )
+    entry = build_entry(url, server="nginx/1.14.1", headers=(("content-type", "application/json"),),
+                        body=b'{"error":"invalid_token"}', findings=(finding,))
+    paths = [tmp_path / f"round{n}.smellsnap.jsonl" for n in (1, 2)]
+    for n, path in enumerate(paths, start=1):
+        save(build_snapshot({url: entry}, path.stem, taken_at=EPOCH + timedelta(days=n)), path)
+    with iter_entries(paths[0]) as reader:
+        assert [e.report for e in reader] == [entry.report]
+
+    rounds = [str(path) for path in paths]
+    assert run(["diff", *rounds, "--out", str(tmp_path / "m.jsonl")]) == EXIT_OK
+    assert run(["report", *rounds, "--out-dir", str(tmp_path / "r"), "--format", "json"]) == EXIT_OK
+    rows = json.loads((tmp_path / "r" / "prevalence.json").read_text(encoding="utf-8"))["rows"]
+    flagged = {row["smell"] for row in rows if row["urls_affected"]}
+    assert flagged == {"lack_of_access_control"}
+
+
+@pytest.mark.parametrize("command", ["diff", "report"])
+def test_header_without_utc_offset_is_corrupt(tmp_path, capsys, command):
+    first, second = two_rounds(tmp_path)
+    lines = second.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    header["taken_at"] = "2024-01-03T00:00:00"
+    second.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    out = ["--out", str(tmp_path / "m.jsonl")] if command == "diff" else ["--out-dir", str(tmp_path / "r")]
+    assert run([command, str(first), str(second), *out]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "record 0" in captured.err and "UTC offset" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]
+
+
+# --- hostile responses -------------------------------------------------------------
+
+# Responses that crashed or stalled a scan, a diff or a report.
+HOSTILE_ROUTES = {
+    "nested json body": RouteSpec(body=b"[" * 100_000),
+    "unclosed parentheses": RouteSpec(headers=(("Server", "nginx/1.2 (Ubuntu) " + "x (" * 5_400),)),
+    "long version in header": RouteSpec(headers=(("Server", "Apache/" + "9" * 5_000),)),
+    "long version in body": RouteSpec(
+        status=404, body=b"<address>Apache/" + b"9" * 5_000 + b" Server at x</address>"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_ROUTES))
+def test_hostile_response_is_scanned_diffed_and_reported(tmp_path, endpoints, capsys, name):
+    ep = endpoints(FixtureProfile(name="hostile", routes={"/": HOSTILE_ROUTES[name]}))
+    corpus = write_corpus(tmp_path, [ep.url("/")])
+    rounds = [str(tmp_path / f"s{n}.smellsnap.jsonl") for n in (1, 2)]
+    for path in rounds:
+        assert run(scan_args(corpus, path)) == EXIT_OK
+    entry = load(rounds[0]).entries[ep.url("/")]
+    assert detect_all(entry.result.target, entry.result, entry.chain) == entry.report
+    assert run(["diff", *rounds, "--out", str(tmp_path / "m.jsonl")]) == EXIT_OK
+    assert run(["report", *rounds, "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+    if name == "nested json body":
+        assert entry.result.body_format is BodyFormat.NON_JSON
+    if name.startswith("long version"):
+        # The version has more digits than parse_version takes: a service leak, no version leak.
+        assert [(l.category.value, l.software, l.version) for l in entry.report.leaks] == [
+            ("service", "Apache", None)]
+
+
+def test_dry_run_rejects_nested_jsonl_row(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("[" * 100_000 + '\n{"url": "http://a.example/", "app_id": "a", '
+                      '"source_model": "open_source"}\n', encoding="utf-8")
+    assert run(["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl"), "--dry-run"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "http://a.example/\n"
+    assert "rejected 1 row(s)" in captured.err

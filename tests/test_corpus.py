@@ -145,6 +145,7 @@ def test_jsonl_bad_json_rejected(tmp_path):
 def test_jsonl_row_not_an_object_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     lines = ['["https://a.example/x", "app-a"]', '"https://b.example/"', "null", "{not json}",
+             "[" * 100_000,
              '{"url": "https://c.example/", "app_id": "app-c", "source_model": "open_source"}']
     path.write_text("".join(f"  {line}\n" for line in lines), encoding="utf-8")
     loaded = load_targets(path, format="jsonl")
@@ -154,6 +155,7 @@ def test_jsonl_row_not_an_object_rejected(tmp_path):
         (lines[1], "row is not an object"),
         (lines[2], "row is not an object"),
         (lines[3], "invalid json: Expecting property name enclosed in double quotes"),
+        (lines[4], "invalid json: nested too deeply"),
     ]
 
 

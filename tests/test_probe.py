@@ -14,7 +14,7 @@ import pytest
 from smellprobe import probe
 from smellprobe.cli import EXIT_OK, run
 from smellprobe.harness import FixtureProfile, RouteSpec
-from smellprobe.model import BodyFormat, RedirectChain, Scheme, classify_body
+from smellprobe.model import JSON_MAX_DEPTH, BodyFormat, RedirectChain, Scheme, classify_body
 from smellprobe.probe import ProbeConfig, probe_all, probe_and_follow
 
 from helpers import fast_cfg, make_result, make_target
@@ -487,6 +487,30 @@ class TestConfigAndBodyFormat:
         assert classify_body(b"<html>", None) is BodyFormat.NON_JSON
         assert classify_body(b"<html>", "application/json") is BodyFormat.JSON
         assert classify_body(b"", "application/json; charset=utf-8") is BodyFormat.JSON
+
+    @pytest.mark.parametrize("body, expected", [
+        (b"[" * JSON_MAX_DEPTH + b"]" * JSON_MAX_DEPTH, BodyFormat.JSON),
+        (b"[" * (JSON_MAX_DEPTH + 1) + b"]" * (JSON_MAX_DEPTH + 1), BodyFormat.NON_JSON),
+        (b'{"a":' * JSON_MAX_DEPTH + b"1" + b"}" * JSON_MAX_DEPTH, BodyFormat.JSON),
+        (b"[" * 500 + b"]" * 500, BodyFormat.NON_JSON),
+        (b"[" * 100_000, BodyFormat.NON_JSON),
+        (b'["' + b"[{" * 1000 + b'"]', BodyFormat.JSON),  # brackets inside a string do not nest
+        (b'["\\\\",' + b"[" * 1000 + b"]" * 1000 + b"]", BodyFormat.NON_JSON),  # after a string they do
+        (b'["\\"' + b"[" * 1000 + b'"]', BodyFormat.JSON),  # an escaped quote does not end it
+        (("[" * 200 + "]" * 200).encode("utf-16"), BodyFormat.NON_JSON),
+    ])
+    def test_classify_body_at_any_call_depth(self, body, expected):
+        """A body's class does not depend on how much stack its caller has used."""
+
+        def at_depth(frames):
+            return classify_body(body, None) if frames == 0 else at_depth(frames - 1)
+
+        frame, used = sys._getframe(), 0
+        while frame is not None:
+            frame, used = frame.f_back, used + 1
+        room = sys.getrecursionlimit() - used - JSON_MAX_DEPTH - 20
+        assert room > 0
+        assert classify_body(body, None) is at_depth(room) is expected
 
     def test_first_probe_result_is_first_exchange(self, endpoints, library):
         ep = endpoints(library.profile("http_upgrade_redirect"))

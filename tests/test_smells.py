@@ -159,7 +159,8 @@ _OLD_REGEXES = {
     "Warning: ": re.compile(r"Warning: .+ in .+\.php on line \d+"),
     "Fatal error: ": re.compile(r"Fatal error: .+ in .+\.php on line \d+"),
     "node_modules": re.compile(r"(?m)^\s*at .+\(.*node_modules.+\.js:\d+:\d+\)"),
-    "at Object.<anonymous>": re.compile(r"(?m)^\s*at Object\.<anonymous>"),
+    "at Object\\.<anonymous>": re.compile(r"(?m)^\s*at Object\.<anonymous>"),
+    "at [\\w$.]+\\([\\w$]+\\.java:\\d+\\)": re.compile(r"(?m)^\s*at [\w$.]+\([\w$]+\.java:\d+\)"),
 }
 
 
@@ -232,6 +233,7 @@ _NODE_LINES = st.tuples(
         st.sampled_from([
             "(", ")", "node_modules", ".js:", ".js", ":", "1", "23", "\u0663", "\u00b2", "x", "/", " ",
             "(node_modules/a.js:1:2)", "Object.<anonymous>", "at Object.<anonymous>", "at ",
+            "a$b.c", "(Foo.java:42)", ".java:", "a.B(C.java:\u0663)",
         ]),
         max_size=12,
     ).map("".join),
@@ -251,8 +253,9 @@ _ADVERSARIAL_UNITS = {
     "cherrypy[/\\\\]_cp[a-z]+\\.py": ["cherrypy/_cpabc", "cherrypy" * 4 + "\n"],
     "cherrypy._cperror": ["cherrypy._cperro "],
     "Powered by CherryPy": ["Powered by Cherry "],
-    "(?m)^\\s*at [\\w$.]+\\([\\w$]+\\.java:\\d+\\)": [
-        "  at a.b(C.java:1", " at " + "a." * 50 + "(", ".java:"],
+    "at [\\w$.]+\\([\\w$]+\\.java:\\d+\\)": [
+        "  at a.b(C.java:1", " at " + "a." * 50 + "(", ".java:", "\n" * 65536 + ".java:",
+        " \n" * 50 + "x at a.b(C.java:1)"],
     "java\\.lang\\.[A-Za-z]+(?:Exception|Error)": ["java.lang.Abc", "java.lang." + "a" * 60 + "\n"],
     "javax.servlet.ServletException": ["javax.servlet "],
     "org.apache.catalina": ["org.apache.catalin "],
@@ -261,7 +264,7 @@ _ADVERSARIAL_UNITS = {
         "\n" * 65536 + "x (node_modules"],
     "at Module._compile": ["at Module._compil\n"],
     "Error: Cannot find module": ["Error: Cannot find modul "],
-    "at Object.<anonymous>": [
+    "at Object\\.<anonymous>": [
         "\n" * 65536 + "x at Object.<anonymous>", " \n" * 50 + "x at Object.<anonymous>",
         "x\n at Object.<anonymou"],
     "Fatal error: ": ["Fatal error: x in ", "Fatal error: a in .php on line \n"],
@@ -285,7 +288,7 @@ class TestFrameworkTable:
             assert entry["kind"] in ("literal", "regex", "php_error", "frame", "node_frame"), entry
             if entry["kind"] not in ("literal", "regex"):
                 assert entry["marker"] in _OLD_REGEXES, entry
-            if entry["kind"] != "regex":
+            if entry["kind"] not in ("regex", "frame"):
                 continue
             assert isinstance(entry.get("gate"), str) and entry["gate"], entry
             compiled = re.compile(entry["marker"])
@@ -294,8 +297,9 @@ class TestFrameworkTable:
                 assert entry["gate"] == _fold(entry["gate"]), entry
                 assert "i" not in entry["gate"], entry
 
-    def test_loader_rejects_ungated_regex(self):
-        table = {"patterns": [{"framework": "php", "kind": "regex", "marker": "x+", "specificity": 1}]}
+    @pytest.mark.parametrize("kind", ["regex", "frame"])
+    def test_loader_rejects_ungated_regex(self, kind):
+        table = {"patterns": [{"framework": "php", "kind": kind, "marker": "x+", "specificity": 1}]}
         with pytest.raises(ValueError, match="gate"):
             _framework_patterns(table)
 
@@ -355,6 +359,10 @@ class TestFrameworkTable:
     @example("at x(node_modules/.js:\u0663:\u00b2)")
     @example("x\n\n  at Object.<anonymous>")
     @example("\u2028 at Object.<anonymous>")
+    @example("at \nat x(node_modules/a.js:1:2)")
+    @example("x \n\n\t at a$b.c(Foo.java:42)")
+    @example("see C.java:1 \n \n at a.B(C.java:2)\n at a.B(C.java:3)")
+    @example("\n\n at Object.<anonymous> at Object.<anonymous>")
     def test_node_frames_match_old_regexes(self, text):
         for pattern in _framework_table():
             if pattern.kind in ("frame", "node_frame"):
@@ -390,6 +398,99 @@ class TestFrameworkTable:
         elapsed = time.process_time() - start
         assert finding is None
         assert elapsed < _ADVERSARIAL_BUDGET_S
+
+
+_RAW_BANNERS = json.loads(
+    resources.files("smellprobe.data").joinpath("body_banners.json").read_text(encoding="utf-8")
+)["banners"]
+# The apache pattern before its adjacent quantifiers were made disjoint; it
+# backtracks quadratically on a long digit run.
+_OLD_BANNER_REGEXES = {
+    "apache": re.compile(r"(Apache/[0-9][0-9.]*(?:[A-Za-z0-9-]*)?(?:\s+\([^)]{1,60}\))?)\s+Server at"),
+}
+
+
+def _banner_hit(match, banner):
+    return match and (match.group(0), match.expand(banner.template))
+
+
+_BANNER_BODIES = st.lists(
+    st.sampled_from([
+        "Apache/", "Apache/2.4.41", "1", "2.4", ".", "a", "Z", "-", "x", " ", "\n", "\t", "\u3000",
+        "(Ubuntu)", "(", ")", " Server at", "Server at", "Powered by ", "Powered by <a", "<a",
+        "<a href=x>", ">", "CherryPy", "CherryPy/1", "CherryPy 1.2", "<center>", "nginx",
+        "openresty", "/1.2", "</center>", "Apache H3",
+    ]),
+    max_size=40,
+).map("".join)
+
+# Per banner, near matches that a long run of one character, or repeats of
+# the near match and one character, follow.  A new banner needs its own.
+_BANNER_PREFIXES = {
+    "apache": ["Apache/1", "Apache/1 (", "Apache/1 (x) "],
+    "nginx": ["<center>nginx/1"],
+    "openresty": ["<center>openresty/1"],
+    "cherrypy": ["Powered by ", "Powered by <a", "Powered by CherryPy/1"],
+    "apache_h3": ["Apache H"],
+}
+# One character of each class the patterns use, and "" for repeats of the near match alone.
+_RUN_CHARS = ["", "1", ".", "a", "-", "/", " ", "\n", "(", ")", "<", ">"]
+
+
+def _run_bodies(prefix, char, size=256 * 1024):
+    if not char:
+        return [(prefix * (size // len(prefix) + 1))[:size]]
+    unit = prefix + char
+    return [prefix + char * (size - len(prefix)), (unit * (size // len(unit) + 1))[:size]]
+
+
+class TestBodyBannerTable:
+    def test_table_lint(self):
+        assert {entry["label"] for entry in _RAW_BANNERS} == set(_BANNER_PREFIXES)
+        for entry in _RAW_BANNERS:
+            assert not _PY311_SYNTAX.search(entry["pattern"]), entry
+            prefix, tag, _ = entry["pattern"].partition(smells._ANCHOR_TAG)
+            if tag:  # the prefix is searched for as a literal
+                assert prefix and not set(prefix) & set("\\.^$*+?{}[]|()"), entry
+
+    @settings(max_examples=400, deadline=None)
+    @given(_BANNER_BODIES)
+    @example("Powered by <a x Powered by CherryPy/1 >junk")
+    @example('Powered by <a title="Powered by <a">CherryPy/1 Powered by <a>CherryPy 2')
+    @example("Powered by <aPowered by <a>CherryPy/3")
+    @example("Apache/1.2a-3 (Ubuntu) Server at")
+    @example("Apache/1.2.3x Server at Apache/2 Server at")
+    @example("Apache/2.4a.1 Server at")
+    def test_search_matches_reference_regex(self, text):
+        for banner in smells._body_banner_table():
+            reference = _OLD_BANNER_REGEXES.get(banner.label, banner.matcher)
+            found = smells._banner_search(banner.matcher, text)
+            assert _banner_hit(found, banner) == _banner_hit(
+                reference.search(text), banner
+            ), banner.label
+
+    @pytest.mark.parametrize("char", _RUN_CHARS, ids=repr)
+    @pytest.mark.parametrize(
+        "label, prefix",
+        [(label, prefix) for label, prefixes in _BANNER_PREFIXES.items() for prefix in prefixes],
+    )
+    def test_every_banner_linear_on_long_runs(self, label, prefix, char):
+        banner = next(b for b in smells._body_banner_table() if b.label == label)
+        for body in _run_bodies(prefix, char):
+            start = time.process_time()
+            smells._body_banner_hits(body)
+            elapsed = time.process_time() - start
+            assert elapsed < _ADVERSARIAL_BUDGET_S, repr(body[:40])
+
+    def test_digit_run_past_int_limit_in_body_banner(self):
+        body = b"<address>Apache/" + b"9" * 5000 + b" (Ubuntu) Server at x</address>"
+        start = time.process_time()
+        finding, leaks = detect_version_disclosure(http_result(body=body))
+        assert time.process_time() - start < _ADVERSARIAL_BUDGET_S
+        assert finding.subflags == {"body_banner"}
+        assert {(l.category, l.software, l.version) for l in leaks} == {
+            (LeakCategory.SERVICE, "Apache", None), (LeakCategory.OS, "Ubuntu", None),
+        }
 
 
 class TestVersionDisclosure:
@@ -530,16 +631,6 @@ class TestLackOfAccessControl:
         finding = detect_lack_of_access_control(result)
         assert finding is not None
         assert finding.subflags == frozenset()
-
-    def test_json_auth_heuristic_flags_when_enabled(self):
-        result = http_result(
-            status=200,
-            headers=(("Content-Type", "application/json"),),
-            body=b'{"error":"invalid_token"}',
-        )
-        finding = detect_lack_of_access_control(result, json_auth_heuristic=True)
-        assert finding is not None
-        assert finding.subflags == {"json_auth_error_heuristic"}
 
 
 def chain_of(target, hops, terminal):

@@ -214,10 +214,33 @@ def test_missing_trailing_record_detected(tmp_path):
         load(path)
 
 
-def test_corrupt_header_detected(tmp_path):
+@pytest.mark.parametrize("header", ['{"nope": 1}', "[" * 100_000])
+def test_corrupt_header_detected(tmp_path, header):
     path = tmp_path / "run.jsonl"
-    path.write_text('{"nope": 1}\n', encoding="utf-8")
+    path.write_text(header + "\n", encoding="utf-8")
     with pytest.raises(SnapshotIntegrityError, match=r"record 0"):
+        load(path)
+
+
+def test_deeply_nested_record_detected(tmp_path):
+    path = tmp_path / "run.jsonl"
+    save(sample_snapshot(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = "[" * 100_000
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotIntegrityError, match=r"record 2"):
+        load(path)
+
+
+def test_header_without_utc_offset_names_record_0(tmp_path):
+    path = tmp_path / "run.jsonl"
+    save(sample_snapshot(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["taken_at"] = "2024-01-01T00:00:00"
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotIntegrityError, match=r"record 0: taken_at .* has no UTC offset"):
         load(path)
 
 

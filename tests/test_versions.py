@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +140,25 @@ def test_parse_version_edge_cases():
     assert parse_version("1.3.6b") == (1, 3, 6)
     assert parse_version("beta") is None
     assert parse_version("10") == (10,)
+
+
+def test_numeric_prefix_stops_before_a_segment_past_640_digits():
+    # int() raises on digit strings longer than its limit, 4,300 by default and 640 at least.
+    assert parse_version("1." + "9" * 640 + ".2") == (1, 10**640 - 1, 2)
+    assert parse_version("1.2." + "9" * 641) == (1, 2)
+    assert parse_version("9" * 5000 + ".1") is None
+    sid = parse_product_token("Apache/" + "9" * 5000)
+    assert (sid.name, sid.version, sid.version_string) == ("apache", None, None)
+
+
+def test_parse_banner_linear_on_unclosed_parentheses():
+    value = "x (" * 21_845  # 65,535 characters, within http.client's header line limit
+    start = time.process_time()
+    parsed = parse_banner("nginx/1.2 (Ubuntu) " + value)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.5
+    assert parsed.os == "Ubuntu"
+    assert [sid.raw for sid in parsed.software] == ["nginx/1.2", *value.split()]
 
 
 def test_software_id_rejects_empty_name():
