@@ -41,7 +41,7 @@ def normalize_url(url: str) -> str:
         netloc = creds + "@" + hostport.lower()
     else:
         netloc = netloc.lower()
-    return urlunsplit((parts.scheme.lower(), netloc, parts.path, parts.query, parts.fragment))
+    return urlunsplit((parts.scheme, netloc, parts.path, parts.query, parts.fragment))
 
 
 def _validate_row(fields: dict) -> ProbeTarget:
@@ -54,7 +54,7 @@ def _validate_row(fields: dict) -> ProbeTarget:
         raise ValueError(f"unparseable url: {exc}") from exc
     if not parts.scheme or not parts.netloc:
         raise ValueError("url not absolute")
-    if parts.scheme.lower() not in ("http", "https"):
+    if parts.scheme not in ("http", "https"):
         raise ValueError("unsupported scheme")
 
     app_id = (fields.get("app_id") or "").strip()

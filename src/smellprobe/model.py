@@ -15,8 +15,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
-from urllib.parse import urlsplit
+from urllib.parse import urljoin, urlsplit
 
 TOOL_VERSION = "0.1.0"
 
@@ -44,8 +45,7 @@ class ProbeTarget:
     declared_format: DeclaredFormat | None = None
 
     def __post_init__(self) -> None:
-        scheme = urlsplit(self.url).scheme.lower()
-        if scheme not in ("http", "https"):
+        if urlsplit(self.url).scheme not in ("http", "https"):
             raise ValueError(f"unsupported scheme: {self.url!r}")
 
 
@@ -143,15 +143,31 @@ class ProbeResult:
         location = self.first_header("location") if self.status in range(300, 400) else None
         return location if location and location.strip() else None
 
+    @cached_property
+    def redirect_url(self) -> str | None:
+        """Where following this exchange leads: the one rule for a Location (RFC 9110 10.2.2).
+
+        The stripped Location resolved against ``url``; None when there is
+        no followable Location, or when it does not parse or leads off the web.
+        Cached, so a chain that grows one exchange at a time resolves each once.
+        """
+        location = self.redirect_location
+        try:
+            url = urljoin(self.url, location.strip()) if location else ""
+            return url if urlsplit(url).scheme in ("http", "https") else None
+        except ValueError:
+            return None
+
 
 @dataclass(frozen=True)
 class RedirectChain:
     """Every exchange of one probe in request order; never empty.
 
-    The first exchange requests the target's URL; each later one follows the Location before it.
-    The last exchange is a redirect too when following stopped at a loop,
-    at max_redirects, or at a Location that does not parse or leads off
-    the web.  Hops, loop and downgrades are derived from the exchanges.
+    The first exchange requests the target's URL and each later one the
+    ``redirect_url`` of the one before, as ``probe_and_follow`` does; this is
+    checked.  The last exchange is a redirect too when following stopped at
+    a loop, at max_redirects, or at a Location that does not parse or leads
+    off the web.  Hops, loop and downgrades are derived from the exchanges.
     """
 
     exchanges: tuple[ProbeResult, ...]
@@ -163,6 +179,9 @@ class RedirectChain:
             raise ValueError("every exchange of a chain probes the same target")
         if self.result.url != self.result.target.url:
             raise ValueError("the first exchange of a chain requests the target's URL")
+        for a, b in zip(self.exchanges, self.exchanges[1:]):
+            if b.url != a.redirect_url:
+                raise ValueError(f"{b.url!r} is not where the Location of {a.url!r} leads")
 
     @property
     def result(self) -> ProbeResult:
@@ -186,6 +205,11 @@ class RedirectChain:
         """The last exchange redirects and its URL was requested before."""
         last = self.terminal
         return last.redirect_location is not None and last.url in self.requested_urls()[:-1]
+
+    @property
+    def next_url(self) -> str | None:
+        """The URL following this chain requests next: None once it loops, else ``terminal.redirect_url``."""
+        return None if self.loop_detected else self.terminal.redirect_url
 
     @property
     def downgrade_hops(self) -> int:

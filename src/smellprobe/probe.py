@@ -37,7 +37,7 @@ from datetime import datetime, timezone
 from functools import cache
 from itertools import islice
 from queue import SimpleQueue
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 from .model import TOOL_VERSION, ProbeResult, ProbeTarget, RedirectChain
 
@@ -159,7 +159,7 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
         path = f"{path}?{parts.query}"
 
     # http.client would take the last group of a bare IPv6 literal as the port.
-    if parts.scheme.lower() == "https":
+    if parts.scheme == "https":
         conn = http.client.HTTPSConnection(
             host, parts.port or 443, timeout=cfg.connect_timeout, context=cfg.tls_context
         )
@@ -216,27 +216,16 @@ def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
 def probe_and_follow(target: ProbeTarget, cfg: ProbeConfig) -> tuple[ProbeResult, RedirectChain]:
     """Probe the target URL and follow its Location headers by hand.
 
-    Following stops at the first exchange that is not a followable 3xx,
-    once the chain holds max_redirects exchanges (the first included),
-    right after a request URL repeats (a loop), or at a Location that does
-    not parse or leads off the web.
+    Each later exchange requests ``chain.next_url``, so where a Location
+    leads is decided by ``ProbeResult.redirect_url`` in ``smellprobe.model``.
+    Following stops when there is no next URL (no followable 3xx, a loop, a
+    Location that does not parse or leads off the web) or once the chain
+    holds max_redirects exchanges (the first included).
     Returns the first exchange and the whole chain.
     """
-    exchanges = [_probe_url(target, target.url, cfg)]
-    while True:
-        chain = RedirectChain(tuple(exchanges))
-        location = chain.terminal.redirect_location
-        if location is None or chain.loop_detected or len(exchanges) >= cfg.max_redirects:
-            break
-        try:
-            url = urljoin(chain.terminal.url, location.strip())
-            scheme = urlsplit(url).scheme.lower()
-        except ValueError:
-            break
-        if scheme not in ("http", "https"):
-            # Location points off the web (e.g. ftp:); the chain ends here.
-            break
-        exchanges.append(_probe_url(target, url, cfg))
+    chain = RedirectChain((_probe_url(target, target.url, cfg),))
+    while (url := chain.next_url) is not None and len(chain.exchanges) < cfg.max_redirects:
+        chain = RedirectChain((*chain.exchanges, _probe_url(target, url, cfg)))
     return chain.result, chain
 
 

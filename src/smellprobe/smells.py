@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from urllib.parse import urljoin, urlsplit
+from urllib.parse import urlsplit
 
 from .data import load_table
 from .model import (
@@ -250,7 +250,7 @@ def _decode_body(body: bytes) -> str:
 
 def detect_insecure_transport(target: ProbeTarget) -> SmellFinding | None:
     """Fires when the target URL uses plain http (scheme compared case-insensitively)."""
-    if urlsplit(target.url).scheme.lower() != "http":
+    if urlsplit(target.url).scheme != "http":
         return None
     return SmellFinding(
         kind=SmellKind.INSECURE_TRANSPORT,
@@ -371,28 +371,18 @@ def detect_lack_of_access_control(result: ProbeResult) -> SmellFinding | None:
     )
 
 
-def _chain_urls(chain: RedirectChain) -> list[str]:
-    """Every URL the chain touched: requests plus resolved Location targets."""
-    urls = list(chain.requested_urls())
-    for hop in chain.hops:
-        try:
-            urls.append(urljoin(hop.url, hop.redirect_location))
-        except ValueError:
-            continue
-    return urls
-
-
 def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
     """Flags broken transport upgrades observed on the redirect chain.
 
-    For an http target: fires when no URL on the chain reaches https on the
-    same host (hostnames compared case-insensitively, ports ignored; the
-    path may differ).  For an https target: fires on any https->http
+    For an http target: fires when no URL the chain requested, nor the
+    terminal's ``redirect_url`` (where a Location that was not followed
+    leads), is https on the same host (hostnames compared
+    case-insensitively, ports ignored; the path may differ).  For an https target: fires on any https->http
     downgrade.  Loops and chains longer than the recommended limit are
     flagged on any target.  An unreachable target with no observed hops is
     not judged.
     """
-    target_host = (urlsplit(chain.result.url).hostname or "").lower()
+    target_host = urlsplit(chain.result.url).hostname or ""
 
     if not chain.hops and chain.terminal.transport_error is not None:
         # The server never answered; there is no redirect behavior to judge.
@@ -421,9 +411,8 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
     missing_upgrade = False
     if chain.result.scheme_used is Scheme.HTTP:
         upgraded = any(
-            urlsplit(u).scheme.lower() == "https"
-            and (urlsplit(u).hostname or "").lower() == target_host
-            for u in _chain_urls(chain)
+            urlsplit(u).scheme == "https" and (urlsplit(u).hostname or "") == target_host
+            for u in (*chain.requested_urls(), chain.terminal.redirect_url or "")
         )
         if not upgraded:
             missing_upgrade = True

@@ -10,13 +10,15 @@ is ASCII and its JSON string is no longer than its base64 form, and as
 with sorted keys, so equal snapshots are byte-identical files.
 
 No function here holds a whole file: ``iter_entries`` reads one record at a
-time, ``save`` writes one at a time, and ``SnapshotSpool`` keeps a scan's
-records in a spool file beside the output in the order they arrive and
-writes them out in URL order.  ``scan`` creates the spool before it sends a
-request, so an output path that cannot be written fails the scan at once.
-Reading a ``body_text`` costs a JSON string parse and an ASCII encode, not a
-base64 decode.  Reading accepts schemas 4 to 1, checks what older ones
-stored twice (see ``_stored_copies``), and never touches the network.
+time, and ``SnapshotSpool``, the one writer, keeps a scan's records in a
+spool file beside the output in the order they arrive and writes them out
+in URL order; ``save`` adds a whole ``Snapshot`` to one.  ``scan`` creates
+the spool before it sends a request, so an output path that cannot be
+written fails the scan at once.  Reading a ``body_text`` costs a JSON
+string parse and an ASCII encode, not a base64 decode.  Reading accepts
+schemas 4 to 1, refuses a schema-4 object with keys the writer does not
+write (see ``_SCHEMA4_KEYS``), checks what older schemas stored twice (see
+``_stored_copies``), and never touches the network.
 """
 
 from __future__ import annotations
@@ -250,12 +252,6 @@ def _record_line(entry: SnapshotEntry) -> str:
     return _dump(record) + "\n"
 
 
-def _lines(snapshot: Snapshot) -> Iterator[str]:
-    yield _header_line(snapshot.id, snapshot.taken_at, len(snapshot.entries))
-    for url in sorted(snapshot.entries):
-        yield _record_line(snapshot.entries[url])
-
-
 def _beside(path: Path, suffix: str) -> Path:
     """A fresh hidden file name in the directory of ``path``."""
     return path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.{suffix}")
@@ -284,13 +280,6 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
-
-
-def save(snapshot: Snapshot, path: str | Path) -> None:
-    """Write the snapshot one record at a time, replacing ``path`` atomically."""
-    with replacing(path, binary=True) as fh:
-        for line in _lines(snapshot):
-            fh.write(line.encode("ascii"))
 
 
 class SnapshotSpool:
@@ -342,9 +331,54 @@ class SnapshotSpool:
         self.close()
 
 
+def save(snapshot: Snapshot, path: str | Path) -> None:
+    """Write the snapshot through a ``SnapshotSpool``, replacing ``path`` atomically."""
+    with SnapshotSpool(path) as spool:
+        for entry in snapshot.entries.values():
+            spool.add(entry)
+        spool.commit(snapshot.id, snapshot.taken_at)
+
+
 # A corrupt record raises one of these while it is parsed; json.loads raises
 # RecursionError on a line nested deeper than the stack allows.
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
+
+# The keys of each object a schema-4 file holds, exactly as the writer
+# writes them.  An exchange also has whichever of body_text and body_b64 it
+# holds, and _body_from_dict checks that it holds one.  Schemas 3 to 1 are
+# read as their writers wrote them, unchecked.
+_EXCHANGE_KEYS = frozenset({"headers", "status", "timestamp", "transport_error"})
+_BODY_KEYS = frozenset({"body_text", "body_b64"})
+_SCHEMA4_KEYS = {
+    "header": frozenset({"entries", "id", "schema", "taken_at", "tool_version"}),
+    "record": frozenset({"redirects", "report", "result", "url"}),
+    "first exchange": _EXCHANGE_KEYS | {"target"},
+    "target": frozenset({"app_id", "declared_format", "source_model"}),
+    "redirect": _EXCHANGE_KEYS | {"url"},
+    "report": frozenset({"findings", "leaks"}),
+    "finding": frozenset({"evidence", "kind", "subflags"}),
+    "leak": frozenset({"category", "locus", "software", "version"}),
+}
+
+
+def _check_keys(what: str, obj: dict, keys: frozenset[str]) -> None:
+    if obj.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(obj)}, not {sorted(keys)}")
+
+
+def _schema4_objects(data: dict) -> Iterator[tuple[str, dict, frozenset[str]]]:
+    """``(what, object, its keys)`` for each object of a schema-4 record, each before those inside it."""
+    keys, result, report = _SCHEMA4_KEYS, data.get("result"), data.get("report")
+    yield "record", data, keys["record"]
+    yield "first exchange", result, keys["first exchange"] | (result.keys() & _BODY_KEYS)
+    yield "target", result["target"], keys["target"]
+    for redirect in data["redirects"]:
+        yield "redirect", redirect, keys["redirect"] | (redirect.keys() & _BODY_KEYS)
+    yield "report", report, keys["report"]
+    for finding in report["findings"]:
+        yield "finding", finding, keys["finding"]
+    for leak in report["leaks"]:
+        yield "leak", leak, keys["leak"]
 
 
 def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
@@ -357,6 +391,8 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         taken_at = datetime.fromisoformat(header["taken_at"])
         declared = int(header["entries"])
         schema = header.get("schema", 1)
+        if schema == SCHEMA:
+            _check_keys("header", header, _SCHEMA4_KEYS["header"])
     except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
     if type(schema) is not int or schema not in range(1, SCHEMA + 1):
@@ -381,6 +417,9 @@ def _stored_copies(data: dict, chain: RedirectChain, schema: int) -> Iterator[tu
 
 
 def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
+    if schema == SCHEMA:
+        for what, obj, keys in _schema4_objects(data):
+            _check_keys(what, obj, keys)
     target = _target_from_dict(data["result"]["target"], data["url"])
     result = _result_from_dict(data["result"], target, data["url"])
     if schema == 1:

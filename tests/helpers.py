@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from smellprobe.model import (
     DeclaredFormat,
@@ -120,6 +122,50 @@ def snapshot_pair(first: dict[str, SnapshotEntry], second: dict[str, SnapshotEnt
         build_snapshot(first, "s1", EPOCH),
         build_snapshot(second, "s2", EPOCH + timedelta(days=425)),
     )
+
+
+# --- corrupt snapshots -------------------------------------------------------
+
+SCHEMA4_ROUND1 = Path(__file__).parent / "data" / "schema4" / "round1.smellsnap.jsonl"
+
+
+def _move_first_redirect(record: dict, url: str) -> None:
+    record["redirects"][0]["url"] = url
+
+
+# Changes to one record of SCHEMA4_ROUND1 that no writer makes, as
+# ``(record number, change, what the error says after "record N: ")``.
+# Record 1 has findings and leaks; record 17 redirects once, to /json.
+SCHEMA4_CORRUPTIONS = {
+    "redirect off the web": (
+        17, lambda r: _move_first_redirect(r, "ftp://elsewhere/"),
+        r"'ftp://elsewhere/' is not where the Location of 'http://127\.0\.0\.1:\d+/redirect-json' leads",
+    ),
+    "redirect to another host": (
+        17, lambda r: _move_first_redirect(r, r["redirects"][0]["url"].replace("127.0.0.1", "127.0.0.2")),
+        r"'http://127\.0\.0\.2:\d+/json' is not where the Location of",
+    ),
+    "extra record key": (1, lambda r: r.update(extra=[[[1]]]), r"record has keys \['extra', "),
+    "extra first exchange key": (1, lambda r: r["result"].update(zzz=1), "first exchange has keys"),
+    "extra target key": (1, lambda r: r["result"]["target"].update(url=r["url"]), "target has keys"),
+    "extra redirect key": (17, lambda r: r["redirects"][0].update(scheme_used="http"), "redirect has keys"),
+    "extra report key": (1, lambda r: r["report"].update(url=r["url"]), "report has keys"),
+    "extra finding key": (1, lambda r: r["report"]["findings"][0].update(zzz=1), "finding has keys"),
+    "extra leak key": (1, lambda r: r["report"]["leaks"][0].update(zzz=1), "leak has keys"),
+    "missing leak key": (1, lambda r: r["report"]["leaks"][0].pop("version"), "leak has keys"),
+}
+
+
+def corrupt_schema4_round1(directory: Path, name: str) -> tuple[Path, str]:
+    """A copy of SCHEMA4_ROUND1 in ``directory`` with the named corruption, and the error it gives."""
+    number, change, message = SCHEMA4_CORRUPTIONS[name]
+    lines = SCHEMA4_ROUND1.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[number])
+    change(record)
+    lines[number] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path = directory / SCHEMA4_ROUND1.name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, rf"record {number}: {message}"
 
 
 # What a snapshot can say about one URL: not in the snapshot, probed but

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import json
 import os
@@ -23,7 +24,7 @@ from smellprobe.probe import ProbeConfig
 from smellprobe.smells import detect_all
 from smellprobe.snapshot import iter_entries, load, save
 
-from helpers import EPOCH, build_entry, build_snapshot
+from helpers import EPOCH, SCHEMA4_ROUND1, build_entry, build_snapshot, corrupt_schema4_round1
 
 
 def write_corpus(tmp_path, urls, name="corpus.csv"):
@@ -514,22 +515,38 @@ def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints
     corpus = write_corpus(tmp_path, [ep.url(f"/u{i:02d}") for i in range(20)])
     out = tmp_path / "s.smellsnap.jsonl"
     out.write_bytes(b"the previous snapshot\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(smellprobe.__file__).parents[1])}
-    child = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from smellprobe.cli import run; sys.exit(run(sys.argv[1:]))",
-         *scan_args(corpus, out, extra=["--parallelism", "2"])],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    # faulthandler dumps every thread's stack on SIGABRT, so a child that
+    # hangs after SIGINT fails the test with the place where it hangs.
+    env = {**os.environ, "PYTHONPATH": str(Path(smellprobe.__file__).parents[1]),
+           "PYTHONFAULTHANDLER": "1"}
+    stderr = tmp_path / "child.stderr"
+    with stderr.open("wb") as child_stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from smellprobe.cli import run; sys.exit(run(sys.argv[1:]))",
+             *scan_args(corpus, out, extra=["--parallelism", "2"])],
+            env=env, stdout=subprocess.DEVNULL, stderr=child_stderr,
+        )
+    hung = False
     try:
         deadline = time.monotonic() + 10
         while not ep.requests and time.monotonic() < deadline:
             time.sleep(0.01)
         assert ep.requests, "the scan never started"
         child.send_signal(signal.SIGINT)
-        child.wait(timeout=5)
+        try:
+            child.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            hung = True
+            child.send_signal(signal.SIGABRT)
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                child.wait(timeout=5)
     finally:
         child.kill()
         child.wait()
+        dump = stderr.read_text(encoding="utf-8", errors="replace")
+        stderr.unlink()
+    if hung:
+        pytest.fail(f"the scan did not exit within 5 s of SIGINT; its stderr:\n{dump}")
     assert child.returncode != EXIT_OK
     # Interrupted while the two workers run their first URLs: the two
     # queued URLs are cancelled.
@@ -626,6 +643,20 @@ def test_header_without_utc_offset_is_corrupt(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]
 
 
+@pytest.mark.parametrize("command", ["diff", "report"])
+@pytest.mark.parametrize("name", ["redirect off the web", "redirect to another host", "extra record key",
+                                  "extra first exchange key", "extra finding key"])
+def test_record_no_writer_makes_is_corrupt(tmp_path, capsys, command, name):
+    first, message = corrupt_schema4_round1(tmp_path, name)
+    second = SCHEMA4_ROUND1.with_name("round2.smellsnap.jsonl")
+    out = ["--out", str(tmp_path / "m.jsonl")] if command == "diff" else ["--out-dir", str(tmp_path / "r")]
+    assert run([command, str(first), str(second), *out]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert re.search(message, captured.err), captured.err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [first.name]
+
+
 # --- hostile responses -------------------------------------------------------------
 
 # Responses that crashed or stalled a scan, a diff or a report.
@@ -655,6 +686,31 @@ def test_hostile_response_is_scanned_diffed_and_reported(tmp_path, endpoints, ca
         # The version has more digits than parse_version takes: a service leak, no version leak.
         assert [(l.category.value, l.software, l.version) for l in entry.report.leaks] == [
             ("service", "Apache", None)]
+
+
+# Near matches followed by long runs of one character, in heads and bodies, of
+# the kind test_smells' hostile-response property generates.
+LONG_RUN_ROUTES = {
+    "/banner": RouteSpec(status=404, headers=(("Server", "Apache/1 (" + "(" * 60_000),),
+                         body=b"<address>Apache/1" + b"1" * 262_000),
+    "/redirect": RouteSpec(status=302, headers=(("Location", "http://[" + "1" * 60_000),),
+                           body=b"Powered by <a" + b"<" * 262_000),
+    "/trace": RouteSpec(status=500, headers=(("Strict-Transport-Security", "max-age=" + "9" * 60_000),
+                                             ("X-Powered-By", "PHP/5." + "9" * 60_000)),
+                        body=b"Warning: x in " * 18_700),
+}
+
+
+def test_long_run_responses_scan_to_a_snapshot_that_redetects_to_itself(tmp_path, endpoints):
+    ep = endpoints(FixtureProfile(name="long-runs", routes=LONG_RUN_ROUTES))
+    urls = [ep.url(path) for path in LONG_RUN_ROUTES]
+    out = tmp_path / "s.smellsnap.jsonl"
+    assert run(scan_args(write_corpus(tmp_path, urls), out)) in (EXIT_OK, EXIT_PARTIAL)
+    entries = load(out).entries
+    assert sorted(entries) == sorted(urls)
+    for entry in entries.values():
+        assert entry.result.ok
+        assert detect_all(entry.result.target, entry.result, entry.chain) == entry.report
 
 
 def test_dry_run_rejects_nested_jsonl_row(tmp_path, capsys):

@@ -381,6 +381,58 @@ class TestRedirectChain:
         with pytest.raises(ValueError):
             RedirectChain((first, other))
 
+    @pytest.mark.parametrize(
+        "url", ["ftp://elsewhere/", "http://127.0.0.2/b", "http://h.example/c", "http://h.example/b "]
+    )
+    def test_exchange_not_where_the_location_leads_rejected(self, url):
+        target = make_target("http://h.example/")
+        first = self.redirect(target, "http://h.example/", " /b ")
+        with pytest.raises(ValueError, match="is not where the Location of 'http://h.example/' leads"):
+            RedirectChain((first, make_result(target, url=url)))
+
+    def test_exchange_after_an_unfollowable_location_rejected(self):
+        target = make_target("http://h.example/")
+        first = self.redirect(target, "http://h.example/", "ftp://elsewhere/")
+        with pytest.raises(ValueError, match="is not where the Location"):
+            RedirectChain((first, make_result(target, url="ftp://elsewhere/")))
+
+    def test_next_url_is_the_terminal_redirect_url_until_a_loop(self):
+        target = make_target("http://h.example/")
+        first = self.redirect(target, "http://h.example/", "/b")
+        assert RedirectChain((first,)).next_url == "http://h.example/b"
+        back = self.redirect(target, "http://h.example/b", "/")
+        assert RedirectChain((first, back)).next_url == "http://h.example/"
+        again = self.redirect(target, "http://h.example/", "/b")
+        assert RedirectChain((first, back, again)).loop_detected
+        assert RedirectChain((first, back, again)).next_url is None
+        answer = make_result(target, url="http://h.example/b")
+        assert RedirectChain((first, answer)).next_url is None
+
+
+@pytest.mark.parametrize(
+    "status, location, expected",
+    [
+        (302, "/b?q=1", "http://h.example/b?q=1"),
+        (301, "c", "http://h.example/a/c"),
+        (307, "//other.example/x", "http://other.example/x"),
+        (302, " \t https://h.example/next \r\n", "https://h.example/next"),
+        (302, "https://h.example ", "https://h.example"),
+        (302, "HTTPS://H.example/Up", "HTTPS://H.example/Up"),  # another scheme: kept as it is
+        (302, "   ", None),
+        (302, "", None),
+        (302, None, None),
+        (302, "http://[::1/broken", None),
+        (302, "ftp://elsewhere/", None),
+        (302, "javascript:alert(1)", None),
+        (200, "https://h.example/", None),
+        (404, "/b", None),
+    ],
+)
+def test_redirect_url_is_where_a_location_leads(status, location, expected):
+    target = make_target("http://h.example/a/x")
+    headers = () if location is None else (("Location", location),)
+    assert make_result(target, status=status, headers=headers).redirect_url == expected
+
 
 class TestProbeAll:
     def test_one_unreachable_target_embedded(self, endpoints):

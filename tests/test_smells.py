@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from smellprobe.model import (
     SUBFLAG_VOCABULARY,
+    VERSION_HEADER_KEYS,
     LeakCategory,
     Locus,
     RedirectChain,
@@ -493,6 +494,54 @@ class TestBodyBannerTable:
         }
 
 
+# Near matches of every framework entry, body banner and header parser, each
+# followed by a long run of one character (or repeated with it) in a
+# hostile response.  A new pattern needs its near matches here.
+_HOSTILE_PREFIXES = sorted({
+    *(unit for units in _ADVERSARIAL_UNITS.values() for unit in units),
+    *(prefix for prefixes in _BANNER_PREFIXES.values() for prefix in prefixes),
+    "nginx/1", "Apache/2.4 (", "PHP/5.", "Microsoft-IIS/1", "ASP.NET", "x (x ",
+    "max-age=", "max-age=1; ", "includeSubDomains", "https://h.example", "http://[", "/", "?",
+})
+_HOSTILE_CHARS = [*_RUN_CHARS[1:], "9", "%", "[", "]", ";", "=", ":", "\t", '"', "\u3000"]
+_HOSTILE_HEADER_NAMES = [*VERSION_HEADER_KEYS, "location", "strict-transport-security"]
+
+
+def _hostile_text(prefix, char, size, repeat):
+    """``prefix`` then ``size`` of ``char``, or ``prefix + char`` repeated to that size."""
+    unit = prefix + char
+    return (unit * (size // len(unit) + 1))[: len(prefix) + size] if repeat else prefix + char * size
+
+
+def _hostile_texts(max_size):
+    return st.builds(_hostile_text, st.sampled_from(_HOSTILE_PREFIXES), st.sampled_from(_HOSTILE_CHARS),
+                     st.integers(0, max_size), st.booleans())
+
+
+# http.client takes header lines up to 64 KiB; a scan samples bodies up to 256 KB.
+_HOSTILE_RESPONSES = st.tuples(
+    st.sampled_from(["http", "https"]),
+    st.sampled_from([200, 301, 302, 401, 404, 500]),
+    st.lists(st.tuples(st.sampled_from(_HOSTILE_HEADER_NAMES), _hostile_texts(60_000)), max_size=4),
+    _hostile_texts(256 * 1024).map(lambda text: text.encode("utf-8", "surrogatepass")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HOSTILE_RESPONSES)
+@example(("http", 404, [("server", "Apache/1 (" + "(" * 60_000)], b"<address>Apache/1" + b"1" * 262_000))
+@example(("http", 302, [("location", "http://[" + "1" * 60_000)], b"Powered by <a" + b"<" * 262_000))
+@example(("https", 500, [("strict-transport-security", "max-age=" + "9" * 60_000)],
+          b"Warning: x in " * 18_700))
+def test_detect_all_total_and_within_budget_on_hostile_responses(response):
+    scheme, status, headers, body = response
+    target = make_target(f"{scheme}://h.example/")
+    result = make_result(target, status=status, headers=tuple(headers), body=body)
+    start = time.process_time()
+    detect_all(target, result, direct_chain(result))
+    assert time.process_time() - start < _ADVERSARIAL_BUDGET_S
+
+
 class TestVersionDisclosure:
     def test_x_powered_by_php(self):
         finding, leaks = detect_version_disclosure(
@@ -709,6 +758,17 @@ class TestMissingHttpsRedirect:
         target = make_target("http://h.example/")
         chain = direct_chain(make_result(target, error="connection refused"))
         assert detect_missing_https_redirect(chain) is None
+
+    def test_unfollowed_padded_location_to_the_target_host_is_an_upgrade(self):
+        """Cut at --max-redirects 1: stripped, as the probe would request it, the Location is on h.example."""
+        target = make_target("http://h.example/")
+        cut = make_result(target, status=301, headers=(("Location", "https://h.example "),))
+        assert detect_missing_https_redirect(direct_chain(cut)) is None
+
+    def test_unfollowed_location_to_another_host_still_missing(self):
+        target = make_target("http://h.example/")
+        cut = make_result(target, status=301, headers=(("Location", " https://other.example/ "),))
+        assert detect_missing_https_redirect(direct_chain(cut)) is not None
 
     def test_mid_chain_failure_still_judged(self):
         target = make_target("http://h.example/")

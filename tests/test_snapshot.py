@@ -25,7 +25,17 @@ from smellprobe.snapshot import (
     save,
 )
 
-from helpers import EPOCH, build_entry, build_snapshot, make_finding, make_result, make_target
+from helpers import (
+    EPOCH,
+    SCHEMA4_CORRUPTIONS,
+    SCHEMA4_ROUND1,
+    build_entry,
+    build_snapshot,
+    corrupt_schema4_round1,
+    make_finding,
+    make_result,
+    make_target,
+)
 
 DATA = Path(__file__).parent / "data"
 SCHEMA1, SCHEMA2, SCHEMA3, SCHEMA4 = (DATA / f"schema{n}" for n in (1, 2, 3, 4))
@@ -628,6 +638,30 @@ def test_exchange_with_both_or_neither_body_key_rejected(tmp_path, keys):
     rewrite_record(path, 2, set_body)
     with pytest.raises(SnapshotIntegrityError, match=r"record 2: .*exactly one of body_text and body_b64"):
         load(path)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA4_CORRUPTIONS))
+def test_schema4_record_no_writer_makes_rejected(tmp_path, name):
+    """A redirect the probe could not have followed, or a key the writer does not write."""
+    path, message = corrupt_schema4_round1(tmp_path, name)
+    with pytest.raises(SnapshotIntegrityError, match=message):
+        with iter_entries(path) as reader:
+            for _ in reader:
+                pass
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+def test_schema4_header_with_other_keys_rejected(tmp_path, change):
+    lines = SCHEMA4_ROUND1.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(lines[0])
+    if change == "extra":
+        header["zzz"] = 1
+    else:
+        del header["tool_version"]
+    path = tmp_path / SCHEMA4_ROUND1.name
+    path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(SnapshotIntegrityError, match=r"record 0: bad header \(header has keys"):
+        iter_entries(path)
 
 
 @pytest.mark.parametrize("swap", ["out of order", "duplicate"])
