@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate
 from urllib.parse import urljoin, urlsplit
 
@@ -97,6 +96,13 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
     return BodyFormat.JSON if _nesting(body) <= JSON_MAX_DEPTH else BodyFormat.NON_JSON
 
 
+# What redirect_url strips from both ends of a Location: the C0 controls and
+# space, as WHATWG URL parsing does, and the two other Latin-1 characters
+# str.strip() removes (http.client decodes header values as Latin-1).  Stated
+# here, not left to urlsplit, whose stripping differs between Python releases.
+_LOCATION_PADDING = "".join(map(chr, range(0x21))) + "\x85\xa0"
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     """One HTTP exchange. Exactly one of status / transport_error is set.
@@ -143,17 +149,17 @@ class ProbeResult:
         location = self.first_header("location") if self.status in range(300, 400) else None
         return location if location and location.strip() else None
 
-    @cached_property
+    @property
     def redirect_url(self) -> str | None:
         """Where following this exchange leads: the one rule for a Location (RFC 9110 10.2.2).
 
-        The stripped Location resolved against ``url``; None when there is
-        no followable Location, or when it does not parse or leads off the web.
-        Cached, so a chain that grows one exchange at a time resolves each once.
+        The Location stripped of ``_LOCATION_PADDING`` and resolved against
+        ``url``; None when there is no followable Location, or when it does
+        not parse or leads off the web.
         """
         location = self.redirect_location
         try:
-            url = urljoin(self.url, location.strip()) if location else ""
+            url = urljoin(self.url, location.strip(_LOCATION_PADDING)) if location else ""
             return url if urlsplit(url).scheme in ("http", "https") else None
         except ValueError:
             return None

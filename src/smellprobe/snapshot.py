@@ -17,7 +17,7 @@ the spool before it sends a request, so an output path that cannot be
 written fails the scan at once.  Reading a ``body_text`` costs a JSON
 string parse and an ASCII encode, not a base64 decode.  Reading accepts
 schemas 4 to 1, refuses a schema-4 object with keys the writer does not
-write (see ``_SCHEMA4_KEYS``), checks what older schemas stored twice (see
+write (the ``_*_KEYS`` tuples), checks what older schemas stored twice (see
 ``_stored_copies``), and never touches the network.
 """
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import base64
 import json
 import os
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -89,12 +89,34 @@ def _iso(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat()
 
 
+# The keys of each object a schema-4 file holds.  The writer builds every
+# object from these with _object, and the reader refuses an object with any
+# other keys, so this is the one statement of the layout.  An exchange also
+# holds one of body_text and body_b64 (see _body_to_dict).
+_HEADER_KEYS = ("entries", "id", "schema", "taken_at", "tool_version")
+_RECORD_KEYS = ("redirects", "report", "result", "url")
+_EXCHANGE_KEYS = ("headers", "status", "timestamp", "transport_error")
+_FIRST_EXCHANGE_KEYS = (*_EXCHANGE_KEYS, "target")
+_TARGET_KEYS = ("app_id", "declared_format", "source_model")
+_REDIRECT_KEYS = (*_EXCHANGE_KEYS, "url")
+_REPORT_KEYS = ("findings", "leaks")
+_FINDING_KEYS = ("evidence", "kind", "subflags")
+_LEAK_KEYS = ("category", "locus", "software", "version")
+_BODY_KEYS = frozenset({"body_text", "body_b64"})
+
+
+def _object(keys: tuple[str, ...], *values) -> dict:
+    """The object holding ``values`` under ``keys``, in that order."""
+    return dict(zip(keys, values, strict=True))
+
+
 def _target_to_dict(target: ProbeTarget) -> dict:
-    return {
-        "app_id": target.app_id,
-        "declared_format": target.declared_format.value if target.declared_format else None,
-        "source_model": target.source_model.value,
-    }
+    return _object(
+        _TARGET_KEYS,
+        target.app_id,
+        target.declared_format.value if target.declared_format else None,
+        target.source_model.value,
+    )
 
 
 def _target_from_dict(data: dict, url: str) -> ProbeTarget:
@@ -135,14 +157,18 @@ def _body_from_dict(data: dict) -> bytes:
     return text.encode("ascii")
 
 
-def _result_to_dict(result: ProbeResult) -> dict:
-    """One exchange without its target and URL."""
+def _exchange_to_dict(result: ProbeResult, keys: tuple[str, ...], last: object) -> dict:
+    """One exchange with ``last``, its target or its URL, as the last of ``keys``."""
     return {
         **_body_to_dict(result.body_sample),
-        "headers": [[n, v] for n, v in result.headers],
-        "status": result.status,
-        "timestamp": _iso(result.timestamp),
-        "transport_error": result.transport_error,
+        **_object(
+            keys,
+            [[n, v] for n, v in result.headers],
+            result.status,
+            _iso(result.timestamp),
+            result.transport_error,
+            last,
+        ),
     }
 
 
@@ -185,25 +211,20 @@ def _v1_chain(result: ProbeResult, data: dict) -> RedirectChain:
 
 
 def _report_to_dict(report: SmellReport) -> dict:
-    return {
-        "findings": [
-            {
-                "evidence": [[locus.value, excerpt] for locus, excerpt in f.evidence],
-                "kind": f.kind.value,
-                "subflags": sorted(f.subflags),
-            }
-            for f in report.findings
-        ],
-        "leaks": [
-            {
-                "category": leak.category.value,
-                "locus": leak.locus,
-                "software": leak.software,
-                "version": leak.version,
-            }
-            for leak in report.leaks
-        ],
-    }
+    findings = [
+        _object(
+            _FINDING_KEYS,
+            [[locus.value, excerpt] for locus, excerpt in f.evidence],
+            f.kind.value,
+            sorted(f.subflags),
+        )
+        for f in report.findings
+    ]
+    leaks = [
+        _object(_LEAK_KEYS, leak.category.value, leak.locus, leak.software, leak.version)
+        for leak in report.leaks
+    ]
+    return _object(_REPORT_KEYS, findings, leaks)
 
 
 def _report_from_dict(data: dict) -> SmellReport:
@@ -232,23 +253,18 @@ def _dump(obj: dict) -> str:
 
 
 def _header_line(snapshot_id: str, taken_at: datetime, count: int) -> str:
-    header = {
-        "entries": count,
-        "id": snapshot_id,
-        "schema": SCHEMA,
-        "taken_at": _iso(taken_at),
-        "tool_version": TOOL_VERSION,
-    }
+    header = _object(_HEADER_KEYS, count, snapshot_id, SCHEMA, _iso(taken_at), TOOL_VERSION)
     return _dump(header) + "\n"
 
 
 def _record_line(entry: SnapshotEntry) -> str:
-    record = {
-        "redirects": [{**_result_to_dict(e), "url": e.url} for e in entry.chain.exchanges[1:]],
-        "report": _report_to_dict(entry.report),
-        "result": {**_result_to_dict(entry.result), "target": _target_to_dict(entry.result.target)},
-        "url": entry.url,
-    }
+    record = _object(
+        _RECORD_KEYS,
+        [_exchange_to_dict(e, _REDIRECT_KEYS, e.url) for e in entry.chain.exchanges[1:]],
+        _report_to_dict(entry.report),
+        _exchange_to_dict(entry.result, _FIRST_EXCHANGE_KEYS, _target_to_dict(entry.result.target)),
+        entry.url,
+    )
     return _dump(record) + "\n"
 
 
@@ -343,42 +359,33 @@ def save(snapshot: Snapshot, path: str | Path) -> None:
 # RecursionError on a line nested deeper than the stack allows.
 _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
-# The keys of each object a schema-4 file holds, exactly as the writer
-# writes them.  An exchange also has whichever of body_text and body_b64 it
-# holds, and _body_from_dict checks that it holds one.  Schemas 3 to 1 are
-# read as their writers wrote them, unchecked.
-_EXCHANGE_KEYS = frozenset({"headers", "status", "timestamp", "transport_error"})
-_BODY_KEYS = frozenset({"body_text", "body_b64"})
-_SCHEMA4_KEYS = {
-    "header": frozenset({"entries", "id", "schema", "taken_at", "tool_version"}),
-    "record": frozenset({"redirects", "report", "result", "url"}),
-    "first exchange": _EXCHANGE_KEYS | {"target"},
-    "target": frozenset({"app_id", "declared_format", "source_model"}),
-    "redirect": _EXCHANGE_KEYS | {"url"},
-    "report": frozenset({"findings", "leaks"}),
-    "finding": frozenset({"evidence", "kind", "subflags"}),
-    "leak": frozenset({"category", "locus", "software", "version"}),
-}
 
+def _check_keys(what: str, obj: dict, keys: Collection[str]) -> None:
+    """Refuse a schema-4 object whose keys are not those the writer builds it from.
 
-def _check_keys(what: str, obj: dict, keys: frozenset[str]) -> None:
-    if obj.keys() != keys:
+    Schemas 3 to 1 are read as their writers wrote them, unchecked.
+    """
+    if obj.keys() != set(keys):
         raise ValueError(f"{what} has keys {sorted(obj)}, not {sorted(keys)}")
 
 
-def _schema4_objects(data: dict) -> Iterator[tuple[str, dict, frozenset[str]]]:
-    """``(what, object, its keys)`` for each object of a schema-4 record, each before those inside it."""
-    keys, result, report = _SCHEMA4_KEYS, data.get("result"), data.get("report")
-    yield "record", data, keys["record"]
-    yield "first exchange", result, keys["first exchange"] | (result.keys() & _BODY_KEYS)
-    yield "target", result["target"], keys["target"]
+def _schema4_objects(data: dict) -> Iterator[tuple[str, dict, Collection[str]]]:
+    """``(what, object, its keys)`` for each object of a schema-4 record, each before those inside it.
+
+    An exchange's keys include whichever of body_text and body_b64 it holds;
+    _body_from_dict checks that it holds one.
+    """
+    result, report = data.get("result"), data.get("report")
+    yield "record", data, _RECORD_KEYS
+    yield "first exchange", result, (result.keys() & _BODY_KEYS).union(_FIRST_EXCHANGE_KEYS)
+    yield "target", result["target"], _TARGET_KEYS
     for redirect in data["redirects"]:
-        yield "redirect", redirect, keys["redirect"] | (redirect.keys() & _BODY_KEYS)
-    yield "report", report, keys["report"]
+        yield "redirect", redirect, (redirect.keys() & _BODY_KEYS).union(_REDIRECT_KEYS)
+    yield "report", report, _REPORT_KEYS
     for finding in report["findings"]:
-        yield "finding", finding, keys["finding"]
+        yield "finding", finding, _FINDING_KEYS
     for leak in report["leaks"]:
-        yield "leak", leak, keys["leak"]
+        yield "leak", leak, _LEAK_KEYS
 
 
 def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
@@ -392,7 +399,7 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         declared = int(header["entries"])
         schema = header.get("schema", 1)
         if schema == SCHEMA:
-            _check_keys("header", header, _SCHEMA4_KEYS["header"])
+            _check_keys("header", header, _HEADER_KEYS)
     except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
     if type(schema) is not int or schema not in range(1, SCHEMA + 1):

@@ -6,6 +6,7 @@ import ssl
 import sys
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlsplit
 
@@ -417,6 +418,9 @@ class TestRedirectChain:
         (307, "//other.example/x", "http://other.example/x"),
         (302, " \t https://h.example/next \r\n", "https://h.example/next"),
         (302, "https://h.example ", "https://h.example"),
+        (302, "\x01https://h.example/", "https://h.example/"),  # leading C0 control
+        (302, "https://h.example/b\x1f\x00", "https://h.example/b"),  # trailing C0 controls
+        (302, "\xa0/b\x85", "http://h.example/b"),  # the other Latin-1 whitespace
         (302, "HTTPS://H.example/Up", "HTTPS://H.example/Up"),  # another scheme: kept as it is
         (302, "   ", None),
         (302, "", None),
@@ -432,6 +436,18 @@ def test_redirect_url_is_where_a_location_leads(status, location, expected):
     target = make_target("http://h.example/a/x")
     headers = () if location is None else (("Location", location),)
     assert make_result(target, status=status, headers=headers).redirect_url == expected
+
+
+def test_redirect_url_does_not_lean_on_urlsplit_stripping(monkeypatch):
+    """Python 3.10.11 and older urlsplit strip no leading controls; the rule gives the same URL."""
+    monkeypatch.setattr(urllib.parse, "_WHATWG_C0_CONTROL_OR_SPACE", "", raising=False)
+    urllib.parse.urlsplit.cache_clear()
+    try:
+        target = make_target("http://h.example/a/x")
+        result = make_result(target, status=302, headers=(("Location", "\x01\x1fhttps://h.example/"),))
+        assert result.redirect_url == "https://h.example/"
+    finally:
+        urllib.parse.urlsplit.cache_clear()
 
 
 class TestProbeAll:
