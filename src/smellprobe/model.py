@@ -10,6 +10,7 @@ code.
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import re
 from dataclasses import dataclass
@@ -101,6 +102,32 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
 # str.strip() removes (http.client decodes header values as Latin-1).  Stated
 # here, not left to urlsplit, whose stripping differs between Python releases.
 _LOCATION_PADDING = "".join(map(chr, range(0x21))) + "\x85\xa0"
+# A netloc with brackets must be [host] or [host]:port after its userinfo, as
+# in RFC 3986 3.2.2: a port of digits only and no bracket in the userinfo.  The
+# host must be an IPv6 literal or an IPvFuture one, v<hex>.<rest>; IPv4 in
+# brackets is refused.  urlsplit checks the host only from Python 3.11.4 and
+# 3.10.12 on, and where the brackets may stand only in later releases, so
+# redirect_url decides all of it, and every interpreter follows the same
+# Locations.
+_BRACKETED_HOSTPORT = re.compile(r"\[([^\[\]]*)\](?::[0-9]*)?")
+_IPVFUTURE = re.compile(r"v[a-fA-F0-9]+\..+")
+
+
+def _bracketed_host_ok(netloc: str) -> bool:
+    if "[" not in netloc and "]" not in netloc:
+        return True
+    userinfo, _, hostport = netloc.rpartition("@")
+    shape = _BRACKETED_HOSTPORT.fullmatch(hostport)
+    if shape is None or "[" in userinfo or "]" in userinfo:
+        return False
+    host = shape[1]
+    if host.startswith("v"):
+        return _IPVFUTURE.fullmatch(host) is not None
+    try:
+        ipaddress.IPv6Address(host)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -155,14 +182,16 @@ class ProbeResult:
 
         The Location stripped of ``_LOCATION_PADDING`` and resolved against
         ``url``; None when there is no followable Location, or when it does
-        not parse or leads off the web.
+        not parse, has brackets that do not wrap an IPv6 or IPvFuture host,
+        or leads off the web.
         """
         location = self.redirect_location
         try:
             url = urljoin(self.url, location.strip(_LOCATION_PADDING)) if location else ""
-            return url if urlsplit(url).scheme in ("http", "https") else None
+            parts = urlsplit(url)
         except ValueError:
             return None
+        return url if parts.scheme in ("http", "https") and _bracketed_host_ok(parts.netloc) else None
 
 
 @dataclass(frozen=True)

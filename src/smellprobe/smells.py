@@ -30,7 +30,7 @@ from .model import (
     SmellKind,
     SmellReport,
 )
-from .versions import BannerParse, parse_banner, parse_product_token
+from .versions import BannerParse, SoftwareId, parse_banner
 
 HSTS_MIN_MAX_AGE = 31_536_000  # one year, the recommended floor
 REDIRECT_CHAIN_THRESHOLD = 5  # more redirects than this is flagged as excessive
@@ -308,10 +308,7 @@ def _body_banner_hits(text: str) -> list[tuple[str, BannerParse]]:
         if match is None:
             continue
         token = match.expand(banner.template)
-        if banner.literal:
-            parsed = BannerParse(software=(parse_product_token(token, literal=True),))
-        else:
-            parsed = parse_banner(token)
+        parsed = BannerParse(software=(SoftwareId(token),)) if banner.literal else parse_banner(token)
         hits.append((match.group(0), parsed))
     return hits
 

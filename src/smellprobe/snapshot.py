@@ -91,7 +91,8 @@ def _iso(ts: datetime) -> str:
 
 # The keys of each object a schema-4 file holds.  The writer builds every
 # object from these with _object, and the reader refuses an object with any
-# other keys, so this is the one statement of the layout.  An exchange also
+# other keys in a file whose header says schema 4, whatever SCHEMA the writer
+# has moved on to, so this is the one statement of the layout.  An exchange also
 # holds one of body_text and body_b64 (see _body_to_dict).
 _HEADER_KEYS = ("entries", "id", "schema", "taken_at", "tool_version")
 _RECORD_KEYS = ("redirects", "report", "result", "url")
@@ -398,7 +399,7 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         taken_at = datetime.fromisoformat(header["taken_at"])
         declared = int(header["entries"])
         schema = header.get("schema", 1)
-        if schema == SCHEMA:
+        if schema == 4:
             _check_keys("header", header, _HEADER_KEYS)
     except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
@@ -424,7 +425,7 @@ def _stored_copies(data: dict, chain: RedirectChain, schema: int) -> Iterator[tu
 
 
 def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
-    if schema == SCHEMA:
+    if schema == 4:
         for what, obj, keys in _schema4_objects(data):
             _check_keys(what, obj, keys)
     target = _target_from_dict(data["result"]["target"], data["url"])

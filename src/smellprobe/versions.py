@@ -30,36 +30,48 @@ SERVICE_DICTIONARY = {k.lower(): v for k, v in load_table("service_names.json")[
 
 @dataclass(frozen=True)
 class SoftwareId:
-    """One product token: normalized name, parsed version, original text."""
+    """One product token, such as ``nginx/1.14.1``; every other view derives from it.
 
-    name: str
-    version: tuple[int, ...] | None
+    The name is the text before the first ``/`` and the version text is the
+    rest.  A token with no ``/``, or with nothing before it, is all name.
+    """
+
     raw: str
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("SoftwareId.name must be non-empty")
-        if self.version is not None and any(s < 0 for s in self.version):
-            raise ValueError("version segments must be non-negative")
+        if not self.raw:
+            raise ValueError("a product token must be non-empty")
+
+    def _split(self) -> tuple[str, str | None]:
+        name, slash, version_text = self.raw.partition("/")
+        return (name, version_text) if name and slash else (self.raw, None)
 
     @property
     def display_name(self) -> str:
         """Name with the casing it appeared with on the wire."""
-        return self.raw.split("/", 1)[0]
+        return self._split()[0]
+
+    @property
+    def name(self) -> str:
+        """Lowercase name, the one maintenance compares."""
+        return self.display_name.lower()
 
     @property
     def version_text(self) -> str | None:
         """Raw text after the name separator, None when the token had none."""
-        if "/" not in self.raw:
-            return None
-        return self.raw.split("/", 1)[1]
+        return self._split()[1]
+
+    @property
+    def version(self) -> tuple[int, ...] | None:
+        """Numeric segments of the version text, None without a numeric prefix."""
+        text = self.version_text
+        return None if text is None else parse_version(text)
 
     @property
     def version_string(self) -> str | None:
         """Dotted-numeric form of the parsed segments."""
-        if self.version is None:
-            return None
-        return ".".join(str(s) for s in self.version)
+        version = self.version
+        return None if version is None else ".".join(map(str, version))
 
 
 @dataclass(frozen=True)
@@ -78,21 +90,6 @@ def parse_version(text: str) -> tuple[int, ...] | None:
     return tuple(int(part) for part in match.group(1).split("."))
 
 
-def parse_product_token(token: str, *, literal: bool = False) -> SoftwareId:
-    """Parse a single ``name[/version]`` token.
-
-    With ``literal=True`` the whole token is taken as the name (used for
-    multi-word markers that must not be split).
-    """
-    token = token.strip()
-    if literal or "/" not in token:
-        return SoftwareId(name=token.lower(), version=None, raw=token)
-    name, version_text = token.split("/", 1)
-    if not name:
-        return SoftwareId(name=token.lower(), version=None, raw=token)
-    return SoftwareId(name=name.lower(), version=parse_version(version_text), raw=token)
-
-
 def parse_banner(value: str) -> BannerParse:
     """Split a banner into product tokens plus an OS classification.
 
@@ -102,7 +99,7 @@ def parse_banner(value: str) -> BannerParse:
     # Every group ends at a ")", so none lies past the last one; searching
     # only up to it keeps a "(" with no ")" after it from rescanning the rest.
     end = value.rfind(")") + 1
-    software = tuple(map(parse_product_token, (_PAREN.sub(" ", value[:end]) + value[end:]).split()))
+    software = tuple(map(SoftwareId, (_PAREN.sub(" ", value[:end]) + value[end:]).split()))
     notes = (classify_os(note.strip()) for note in _PAREN.findall(value, 0, end))
     return BannerParse(software=software, os=next((n for n in notes if n is not None), None))
 

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import signal
+import time
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+
+import pytest
 
 from smellprobe.model import (
     DeclaredFormat,
@@ -24,6 +29,39 @@ from smellprobe.probe import ProbeConfig
 from smellprobe.snapshot import Snapshot, SnapshotEntry
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
+
+# CPU seconds allowed for one hostile input, such as a 256 KB body.  Recorded:
+# the whole framework table takes 3-15 ms on such bodies on a 2-CPU host,
+# while the PHP regexes took 1.2 s on 8.4 KB of "Warning: x in " and grow
+# cubically.
+ADVERSARIAL_BUDGET_S = 0.5
+# A block still running at this multiple of its budget is stopped: a
+# quadratic pattern on a 256 KB body would run for about an hour.
+_STALL_FACTOR = 10
+
+
+@contextmanager
+def within_cpu_budget(what: str):
+    """Fail, naming ``what``, when the block takes ADVERSARIAL_BUDGET_S CPU seconds or more.
+
+    A SIGPROF timer stops a block that stalls at ``_STALL_FACTOR`` times the
+    budget.  A watchdog thread could not: ``re`` holds the GIL while it matches.
+    """
+    limit = ADVERSARIAL_BUDGET_S * _STALL_FACTOR
+
+    def stalled(signum, frame):
+        pytest.fail(f"{what}: still running after {limit} s of CPU")
+
+    previous = signal.signal(signal.SIGPROF, stalled)
+    signal.setitimer(signal.ITIMER_PROF, limit)
+    start = time.process_time()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    elapsed = time.process_time() - start
+    assert elapsed < ADVERSARIAL_BUDGET_S, f"{what}: {elapsed:.2f} s of CPU"
 
 
 def fast_cfg(**overrides) -> ProbeConfig:

@@ -34,7 +34,7 @@ from smellprobe.reports import (
 )
 from smellprobe.smells import detect_all, detect_missing_hsts
 from smellprobe.snapshot import Snapshot, SnapshotEntry, load, save
-from smellprobe.versions import compare_versions, parse_product_token
+from smellprobe.versions import SoftwareId, compare_versions
 
 from helpers import (
     EPOCH,
@@ -391,12 +391,12 @@ def test_criterion_8_aggregator_oracle():
                 if rng.random() < 0.2:
                     records.append(
                         MaintenanceRecord(
-                            url, parse_product_token("x/1"), None, None,
+                            url, SoftwareId("x/1"), None, None,
                             UnclassifiableReason.SHUTDOWN_NO_COMPARISON,
                         )
                     )
                 else:
-                    sid = parse_product_token("nginx/1.0")
+                    sid = SoftwareId("nginx/1.0")
                     records.append(
                         MaintenanceRecord(url, sid, sid, rng.choice(scenarios), None)
                     )

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from smellprobe.cli import EXIT_OK, run
 from smellprobe.maintenance import (
     MaintenanceRecord,
     MaintenanceScenario,
@@ -9,7 +12,8 @@ from smellprobe.maintenance import (
     diff_snapshots,
     server_banner,
 )
-from smellprobe.versions import parse_product_token
+from smellprobe.snapshot import save
+from smellprobe.versions import SoftwareId
 
 from helpers import SIDE_STATES, build_entry, one_sided_outcome, side_entry, snapshot_pair
 
@@ -17,7 +21,7 @@ URL = "http://u.example/"
 
 
 def sid(token):
-    return parse_product_token(token) if token is not None else None
+    return SoftwareId(token) if token is not None else None
 
 
 def outcome_of(first, second):
@@ -292,3 +296,15 @@ def test_server_banner_reads_direct_result():
     assert first.name == "nginx"
     assert rest == ("mod_x/1.0",)
     assert server_banner(None) == (None, ())
+
+
+def test_token_with_nothing_before_its_slash_unchanged_is_no_update(tmp_path):
+    """``/1.2`` is all name, so the same banner in both rounds has no version text to compare."""
+    paths = [tmp_path / "round1.smellsnap.jsonl", tmp_path / "round2.smellsnap.jsonl"]
+    for snapshot, path in zip(snapshot_pair({URL: build_entry(URL, server="/1.2")},
+                                            {URL: build_entry(URL, server="/1.2")}), paths):
+        save(snapshot, path)
+    out = tmp_path / "maintenance.jsonl"
+    assert run(["diff", *map(str, paths), "--out", str(out)]) == EXIT_OK
+    [record] = map(json.loads, out.read_text(encoding="utf-8").splitlines())
+    assert (record["before"], record["after"], record["scenario"]) == ("/1.2", "/1.2", "no_update")

@@ -450,6 +450,35 @@ def test_redirect_url_does_not_lean_on_urlsplit_stripping(monkeypatch):
         urllib.parse.urlsplit.cache_clear()
 
 
+@pytest.mark.parametrize("checked", [True, False], ids=["urlsplit checks", "urlsplit does not check"])
+@pytest.mark.parametrize(
+    "location, expected",
+    [
+        ("http://[garbage]/", None),
+        ("http://[1.2.3.4]/", None),
+        ("http://[vz.x]/", None),
+        ("http://a[::1]b/", None),
+        ("http://[::1]x/", None),
+        ("http://[::1]:8x/", None),
+        ("http://[::1]@h.example/", None),
+        ("http://u@[::1]:/", "http://u@[::1]:/"),
+        ("http://[::1]/x", "http://[::1]/x"),
+        ("http://[::ffff:1.2.3.4]:8080/", "http://[::ffff:1.2.3.4]:8080/"),
+        ("https://[v1f.x]/", "https://[v1f.x]/"),
+    ],
+)
+def test_redirect_url_decides_bracketed_hosts_itself(monkeypatch, checked, location, expected):
+    """Releases before 3.11.4 and 3.10.12 have no bracketed-host check in urlsplit; the rule is the same."""
+    if not checked:
+        monkeypatch.setattr(urllib.parse, "_check_bracketed_host", lambda host: None, raising=False)
+    urllib.parse.urlsplit.cache_clear()
+    try:
+        result = make_result(make_target("http://h.example/"), status=302, headers=(("Location", location),))
+        assert result.redirect_url == expected
+    finally:
+        urllib.parse.urlsplit.cache_clear()
+
+
 class TestProbeAll:
     def test_one_unreachable_target_embedded(self, endpoints):
         ep = endpoints(FixtureProfile(name="ok", routes={"/": RouteSpec(status=200)}))

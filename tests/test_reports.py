@@ -21,7 +21,7 @@ from smellprobe.reports import (
     prevalence,
     tabulate,
 )
-from smellprobe.versions import parse_product_token
+from smellprobe.versions import SoftwareId
 
 from helpers import (
     build_entry,
@@ -290,8 +290,8 @@ class TestHstsStats:
 
 
 def record_for(url, scenario):
-    before = parse_product_token("nginx/1.0")
-    after = parse_product_token("nginx/1.0")
+    before = SoftwareId("nginx/1.0")
+    after = SoftwareId("nginx/1.0")
     return MaintenanceRecord(url, before, after, scenario, None) if scenario else None
 
 
@@ -323,7 +323,7 @@ class TestCorrelate:
 
                 records.append(
                     MaintenanceRecord(
-                        u, None, parse_product_token("x/1"), None,
+                        u, None, SoftwareId("x/1"), None,
                         UnclassifiableReason.SPAWNED_UNKNOWN_CONFIG,
                     )
                 )

@@ -650,6 +650,13 @@ def test_schema4_record_no_writer_makes_rejected(tmp_path, name):
                 pass
 
 
+@pytest.mark.parametrize("name", sorted(SCHEMA4_CORRUPTIONS))
+def test_schema4_record_no_writer_makes_rejected_when_schema_moves_on(tmp_path, monkeypatch, name):
+    """The checks belong to the file's schema, not to the one the writer is at."""
+    monkeypatch.setattr(snapshot_module, "SCHEMA", 5)
+    test_schema4_record_no_writer_makes_rejected(tmp_path, name)
+
+
 @pytest.mark.parametrize("change", ["extra", "missing"])
 def test_schema4_header_with_other_keys_rejected(tmp_path, change):
     lines = SCHEMA4_ROUND1.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -662,6 +669,11 @@ def test_schema4_header_with_other_keys_rejected(tmp_path, change):
     path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
     with pytest.raises(SnapshotIntegrityError, match=r"record 0: bad header \(header has keys"):
         iter_entries(path)
+
+
+def test_schema4_header_with_extra_key_rejected_when_schema_moves_on(tmp_path, monkeypatch):
+    monkeypatch.setattr(snapshot_module, "SCHEMA", 5)
+    test_schema4_header_with_other_keys_rejected(tmp_path, "extra")
 
 
 @pytest.mark.parametrize("swap", ["out of order", "duplicate"])
