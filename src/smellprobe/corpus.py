@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import urlsplit, urlunsplit
 
-from .model import DeclaredFormat, ProbeTarget, SourceModel
+from .model import DeclaredFormat, ProbeTarget, SourceModel, request_url_problem
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,9 @@ def _validate_row(fields: dict) -> ProbeTarget:
     url = (fields.get("url") or "").strip()
     if not url:
         raise ValueError("missing url")
-    try:
-        parts = urlsplit(url)
-    except ValueError as exc:
-        raise ValueError(f"unparseable url: {exc}") from exc
-    if not parts.scheme or not parts.netloc:
-        raise ValueError("url not absolute")
-    if parts.scheme not in ("http", "https"):
-        raise ValueError("unsupported scheme")
+    problem = request_url_problem(url)
+    if problem is not None:
+        raise ValueError(problem)
 
     app_id = (fields.get("app_id") or "").strip()
     if not app_id:

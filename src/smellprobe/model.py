@@ -35,6 +35,71 @@ class DeclaredFormat(str, Enum):
     NON_JSON = "non_json"
 
 
+# --- request URLs ---------------------------------------------------------
+
+# request_url_problem finds the authority as urlsplit does from Python 3.11.4
+# and 3.10.12 on: after leading C0 controls and spaces, with tab, CR and LF
+# removed, behind "//" and an optional scheme.  It needs it before urlsplit
+# runs, since those releases raise on some bracketed hosts and earlier ones
+# do not.
+_URL_PADDING = "".join(map(chr, range(0x21)))
+_AUTHORITY = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*:)?//([^/?#]*)")
+# A host in brackets, then the port, if any (RFC 3986 3.2.2): the host is an
+# IPv6 literal or an IPvFuture one, v<hex>.<rest>; IPv4 in brackets is refused.
+_BRACKETED_HOSTPORT = re.compile(r"\[([^\[\]]*)\](?::(.*))?")
+_IPVFUTURE = re.compile(r"v[a-fA-F0-9]+\..+")
+# A port is ASCII digits (RFC 3986 3.2.3) for a number up to 65535; leading
+# zeros aside, at most five digits, so int() never meets a long run.
+_PORT = re.compile(r"0*([0-9]{0,5})")
+
+
+def _ip_literal(host: str) -> bool:
+    if host.startswith("v"):
+        return _IPVFUTURE.fullmatch(host) is not None
+    try:
+        ipaddress.IPv6Address(host)
+    except ValueError:
+        return False
+    return True
+
+
+def request_url_problem(url: str) -> str | None:
+    """Why the probe may not request ``url``, or None: the one rule for a request URL.
+
+    In this order: brackets in the authority wrap its whole host, after the
+    userinfo and before an optional port, and the host is an IP literal;
+    ``urlsplit`` parses the URL; it has a scheme and an authority; the scheme
+    is http or https; the host is not empty (RFC 9110 4.2.1); a port is
+    ASCII digits for a number up to 65535.  The rule decides brackets and
+    ports itself, so every interpreter gives a URL the same answer.
+    """
+    cleaned = url.lstrip(_URL_PADDING).replace("\t", "").replace("\r", "").replace("\n", "")
+    authority = _AUTHORITY.match(cleaned)
+    netloc = authority[1] if authority else ""
+    userinfo, _, hostport = netloc.rpartition("@")
+    bracketed = _BRACKETED_HOSTPORT.fullmatch(hostport)
+    if ("[" in netloc or "]" in netloc) and (
+        bracketed is None or "[" in userinfo or "]" in userinfo or not _ip_literal(bracketed[1])
+    ):
+        return f"bad bracketed host: {netloc!r}"
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:
+        return f"unparseable url: {exc}"
+    if not parts.scheme or not parts.netloc:
+        return "url not absolute"
+    if parts.scheme not in ("http", "https"):
+        return "unsupported scheme"
+    # Where urlsplit finds an authority, it is the one found above.
+    host, port = bracketed.groups("") if bracketed else hostport.partition(":")[::2]
+    if not host:
+        return "url has no host"
+    digits = _PORT.fullmatch(port)
+    if digits is None or int(digits[1] or 0) > 65535:
+        return f"bad port: {port!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class ProbeTarget:
     """A URL under test plus its corpus metadata."""
@@ -45,8 +110,9 @@ class ProbeTarget:
     declared_format: DeclaredFormat | None = None
 
     def __post_init__(self) -> None:
-        if urlsplit(self.url).scheme not in ("http", "https"):
-            raise ValueError(f"unsupported scheme: {self.url!r}")
+        problem = request_url_problem(self.url)
+        if problem is not None:
+            raise ValueError(f"{problem}: {self.url!r}")
 
 
 # --- probe ----------------------------------------------------------------
@@ -101,41 +167,18 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
 # space, as WHATWG URL parsing does, and the two other Latin-1 characters
 # str.strip() removes (http.client decodes header values as Latin-1).  Stated
 # here, not left to urlsplit, whose stripping differs between Python releases.
-_LOCATION_PADDING = "".join(map(chr, range(0x21))) + "\x85\xa0"
-# A netloc with brackets must be [host] or [host]:port after its userinfo, as
-# in RFC 3986 3.2.2: a port of digits only and no bracket in the userinfo.  The
-# host must be an IPv6 literal or an IPvFuture one, v<hex>.<rest>; IPv4 in
-# brackets is refused.  urlsplit checks the host only from Python 3.11.4 and
-# 3.10.12 on, and where the brackets may stand only in later releases, so
-# redirect_url decides all of it, and every interpreter follows the same
-# Locations.
-_BRACKETED_HOSTPORT = re.compile(r"\[([^\[\]]*)\](?::[0-9]*)?")
-_IPVFUTURE = re.compile(r"v[a-fA-F0-9]+\..+")
-
-
-def _bracketed_host_ok(netloc: str) -> bool:
-    if "[" not in netloc and "]" not in netloc:
-        return True
-    userinfo, _, hostport = netloc.rpartition("@")
-    shape = _BRACKETED_HOSTPORT.fullmatch(hostport)
-    if shape is None or "[" in userinfo or "]" in userinfo:
-        return False
-    host = shape[1]
-    if host.startswith("v"):
-        return _IPVFUTURE.fullmatch(host) is not None
-    try:
-        ipaddress.IPv6Address(host)
-    except ValueError:
-        return False
-    return True
+_LOCATION_PADDING = _URL_PADDING + "\x85\xa0"
 
 
 @dataclass(frozen=True)
 class ProbeResult:
     """One HTTP exchange. Exactly one of status / transport_error is set.
 
-    The scheme comes from ``url`` and the body format from ``body_sample``
-    and the first Content-Type header; neither is stored.
+    It holds only what the probe can record: a status from 100 to 999 (as
+    ``http.client`` accepts) or a reason string, a timestamp with a UTC
+    offset, and headers with lowercase names and string values.  The scheme
+    comes from ``url`` and the body format from ``body_sample`` and the
+    first Content-Type header; neither is stored.
     """
 
     target: ProbeTarget
@@ -149,6 +192,16 @@ class ProbeResult:
     def __post_init__(self) -> None:
         if (self.status is None) == (self.transport_error is None):
             raise ValueError("exactly one of status and transport_error must be set")
+        if self.status is None:
+            if not isinstance(self.transport_error, str):
+                raise ValueError(f"transport_error {self.transport_error!r} is not a string")
+        elif type(self.status) is not int or self.status not in range(100, 1000):
+            raise ValueError(f"status {self.status!r} is not a number from 100 to 999")
+        if self.timestamp.tzinfo is None:
+            raise ValueError(f"timestamp {self.timestamp.isoformat()!r} has no UTC offset")
+        for name, value in self.headers:
+            if not (isinstance(name, str) and isinstance(value, str) and name == name.lower()):
+                raise ValueError(f"header {[name, value]!r} is not a lowercase name and a string value")
 
     def header_values(self, name: str) -> tuple[str, ...]:
         name = name.lower()
@@ -181,17 +234,17 @@ class ProbeResult:
         """Where following this exchange leads: the one rule for a Location (RFC 9110 10.2.2).
 
         The Location stripped of ``_LOCATION_PADDING`` and resolved against
-        ``url``; None when there is no followable Location, or when it does
-        not parse, has brackets that do not wrap an IPv6 or IPvFuture host,
-        or leads off the web.
+        ``url``; None when there is no followable Location, or when the
+        result is not a URL the probe may request (``request_url_problem``).
         """
         location = self.redirect_location
+        if location is None:
+            return None
         try:
-            url = urljoin(self.url, location.strip(_LOCATION_PADDING)) if location else ""
-            parts = urlsplit(url)
+            url = urljoin(self.url, location.strip(_LOCATION_PADDING))
         except ValueError:
             return None
-        return url if parts.scheme in ("http", "https") and _bracketed_host_ok(parts.netloc) else None
+        return None if request_url_problem(url) else url
 
 
 @dataclass(frozen=True)

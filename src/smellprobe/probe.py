@@ -150,10 +150,8 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
     """One raw GET. Returns (status, wire-ordered headers, capped body)."""
     import http.client
 
-    parts = urlsplit(url)
+    parts = urlsplit(url)  # request_url_problem passed it, so it has a host and a valid port
     host = parts.hostname
-    if not host:
-        raise ValueError(f"url has no host: {url!r}")
     path = parts.path or "/"
     if parts.query:
         path = f"{path}?{parts.query}"

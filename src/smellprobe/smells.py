@@ -379,7 +379,7 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
     flagged on any target.  An unreachable target with no observed hops is
     not judged.
     """
-    target_host = urlsplit(chain.result.url).hostname or ""
+    target_host = urlsplit(chain.result.url).hostname  # never empty: see request_url_problem
 
     if not chain.hops and chain.terminal.transport_error is not None:
         # The server never answered; there is no redirect behavior to judge.
@@ -408,7 +408,7 @@ def detect_missing_https_redirect(chain: RedirectChain) -> SmellFinding | None:
     missing_upgrade = False
     if chain.result.scheme_used is Scheme.HTTP:
         upgraded = any(
-            urlsplit(u).scheme == "https" and (urlsplit(u).hostname or "") == target_host
+            urlsplit(u).scheme == "https" and urlsplit(u).hostname == target_host
             for u in (*chain.requested_urls(), chain.terminal.redirect_url or "")
         )
         if not upgraded:

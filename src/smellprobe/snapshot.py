@@ -151,7 +151,7 @@ def _body_from_dict(data: dict) -> bytes:
     if ("body_text" in data) == ("body_b64" in data):
         raise ValueError("an exchange stores exactly one of body_text and body_b64")
     if "body_b64" in data:
-        return base64.b64decode(data["body_b64"])
+        return base64.b64decode(data["body_b64"], validate=True)
     text = data["body_text"]
     if not isinstance(text, str):
         raise TypeError(f"body_text is {type(text).__name__}, not a string")

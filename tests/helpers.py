@@ -171,9 +171,16 @@ def _move_first_redirect(record: dict, url: str) -> None:
     record["redirects"][0]["url"] = url
 
 
+def _relocate_first_redirect(record: dict, url: str) -> None:
+    """Point the first exchange's Location at ``url`` and move the redirect there."""
+    record["result"]["headers"][0] = ["location", url]
+    _move_first_redirect(record, url)
+
+
 # Changes to one record of SCHEMA4_ROUND1 that no writer makes, as
 # ``(record number, change, what the error says after "record N: ")``.
-# Record 1 has findings and leaks; record 17 redirects once, to /json.
+# Record 1 has findings and leaks; record 11 stores its body as body_b64;
+# record 17 redirects once, to /json.
 SCHEMA4_CORRUPTIONS = {
     "redirect off the web": (
         17, lambda r: _move_first_redirect(r, "ftp://elsewhere/"),
@@ -191,6 +198,33 @@ SCHEMA4_CORRUPTIONS = {
     "extra finding key": (1, lambda r: r["report"]["findings"][0].update(zzz=1), "finding has keys"),
     "extra leak key": (1, lambda r: r["report"]["leaks"][0].update(zzz=1), "leak has keys"),
     "missing leak key": (1, lambda r: r["report"]["leaks"][0].pop("version"), "leak has keys"),
+    "target with a bad port": (
+        1, lambda r: r.update(url="http://127.0.0.1:8x/"), r"bad port: '8x': 'http://127\.0\.0\.1:8x/'",
+    ),
+    "redirect to a bad port": (
+        17, lambda r: _relocate_first_redirect(r, "https://127.0.0.1:8x/"),
+        r"'https://127\.0\.0\.1:8x/' is not where the Location of 'http://127\.0\.0\.1:\d+/redirect-json' leads",
+    ),
+    "status a string": (1, lambda r: r["result"].update(status="200"), "status '200' is not a number"),
+    "status a float": (1, lambda r: r["result"].update(status=200.0), "status 200.0 is not a number"),
+    "status a boolean": (1, lambda r: r["result"].update(status=True), "status True is not a number"),
+    "status out of range": (1, lambda r: r["result"].update(status=99999), "status 99999 is not a number"),
+    "transport_error not a string": (
+        1, lambda r: r["result"].update(status=None, transport_error=5), "transport_error 5 is not a string",
+    ),
+    "naive exchange timestamp": (
+        1, lambda r: r["result"].update(timestamp=r["result"]["timestamp"].removesuffix("+00:00")),
+        r"timestamp '[0-9T:.-]+' has no UTC offset",
+    ),
+    "header value not a string": (
+        1, lambda r: r["result"].update(headers=[["server", 5]]), r"header \['server', 5\] is not a lowercase name",
+    ),
+    "header name not lowercase": (
+        1, lambda r: r["result"].update(headers=[["Server", "nginx/1.14.1"]]), r"header \['Server', 'nginx/1\.14\.1'\]",
+    ),
+    "body_b64 not strict base64": (
+        11, lambda r: r["result"].update(body_b64="*!\n" + r["result"]["body_b64"]), "Only base64 data is allowed",
+    ),
 }
 
 

@@ -645,7 +645,8 @@ def test_header_without_utc_offset_is_corrupt(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["diff", "report"])
 @pytest.mark.parametrize("name", ["redirect off the web", "redirect to another host", "extra record key",
-                                  "extra first exchange key", "extra finding key"])
+                                  "extra first exchange key", "extra finding key", "header value not a string",
+                                  "body_b64 not strict base64"])
 def test_record_no_writer_makes_is_corrupt(tmp_path, capsys, command, name):
     first, message = corrupt_schema4_round1(tmp_path, name)
     second = SCHEMA4_ROUND1.with_name("round2.smellsnap.jsonl")
@@ -711,6 +712,19 @@ def test_long_run_responses_scan_to_a_snapshot_that_redetects_to_itself(tmp_path
     for entry in entries.values():
         assert entry.result.ok
         assert detect_all(entry.result.target, entry.result, entry.chain) == entry.report
+
+
+def test_redirect_to_a_port_no_client_can_request_is_not_followed(tmp_path, endpoints):
+    """An http target sent only to https on its host with a port of "8x" was never upgraded."""
+    ep = endpoints(FixtureProfile(name="bad-port", routes={
+        "/": RouteSpec(status=302, headers=(("Location", "https://127.0.0.1:8x/"),))}))
+    out = tmp_path / "s.smellsnap.jsonl"
+    assert run(scan_args(write_corpus(tmp_path, [ep.url("/")]), out)) == EXIT_OK
+    entry = load(out).entries[ep.url("/")]
+    assert entry.chain.requested_urls() == (ep.url("/"),)
+    assert entry.chain.next_url is None
+    assert SmellKind.MISSING_HTTPS_REDIRECT in entry.report.kinds()
+    assert len(ep.requests) == 1
 
 
 def test_dry_run_rejects_nested_jsonl_row(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import http.client
 import io
 import math
+import re
 import socket
 import ssl
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from smellprobe import probe
 from smellprobe.cli import EXIT_OK, run
+from smellprobe.corpus import load_targets
 from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.model import JSON_MAX_DEPTH, BodyFormat, RedirectChain, Scheme, classify_body
 from smellprobe.probe import ProbeConfig, probe_all, probe_and_follow
@@ -450,31 +452,70 @@ def test_redirect_url_does_not_lean_on_urlsplit_stripping(monkeypatch):
         urllib.parse.urlsplit.cache_clear()
 
 
+# Each URL with the reason request_url_problem gives, or None where the probe
+# may request it.  Every URL here is as the corpus normalizes it.
+REQUEST_URLS = [
+    ("http://h.example/", None),
+    ("https://h.example:65535/", None),
+    ("http://h.example:/", None),
+    ("http://h.example:00080/", None),
+    ("http://h.example/[x]", None),
+    ("http://u@[::1]:/", None),
+    ("http://[::1]/x", None),
+    ("http://[::ffff:1.2.3.4]:8080/", None),
+    ("https://[v1f.x]/", None),
+    ("http://:80/", "url has no host"),
+    ("http://u@/", "url has no host"),
+    ("http:///x", "url not absolute"),
+    ("mailto:a@h.example", "url not absolute"),
+    ("ftp://h.example/", "unsupported scheme"),
+    ("http://x\uff03/", "unparseable url: netloc 'x\uff03' contains invalid characters under NFKC normalization"),
+    ("http://h.example:8x/", "bad port: '8x'"),
+    ("https://127.0.0.1:8x/", "bad port: '8x'"),
+    ("http://h.example:+80/", "bad port: '+80'"),
+    ("http://h.example:99999/", "bad port: '99999'"),
+    ("http://h.example:\u0668\u0660/", "bad port: '\u0668\u0660'"),
+    ("http://h.example:80:90/", "bad port: '80:90'"),
+    ("http://[::1]:8x/", "bad port: '8x'"),
+    ("http://[garbage]/", "bad bracketed host: '[garbage]'"),
+    ("http://[1.2.3.4]/", "bad bracketed host: '[1.2.3.4]'"),
+    ("http://[vz.x]/", "bad bracketed host: '[vz.x]'"),
+    ("http://a[::1]b/", "bad bracketed host: 'a[::1]b'"),
+    ("http://[::1]x/", "bad bracketed host: '[::1]x'"),
+    ("http://[::1]@h.example/", "bad bracketed host: '[::1]@h.example'"),
+    ("http://[::1/", "bad bracketed host: '[::1'"),
+    ("ftp://[garbage]/", "bad bracketed host: '[garbage]'"),
+]
+
+
 @pytest.mark.parametrize("checked", [True, False], ids=["urlsplit checks", "urlsplit does not check"])
-@pytest.mark.parametrize(
-    "location, expected",
-    [
-        ("http://[garbage]/", None),
-        ("http://[1.2.3.4]/", None),
-        ("http://[vz.x]/", None),
-        ("http://a[::1]b/", None),
-        ("http://[::1]x/", None),
-        ("http://[::1]:8x/", None),
-        ("http://[::1]@h.example/", None),
-        ("http://u@[::1]:/", "http://u@[::1]:/"),
-        ("http://[::1]/x", "http://[::1]/x"),
-        ("http://[::ffff:1.2.3.4]:8080/", "http://[::ffff:1.2.3.4]:8080/"),
-        ("https://[v1f.x]/", "https://[v1f.x]/"),
-    ],
-)
-def test_redirect_url_decides_bracketed_hosts_itself(monkeypatch, checked, location, expected):
-    """Releases before 3.11.4 and 3.10.12 have no bracketed-host check in urlsplit; the rule is the same."""
+@pytest.mark.parametrize("url, reason", REQUEST_URLS)
+def test_one_rule_decides_every_request_url(tmp_path, monkeypatch, checked, url, reason):
+    """A corpus row, a target and a Location get the same verdict, on every interpreter.
+
+    Releases before 3.11.4 and 3.10.12 have no bracketed-host check in
+    urlsplit.  The Location is resolved against a URL of the other scheme, so
+    that it leads to itself: ``http:///x`` under an http URL leads to its host.
+    """
     if not checked:
         monkeypatch.setattr(urllib.parse, "_check_bracketed_host", lambda host: None, raising=False)
     urllib.parse.urlsplit.cache_clear()
     try:
-        result = make_result(make_target("http://h.example/"), status=302, headers=(("Location", location),))
-        assert result.redirect_url == expected
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(f"url,app_id,source_model,declared_format\n{url},a,open_source,\n", encoding="utf-8")
+        loaded = load_targets(corpus)
+        assert [r.reason for r in loaded.rejects] == ([reason] if reason else [])
+        assert [t.url for t in loaded.targets] == ([] if reason else [url])
+
+        if reason:
+            with pytest.raises(ValueError, match=re.escape(f"{reason}: {url!r}")):
+                make_target(url)
+        else:
+            assert make_target(url).url == url
+
+        other = make_target("https://h.example/" if url.startswith("http:") else "http://h.example/")
+        location = make_result(other, status=302, headers=(("Location", url),))
+        assert location.redirect_url == (None if reason else url)
     finally:
         urllib.parse.urlsplit.cache_clear()
 

@@ -642,7 +642,8 @@ def test_exchange_with_both_or_neither_body_key_rejected(tmp_path, keys):
 
 @pytest.mark.parametrize("name", sorted(SCHEMA4_CORRUPTIONS))
 def test_schema4_record_no_writer_makes_rejected(tmp_path, name):
-    """A redirect the probe could not have followed, or a key the writer does not write."""
+    """A URL or redirect the probe could not have requested, a value it could not have
+    recorded, or a key the writer does not write."""
     path, message = corrupt_schema4_round1(tmp_path, name)
     with pytest.raises(SnapshotIntegrityError, match=message):
         with iter_entries(path) as reader:
