@@ -288,9 +288,10 @@ def run(argv: list[str] | None = None) -> int:
     """
     # Every command closes and replaces each file it writes before it returns,
     # so the final collections and the freeing of every imported module are
-    # work nobody can observe.  atexit runs after the scan's worker threads are
-    # joined and before the standard streams are flushed; unregistering first
-    # keeps one registration however often run() is called.
+    # work nobody can observe.  Closing probe_each joins the scan's worker
+    # threads before run() returns, and atexit runs before the standard streams
+    # are flushed; unregistering first keeps one registration however often
+    # run() is called.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     parser = _build_parser()

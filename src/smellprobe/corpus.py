@@ -44,26 +44,34 @@ def normalize_url(url: str) -> str:
     return urlunsplit((parts.scheme, netloc, parts.path, parts.query, parts.fragment))
 
 
+def _text(fields: dict, name: str) -> str:
+    """The field's stripped text: '' if missing or false; any other non-string rejects the row."""
+    value = fields.get(name) or ""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} is not a string")
+    return value.strip()
+
+
 def _validate_row(fields: dict) -> ProbeTarget:
-    url = (fields.get("url") or "").strip()
+    url = _text(fields, "url")
     if not url:
         raise ValueError("missing url")
     problem = request_url_problem(url)
     if problem is not None:
         raise ValueError(problem)
 
-    app_id = (fields.get("app_id") or "").strip()
+    app_id = _text(fields, "app_id")
     if not app_id:
         raise ValueError("missing app_id")
 
-    model_text = (fields.get("source_model") or "").strip()
+    model_text = _text(fields, "source_model")
     try:
         model = SourceModel(model_text)
     except ValueError:
         raise ValueError(f"bad source_model: {model_text!r}") from None
 
     declared: DeclaredFormat | None = None
-    declared_text = (fields.get("declared_format") or "").strip()
+    declared_text = _text(fields, "declared_format")
     if declared_text:
         try:
             declared = DeclaredFormat(declared_text)

@@ -18,11 +18,14 @@ A failed exchange is looked up once in ``_failure_table``, an ordered list of
 wins.  That one row gives both the ``transport_error`` string stored in the
 snapshot and whether the exchange is tried again.
 
-``probe_each`` probes a corpus on ``parallelism`` worker threads and yields
-each target's chain as soon as it is done, with at most 2 x parallelism
-targets submitted and not yet consumed.  ``scan`` detects and spools each
-chain as it arrives, so it holds at most that many chains whatever the
-corpus size, and a slow target holds up no other.
+``probe_each`` probes a corpus on ``parallelism`` plain ``threading``
+workers fed from a ``SimpleQueue`` and yields each target's chain as soon as
+it is done, with at most 2 x parallelism targets handed out and not yet
+consumed.  ``scan`` detects and spools each chain as it arrives, so it holds
+at most that many chains whatever the corpus size, and a slow target holds up
+no other.  Closing the generator sets a stop flag that each worker checks
+before it starts a target, so the targets not yet started are skipped, and
+then joins the workers, which waits for the running targets to finish.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ from urllib.parse import urlsplit
 
 from .model import TOOL_VERSION, ProbeResult, ProbeTarget, RedirectChain
 
-# http.client, ssl, socket and concurrent.futures are imported by the
-# functions that probe, so a dry run loads none of them.
+# http.client, ssl and socket are imported by the functions that probe, so a
+# dry run loads none of them.  The workers are plain threads, so no scan loads
+# concurrent.futures (nor the logging it imports).
 
 DEFAULT_USER_AGENT = f"smellprobe/{TOOL_VERSION}"
 
@@ -233,34 +237,60 @@ def probe_each(
 ) -> Iterator[tuple[int, RedirectChain]]:
     """Probe every target; yield ``(corpus index, chain)`` as each finishes.
 
-    cfg.parallelism targets are probed at once, and at most twice that many
-    are submitted and not yet consumed, so a caller holds at most
-    2 x parallelism chains and a slow target delays no other.  Closing the
-    generator, or an exception or interrupt while it waits, cancels the
-    targets not yet started and waits for the running ones to finish.
-    Per-target transport errors are embedded in the chains, never raised.
+    cfg.parallelism worker threads (fewer for a shorter corpus) take
+    ``(index, target)`` pairs from one queue and put ``(index, chain)`` on
+    another.  At most 2 x parallelism targets are handed out and not yet
+    consumed, so a caller holds at most that many chains and a slow target
+    delays no other.  Closing the generator, or an exception or interrupt
+    while it waits, makes the workers skip the targets not yet started and
+    waits for the running ones to finish.  Per-target transport errors are
+    embedded in the chains, never raised; any other exception in a worker is
+    raised again here.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     window = 2 * cfg.parallelism
     queued = iter(enumerate(corpus))
-    pending: dict = {}
+    todo: SimpleQueue = SimpleQueue()
     finished: SimpleQueue = SimpleQueue()
-    with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-        try:
-            while True:
-                for index, target in islice(queued, window - len(pending)):
-                    future = pool.submit(probe_and_follow, target, cfg)
-                    pending[future] = index
-                    future.add_done_callback(finished.put)
-                if not pending:
-                    return
-                future = finished.get()
-                _, chain = future.result()
-                yield pending.pop(future), chain
-        finally:
-            for future in pending:
-                future.cancel()
+    stopping = False
+
+    def work() -> None:
+        # None is the signal to leave; so is stopping, checked before each target.
+        while (item := todo.get()) is not None and not stopping:
+            index, target = item
+            try:
+                finished.put((index, probe_and_follow(target, cfg)[1]))
+            except BaseException as exc:  # noqa: BLE001 - raised again in the consumer
+                finished.put((index, exc))
+
+    workers: list[threading.Thread] = []
+    outstanding = 0
+    try:
+        # Daemon threads, so that the workers of a generator never closed
+        # hold up no exit.
+        for _ in range(min(cfg.parallelism, len(corpus))):
+            worker = threading.Thread(target=work, daemon=True)
+            worker.start()
+            workers.append(worker)
+        while True:
+            for item in islice(queued, window - outstanding):
+                todo.put(item)
+                outstanding += 1
+            if not outstanding:
+                return
+            index, chain = finished.get()
+            outstanding -= 1
+            if isinstance(chain, BaseException):
+                raise chain
+            yield index, chain
+    finally:
+        stopping = True
+        # A None for every worker that may have started, also one that an
+        # interrupt inside Thread.start kept out of the list, so that none
+        # takes another's None and leaves it waiting in join.
+        for _ in range(cfg.parallelism):
+            todo.put(None)
+        for worker in workers:
+            worker.join()
 
 
 def probe_all(

@@ -13,7 +13,6 @@ import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 
@@ -47,11 +46,11 @@ def pct(numerator: int, denominator: int) -> float:
 
 
 def pct_display(numerator: int, denominator: int) -> int:
-    """Percentage rounded half-up to an integer, as printed in reports."""
+    """Percentage of two counts rounded half up to an integer, as printed in reports."""
     if denominator == 0:
         return 0
-    ratio = Decimal(100 * numerator) / Decimal(denominator)
-    return int(ratio.quantize(Decimal(1), rounding=ROUND_HALF_UP))
+    whole, rest = divmod(100 * numerator, denominator)
+    return whole + (2 * rest >= denominator)
 
 
 def group_key(target: ProbeTarget, result: ProbeResult) -> GroupKey:

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import json
 import os
+import random
 import re
 import signal
 import socket
@@ -403,18 +404,34 @@ COMMAND_MODULES = {
 }
 
 
+# The modules each command leaves out of sys.modules (README "Library use").
+# The probe's workers are plain threads, so no command loads concurrent.futures
+# or the logging it imports; diff and report never probe or detect, and report
+# rounds percentages with integers alone.
+NOT_LOADED = {"concurrent.futures", "logging"}
+NOT_PROBING = NOT_LOADED | {"ssl", "socket", "http.client", "smellprobe.probe", "smellprobe.smells"}
+COMMAND_SHUNS = {
+    "dry run": NOT_LOADED | {"ssl", "http.client"},
+    "scan": NOT_LOADED,
+    "diff": NOT_PROBING,
+    "report": NOT_PROBING | {"decimal"},
+    "report --corpus": NOT_PROBING | {"decimal"},
+}
+
+
 def loaded_modules(code: str, args=()) -> set[str]:
-    """The ``smellprobe.*`` modules a child interpreter holds after running ``code``."""
-    child = (
-        f"import sys\n{code}\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('smellprobe.')))\n"
-    )
+    """Every module a child interpreter holds after running ``code``."""
+    child = f"import sys\n{code}\nprint(' '.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
     done = subprocess.run(
         [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return {name.removeprefix("smellprobe.") for name in done.stdout.splitlines()[-1].split()}
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def own_modules(names: set[str]) -> set[str]:
+    return {name.removeprefix("smellprobe.") for name in names if name.startswith("smellprobe.")}
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
@@ -433,12 +450,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint,
                             "--corpus", str(covered)],
     }[command]
     code = "from smellprobe.cli import run\nassert run(sys.argv[1:]) == 0"
-    assert loaded_modules(code, args) == COMMAND_MODULES[command]
+    loaded = loaded_modules(code, args)
+    assert own_modules(loaded) == COMMAND_MODULES[command]
+    assert loaded & COMMAND_SHUNS[command] == set()
 
 
 def test_package_names_load_their_home_module_on_first_use():
-    assert loaded_modules("import smellprobe") == set()
-    assert loaded_modules("from smellprobe import diff_snapshots") == {
+    assert own_modules(loaded_modules("import smellprobe")) == set()
+    assert own_modules(loaded_modules("from smellprobe import diff_snapshots")) == {
         "data", "maintenance", "model", "snapshot", "versions",
     }
     names = {}
@@ -553,6 +572,46 @@ def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints
     assert len(ep.requests) <= 2
     assert out.read_bytes() == b"the previous snapshot\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", out.name]
+
+
+def test_scan_interrupted_at_random_moments_exits_and_keeps_previous_snapshot(tmp_path, endpoints):
+    """SIGINT at seeded random moments, from interpreter start-up to mid-scan.
+
+    Each child must exit within 5 s of the signal, so the interrupt never
+    lands where it leaves a worker, a queue or a lock waited on forever.
+    """
+    ep = delayed_endpoint(endpoints, [(f"/u{i:02d}", 0.25) for i in range(20)])
+    work = tmp_path / "scan"
+    work.mkdir()
+    corpus = write_corpus(work, [ep.url(f"/u{i:02d}") for i in range(20)])
+    out = work / "s.smellsnap.jsonl"
+    out.write_bytes(b"the previous snapshot\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(smellprobe.__file__).parents[1]),
+           "PYTHONFAULTHANDLER": "1"}
+    command = [sys.executable, "-c", "import sys; from smellprobe.cli import run; sys.exit(run(sys.argv[1:]))",
+               *scan_args(corpus, out, extra=["--parallelism", "2"])]
+    rng = random.Random(20)
+    for delay in [rng.uniform(0.05, 0.5) for _ in range(6)]:
+        with (tmp_path / "child.stderr").open("w+b") as stderr:
+            child = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            try:
+                time.sleep(delay)
+                child.send_signal(signal.SIGINT)
+                try:
+                    child.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    child.send_signal(signal.SIGABRT)  # faulthandler prints every thread's stack
+                    with contextlib.suppress(subprocess.TimeoutExpired):
+                        child.wait(timeout=5)
+                    stderr.seek(0)
+                    dump = stderr.read().decode("utf-8", "replace")
+                    pytest.fail(f"the scan did not exit within 5 s of SIGINT at {delay:.3f} s:\n{dump}")
+            finally:
+                child.kill()
+                child.wait()
+        assert child.returncode != EXIT_OK
+        assert out.read_bytes() == b"the previous snapshot\n"
+        assert sorted(p.name for p in work.iterdir()) == ["corpus.csv", out.name]
 
 
 def test_slow_first_url_does_not_hold_up_the_rest(tmp_path, endpoints):
@@ -735,3 +794,26 @@ def test_dry_run_rejects_nested_jsonl_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "http://a.example/\n"
     assert "rejected 1 row(s)" in captured.err
+
+
+@pytest.mark.parametrize("field", ["url", "app_id", "source_model", "declared_format"])
+def test_jsonl_row_with_a_field_that_is_not_a_string_is_rejected(tmp_path, capsys, field):
+    good = {"url": "http://a.example/", "app_id": "a", "source_model": "open_source",
+            "declared_format": "json"}
+    bad = [{**good, "url": f"http://b{i}.example/", field: value}
+           for i, value in enumerate([7, 2.5, ["json"], {"x": "json"}, True])]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in [good, *bad]), encoding="utf-8")
+    args = ["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl")]
+    assert run([*args, "--dry-run"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "http://a.example/\n"
+    assert "rejected 5 row(s)" in captured.err
+    # Scanning only the bad rows probes nothing and writes each reason.
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in bad), encoding="utf-8")
+    assert run(args) == EXIT_OK
+    rejects = [json.loads(line) for line in
+               (tmp_path / "s.jsonl.rejects.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [reject["reason"] for reject in rejects] == [f"{field} is not a string"] * 5
+    assert [json.loads(reject["row"]) for reject in rejects] == bad
+    assert len(load(tmp_path / "s.jsonl").entries) == 0

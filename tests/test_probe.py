@@ -1,6 +1,7 @@
 import http.client
 import io
 import math
+import random
 import re
 import socket
 import ssl
@@ -9,6 +10,7 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from urllib.parse import urlsplit
 
 import pytest
@@ -597,6 +599,89 @@ class TestProbeEach:
         results.close()  # cancels what is queued; nothing more is probed
         time.sleep(0.1)
         assert len(ep.requests) == 4
+
+    def test_close_skips_the_targets_not_yet_started(self, monkeypatch):
+        release = threading.Event()
+        started = []
+
+        def probe_target(target, cfg):
+            started.append(target.app_id)
+            if target.app_id != "a0":
+                release.wait(timeout=10)
+            return None, RedirectChain((make_result(target),))
+
+        monkeypatch.setattr(probe, "probe_and_follow", probe_target)
+        threads = threading.active_count()
+        corpus = [make_target(f"http://h{i}.example/", app_id=f"a{i}") for i in range(8)]
+        results = probe.probe_each(corpus, fast_cfg(parallelism=2))
+        assert next(results)[0] == 0  # a0-a3 are handed out; a1 and perhaps a2 are running
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        results.close()  # waits for the running targets, and starts no other
+        timer.join()
+        assert threading.active_count() == threads
+        assert set(started) <= {"a0", "a1", "a2"}
+
+    @pytest.mark.parametrize("fault", [RuntimeError, KeyboardInterrupt])
+    def test_worker_exception_is_raised_in_the_consumer(self, monkeypatch, fault):
+        def probe_target(target, cfg):
+            if target.app_id == "a3":
+                raise fault("worker failed")
+            return None, RedirectChain((make_result(target),))
+
+        monkeypatch.setattr(probe, "probe_and_follow", probe_target)
+        threads = threading.active_count()
+        corpus = [make_target(f"http://h{i}.example/", app_id=f"a{i}") for i in range(8)]
+        raised = []
+
+        def consume():  # on a thread of its own, so that a lost exception fails the test
+            try:
+                for _ in probe.probe_each(corpus, fast_cfg(parallelism=2)):
+                    pass
+            except BaseException as exc:  # noqa: BLE001 - the exception under test
+                raised.append(exc)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=10)
+        assert not consumer.is_alive(), "the consumer still waits for the failed target"
+        assert [type(exc) for exc in raised] == [fault]
+        assert str(raised[0]) == "worker failed"
+        assert threading.active_count() == threads
+
+    def test_many_workers_yield_each_target_once_within_the_window(self, monkeypatch):
+        """More workers than cores, switching threads often, closed at random points."""
+        lock = threading.Lock()
+        started = []
+
+        def probe_target(target, cfg):
+            with lock:
+                started.append(target)
+            return None, RedirectChain((make_result(target),))
+
+        monkeypatch.setattr(probe, "probe_and_follow", probe_target)
+        threads = threading.active_count()
+        corpus = [make_target(f"http://h{i}.example/", app_id=f"a{i}") for i in range(400)]
+        cfg = fast_cfg(parallelism=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            seen = []
+            for index, chain in probe.probe_each(corpus, cfg):
+                assert len(started) <= len(seen) + 2 * cfg.parallelism
+                assert chain.result.target is corpus[index]
+                seen.append(index)
+            assert sorted(seen) == list(range(len(corpus)))
+            assert len(started) == len(corpus)
+            for stop in random.Random(20).sample(range(1, len(corpus)), 8):
+                started.clear()
+                results = probe.probe_each(corpus, cfg)
+                assert len(list(islice(results, stop))) == stop
+                results.close()
+                assert threading.active_count() == threads
+                assert stop <= len(started) <= stop + 2 * cfg.parallelism
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestConfigAndBodyFormat:

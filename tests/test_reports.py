@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
@@ -74,6 +75,24 @@ class TestPctDisplay:
 
     def test_empty_denominator(self):
         assert pct_display(0, 0) == 0
+
+    def test_matches_decimal_half_up(self):
+        """The integer rounding agrees with Decimal's ROUND_HALF_UP on counts."""
+
+        def reference(numerator, denominator):
+            ratio = Decimal(100 * numerator) / Decimal(denominator)
+            return int(ratio.quantize(Decimal(1), rounding=ROUND_HALF_UP))
+
+        rng = random.Random(20)
+        pairs = [(n, d) for d in range(1, 401) for n in range(d + 1)]  # every x.5 of a small d
+        for _ in range(2000):
+            denominator = rng.randrange(1, 10**9)
+            pairs.append((rng.randrange(denominator + 1), denominator))
+            unit, half = rng.randrange(1, 10**6), rng.randrange(100)
+            pairs.append((unit * (2 * half + 1), 200 * unit))  # exactly half + 0.5 percent
+        halves = sum(200 * n % (2 * d) == d for n, d in pairs)  # 100 n / d ends in .5
+        assert halves > 2000
+        assert [pct_display(n, d) for n, d in pairs] == [reference(n, d) for n, d in pairs]
 
 
 def flagged_entry(url, kind=None, **kwargs):
