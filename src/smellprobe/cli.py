@@ -11,6 +11,7 @@ import atexit
 import csv
 import gc
 import json
+import signal
 import sys
 from contextlib import ExitStack
 from dataclasses import fields
@@ -278,14 +279,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _terminate(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def run(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
+
+    Call it on the main thread: while the command runs, SIGTERM raises
+    ``SystemExit(143)``, so ``kill`` or ``timeout`` unwinds it as Ctrl-C does
+    and leaves no spool or temporary file.  It restores the previous handler.
 
     The process that calls this skips the interpreter's exit-time garbage
     collection, in-process callers included: at exit the collector ignores
     every object alive then, so no ``__del__`` of such an object runs
     (CPython does not promise one at exit either).
     """
+    previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run(argv: list[str] | None) -> int:
     # Every command closes and replaces each file it writes before it returns,
     # so the final collections and the freeing of every imported module are
     # work nobody can observe.  Closing probe_each joins the scan's worker

@@ -8,9 +8,11 @@ ports, and ``shutdown()`` closes its listeners.
 Each endpoint serves the exact bytes its profile describes: the handler
 writes the status line and headers itself, so no implicit Server or Date
 headers sneak into the fixtures (only Content-Length and Connection: close
-are added).  HTTPS listeners use a process-local self-signed certificate;
-its PEM path is exposed so a probe config can trust it explicitly, and a
-probe that does not is refused like any other untrusted peer.
+are added).  HTTPS listeners present one self-signed certificate for
+localhost and 127.0.0.1, checked in beside this module with its key.  The
+key is public: never add the certificate to a real trust store.  Its path,
+``ca_file``, lets a probe config trust it; a probe that does not is refused
+like any other untrusted peer.
 
 Header values and string bodies may reference {base}, {http_base}, and
 {https_base}, replaced at response time with the endpoint's bound URLs.
@@ -19,17 +21,12 @@ This keeps redirect plans (loops, downgrades, upgrade hops) port-agnostic.
 
 from __future__ import annotations
 
-import atexit
-import datetime as _dt
 import http.client
-import ipaddress
 import socket
 import ssl
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -64,62 +61,10 @@ class RequestRecord:
     path: str
 
 
-@lru_cache(maxsize=1)
-def _fixture_certificate() -> tuple[str, str]:
-    """(cert_pem_path, key_pem_path) for a throwaway loopback certificate."""
-    from cryptography import x509
-    from cryptography.hazmat.primitives import hashes, serialization
-    from cryptography.hazmat.primitives.asymmetric import rsa
-    from cryptography.x509.oid import NameOID
-
-    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "smellprobe-fixture")])
-    now = _dt.datetime.now(_dt.timezone.utc)
-    cert = (
-        x509.CertificateBuilder()
-        .subject_name(name)
-        .issuer_name(name)
-        .public_key(key.public_key())
-        .serial_number(x509.random_serial_number())
-        .not_valid_before(now - _dt.timedelta(days=1))
-        .not_valid_after(now + _dt.timedelta(days=7))
-        .add_extension(
-            x509.SubjectAlternativeName(
-                [
-                    x509.DNSName("localhost"),
-                    x509.IPAddress(ipaddress.IPv4Address("127.0.0.1")),
-                ]
-            ),
-            critical=False,
-        )
-        .sign(key, hashes.SHA256())
-    )
-
-    directory = Path(tempfile.mkdtemp(prefix="smellprobe-fixture-"))
-    cert_path = directory / "cert.pem"
-    key_path = directory / "key.pem"
-    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
-    key_path.write_bytes(
-        key.private_bytes(
-            serialization.Encoding.PEM,
-            serialization.PrivateFormat.TraditionalOpenSSL,
-            serialization.NoEncryption(),
-        )
-    )
-
-    def _cleanup() -> None:
-        for path in (cert_path, key_path):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        try:
-            directory.rmdir()
-        except OSError:
-            pass
-
-    atexit.register(_cleanup)
-    return str(cert_path), str(key_path)
+# The https listeners' certificate and its public key; each PEM's first lines
+# say how it was made.
+_CERT_FILE = str(Path(__file__).with_name("fixture_cert.pem"))
+_KEY_FILE = str(Path(__file__).with_name("fixture_key.pem"))
 
 
 # How often a listener checks for shutdown.  serve_forever's default of 0.5 s
@@ -210,10 +155,9 @@ class FixtureEndpoint:
             server.endpoint = self
             server.fixture_scheme = scheme
             if scheme == "https":
-                cert_path, key_path = _fixture_certificate()
-                self.ca_file = cert_path
+                self.ca_file = _CERT_FILE
                 context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-                context.load_cert_chain(cert_path, key_path)
+                context.load_cert_chain(_CERT_FILE, _KEY_FILE)
                 server.socket = context.wrap_socket(server.socket, server_side=True)
             self._ports[scheme] = server.server_address[1]
             self._servers[scheme] = server

@@ -1,7 +1,7 @@
 import pytest
 
 import fixture_library
-from smellprobe.harness import spawn
+from smellprobe.harness import FixtureProfile, spawn
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +22,9 @@ def endpoints():
     yield _spawn
     for endpoint in spawned:
         endpoint.shutdown()
+
+
+@pytest.fixture
+def refusing_endpoint(endpoints):
+    """An endpoint that is never started: its URLs refuse connections."""
+    return endpoints(FixtureProfile(name="refusing", initially_down=True))

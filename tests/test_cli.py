@@ -5,7 +5,6 @@ import os
 import random
 import re
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -79,12 +78,8 @@ def test_scan_missing_corpus_file_is_io_error(tmp_path):
     assert code == EXIT_IO
 
 
-def test_scan_partial_failure_exit_code(tmp_path, healthy_endpoint):
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    dead = f"http://127.0.0.1:{sock.getsockname()[1]}/"
-    sock.close()
-    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), dead])
+def test_scan_partial_failure_exit_code(tmp_path, healthy_endpoint, refusing_endpoint):
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), refusing_endpoint.url("/")])
     code = run(scan_args(corpus, tmp_path / "s.jsonl"))
     assert code == EXIT_PARTIAL
 
@@ -284,24 +279,38 @@ def test_report_counts_url_new_in_second_snapshot(tmp_path, healthy_endpoint, en
     assert sum(row["urls"] for row in rows) == 2
 
 
-def test_plain_http_scan_runs_without_cryptography(tmp_path, healthy_endpoint):
-    """Only the https loopback fixtures need cryptography; a scan does not."""
-    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+def test_https_fixture_and_scan_need_only_the_standard_library(tmp_path):
+    """An https loopback fixture starts, and a scan trusting it succeeds, in a
+    child where importing anything outside the standard library fails."""
+    corpus = tmp_path / "corpus.csv"
     out = tmp_path / "s.smellsnap.jsonl"
     child = (
         "import sys\n"
-        "sys.modules['cryptography'] = None  # any import of it now raises ImportError\n"
+        "class StdlibOnly:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] not in {*sys.stdlib_module_names, 'smellprobe'}:\n"
+        "            raise ImportError(f'{name} is outside the standard library')\n"
+        "sys.meta_path.insert(0, StdlibOnly())\n"
         "from smellprobe.cli import run\n"
-        "code = run(sys.argv[1:])\n"
-        "sys.exit(code if sys.modules['cryptography'] is None else 99)\n"
+        "from smellprobe.harness import FixtureProfile, RouteSpec, spawn\n"
+        "ep = spawn(FixtureProfile(name='tls', schemes=('https',), routes={'/': RouteSpec()}))\n"
+        "corpus, *args = sys.argv[1:]\n"
+        "with open(corpus, 'w', encoding='utf-8') as f:\n"
+        "    f.write(f'url,app_id,source_model,declared_format\\n{ep.url()},app-0,open_source,\\n')\n"
+        "code = run([*args, '--ca-bundle', ep.ca_file])\n"
+        "ep.shutdown()\n"
+        "sys.exit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-c", child, *scan_args(corpus, out)],
+        [sys.executable, "-c", child, str(corpus), *scan_args(corpus, out)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == EXIT_OK, done.stderr
-    assert load(out).entries[healthy_endpoint.url("/")].result.status == 200
+    assert "scanned 1 url(s); 0 with transport errors" in done.stdout
+    [entry] = load(out).entries.values()
+    assert entry.result.target.url.startswith("https://127.0.0.1:")
+    assert entry.result.status == 200
 
 
 def test_cli_import_and_diff_compile_no_detector_pattern(tmp_path):
@@ -529,13 +538,15 @@ def test_scan_failing_midway_cancels_queue_and_keeps_previous_snapshot(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", out.name]
 
 
-def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints):
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)
+def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints, signum):
+    """Ctrl-C and SIGTERM (``kill``, ``timeout``, a CI cancel) unwind the scan alike."""
     ep = delayed_endpoint(endpoints, [(f"/u{i:02d}", 1.0) for i in range(20)])
     corpus = write_corpus(tmp_path, [ep.url(f"/u{i:02d}") for i in range(20)])
     out = tmp_path / "s.smellsnap.jsonl"
     out.write_bytes(b"the previous snapshot\n")
     # faulthandler dumps every thread's stack on SIGABRT, so a child that
-    # hangs after SIGINT fails the test with the place where it hangs.
+    # hangs after the signal fails the test with the place where it hangs.
     env = {**os.environ, "PYTHONPATH": str(Path(smellprobe.__file__).parents[1]),
            "PYTHONFAULTHANDLER": "1"}
     stderr = tmp_path / "child.stderr"
@@ -551,7 +562,7 @@ def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints
         while not ep.requests and time.monotonic() < deadline:
             time.sleep(0.01)
         assert ep.requests, "the scan never started"
-        child.send_signal(signal.SIGINT)
+        child.send_signal(signum)
         try:
             child.wait(timeout=5)
         except subprocess.TimeoutExpired:
@@ -565,7 +576,7 @@ def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints
         dump = stderr.read_text(encoding="utf-8", errors="replace")
         stderr.unlink()
     if hung:
-        pytest.fail(f"the scan did not exit within 5 s of SIGINT; its stderr:\n{dump}")
+        pytest.fail(f"the scan did not exit within 5 s of {signum.name}; its stderr:\n{dump}")
     assert child.returncode != EXIT_OK
     # Interrupted while the two workers run their first URLs: the two
     # queued URLs are cancelled.

@@ -1,5 +1,7 @@
 import http.client
 import socket
+import ssl
+import time
 from importlib import resources
 from urllib.parse import urlsplit
 
@@ -128,6 +130,18 @@ def test_https_listener_uses_injectable_trust_root(endpoints, library):
     assert ep.ca_file is not None
     result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg(ca_bundle=ep.ca_file))
     assert result.status == 200
+
+
+def test_fixture_certificate_stays_valid_for_a_decade_for_both_test_names(endpoints, library):
+    """Fails ten years before the checked-in certificate expires, not on the day."""
+    ep = endpoints(library.profile("https_no_hsts"))
+    context = ssl.create_default_context(cafile=ep.ca_file)
+    with socket.create_connection(("127.0.0.1", ep.port("https")), timeout=3) as raw:
+        with context.wrap_socket(raw, server_hostname="localhost") as tls:
+            cert = tls.getpeercert()
+    ten_years = 10 * 365 * 24 * 3600
+    assert ssl.cert_time_to_seconds(cert["notAfter"]) - time.time() >= ten_years, cert["notAfter"]
+    assert {("DNS", "localhost"), ("IP Address", "127.0.0.1")} <= set(cert["subjectAltName"])
 
 
 def test_package_data_holds_only_runtime_tables():

@@ -53,12 +53,8 @@ class TestProbeOnce:
         assert result.body_format is BodyFormat.JSON
         assert result.transport_error is None
 
-    def test_connection_refused(self):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        result, _ = probe_and_follow(make_target(f"http://127.0.0.1:{port}/"), fast_cfg())
+    def test_connection_refused(self, refusing_endpoint):
+        result, _ = probe_and_follow(make_target(refusing_endpoint.url("/")), fast_cfg())
         assert result.status is None
         assert result.transport_error == "connection refused"
 
@@ -98,14 +94,10 @@ class TestProbeOnce:
         result, _ = probe_and_follow(make_target("http://smellprobe-nonexistent.invalid/"), fast_cfg())
         assert result.transport_error == "dns failure"
 
-    def test_retries_before_giving_up(self, endpoints):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
+    def test_retries_before_giving_up(self, refusing_endpoint):
         started = time.monotonic()
         cfg = fast_cfg(retries=2, retry_backoff=0.1)
-        result, _ = probe_and_follow(make_target(f"http://127.0.0.1:{port}/"), cfg)
+        result, _ = probe_and_follow(make_target(refusing_endpoint.url("/")), cfg)
         elapsed = time.monotonic() - started
         assert result.transport_error == "connection refused"
         assert elapsed >= 0.2  # two backoff sleeps happened
@@ -240,12 +232,8 @@ class TestFollowChain:
         assert chain.terminal.status == 302
         assert not chain.loop_detected
 
-    def test_transport_error_lands_in_terminal(self):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        _, chain = probe_and_follow(make_target(f"http://127.0.0.1:{port}/"), fast_cfg())
+    def test_transport_error_lands_in_terminal(self, refusing_endpoint):
+        _, chain = probe_and_follow(make_target(refusing_endpoint.url("/")), fast_cfg())
         assert chain.terminal.transport_error == "connection refused"
         assert chain.chain_length == 0
 
@@ -264,25 +252,21 @@ class TestFollowChain:
         assert not chain.loop_detected
         assert [r.path for r in ep.requests] == ["/"]
 
-    def test_mid_chain_failure_keeps_every_exchange(self, endpoints):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
+    def test_mid_chain_failure_keeps_every_exchange(self, endpoints, refusing_endpoint):
         ep = endpoints(
             FixtureProfile(
                 name="to-nowhere",
                 routes={
                     "/": RouteSpec(
                         status=302,
-                        headers=(("Location", f"http://127.0.0.1:{port}/gone"), ("X-Hop", "1")),
+                        headers=(("Location", refusing_endpoint.url("/gone")), ("X-Hop", "1")),
                         body=b"moving",
                     )
                 },
             )
         )
         result, chain = probe_and_follow(make_target(ep.url("/")), fast_cfg())
-        assert chain.requested_urls() == (ep.url("/"), f"http://127.0.0.1:{port}/gone")
+        assert chain.requested_urls() == (ep.url("/"), refusing_endpoint.url("/gone"))
         assert chain.result is result
         assert result.header_values("x-hop") == ("1",)
         assert result.body_sample == b"moving"
@@ -523,15 +507,11 @@ def test_one_rule_decides_every_request_url(tmp_path, monkeypatch, checked, url,
 
 
 class TestProbeAll:
-    def test_one_unreachable_target_embedded(self, endpoints):
+    def test_one_unreachable_target_embedded(self, endpoints, refusing_endpoint):
         ep = endpoints(FixtureProfile(name="ok", routes={"/": RouteSpec(status=200)}))
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        dead_port = sock.getsockname()[1]
-        sock.close()
         corpus = [
             make_target(ep.url("/"), app_id="a"),
-            make_target(f"http://127.0.0.1:{dead_port}/", app_id="b"),
+            make_target(refusing_endpoint.url("/"), app_id="b"),
             make_target(ep.url("/"), app_id="c"),
         ]
         pairs = probe_all(corpus, fast_cfg())
