@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 # Each command imports the modules it runs when it starts, so diff and report
 # load no probe or detector code, and a dry run no detector or snapshot code.
 if TYPE_CHECKING:
+    from .corpus import LoadResult
     from .maintenance import MaintenanceRecord
     from .probe import ProbeConfig
 
@@ -107,18 +108,20 @@ def _probe_config(args: argparse.Namespace) -> ProbeConfig:
         raise UsageError(str(exc)) from None
 
 
-def _corpus_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "jsonl" if path.endswith((".jsonl", ".ndjson")) else "csv"
+def _load_corpus(args: argparse.Namespace) -> LoadResult:
+    """``--corpus`` read as ``--corpus-format`` says, or as its extension says."""
+    from .corpus import load_targets
+
+    default = "jsonl" if args.corpus.endswith((".jsonl", ".ndjson")) else "csv"
+    return load_targets(args.corpus, format=args.corpus_format or default)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    from .corpus import load_targets, write_rejects
+    from .corpus import write_rejects
 
     cfg = _probe_config(args)
     try:
-        loaded = load_targets(args.corpus, format=_corpus_format(args.corpus, args.corpus_format))
+        loaded = _load_corpus(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -217,20 +220,32 @@ def write_maintenance_records(records, path: str | Path, format: str = "jsonl") 
     return count
 
 
+def _open_rounds(stack: ExitStack, paths: list[str]) -> list | None:
+    """A reader per path, closed by ``stack``; None, the error printed, if two are out of order."""
+    from .maintenance import require_chronological
+    from .snapshot import iter_entries
+
+    readers = [stack.enter_context(iter_entries(path)) for path in paths]
+    try:
+        if len(readers) == 2:
+            require_chronological(readers[0].taken_at, readers[1].taken_at)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return readers
+
+
 def _cmd_diff(args: argparse.Namespace) -> int:
-    from .maintenance import diff_entries, require_chronological
-    from .snapshot import SnapshotIntegrityError, iter_entries
+    from .maintenance import diff_entries
+    from .snapshot import SnapshotIntegrityError
 
     try:
-        with iter_entries(args.snapshots[0]) as first, iter_entries(args.snapshots[1]) as second:
-            try:
-                require_chronological(first.taken_at, second.taken_at)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
+        with ExitStack() as stack:
+            rounds = _open_rounds(stack, args.snapshots)
+            if rounds is None:
                 return EXIT_USAGE
             try:
-                records = diff_entries(first, second)
-                count = write_maintenance_records(records, args.out, args.format)
+                count = write_maintenance_records(diff_entries(*rounds), args.out, args.format)
             except OSError as exc:
                 print(f"error: cannot write records: {exc}", file=sys.stderr)
                 return EXIT_IO
@@ -244,28 +259,17 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     if len(args.snapshots) > 2:
         raise UsageError("report takes one or two snapshots")
-    from .maintenance import require_chronological
     from .reports import export, tabulate
-    from .snapshot import SnapshotIntegrityError, iter_entries
+    from .snapshot import SnapshotIntegrityError
 
     out_dir = Path(args.out_dir)
     try:
         with ExitStack() as stack:
-            readers = [stack.enter_context(iter_entries(p)) for p in args.snapshots]
-            if len(readers) == 2:
-                try:
-                    require_chronological(readers[0].taken_at, readers[1].taken_at)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return EXIT_USAGE
-            corpus = None
-            if args.corpus:
-                from .corpus import load_targets
-
-                corpus = load_targets(
-                    args.corpus, format=_corpus_format(args.corpus, args.corpus_format)
-                ).targets
-            tables, records = tabulate(*readers, corpus=corpus)
+            rounds = _open_rounds(stack, args.snapshots)
+            if rounds is None:
+                return EXIT_USAGE
+            corpus = _load_corpus(args).targets if args.corpus else None
+            tables, records = tabulate(*rounds, corpus=corpus)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, table in tables.items():
             export(table, out_dir / f"{name}.{args.format}", args.format)

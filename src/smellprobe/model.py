@@ -3,9 +3,9 @@
 A corpus row becomes a ``ProbeTarget``; probing it gives ``ProbeResult``
 exchanges grouped into a ``RedirectChain``; detection gives a
 ``SmellReport``.  Snapshots store all three, and ``diff`` and ``report``
-read them back.  This module imports nothing from the package, so a
-command that only reads snapshots loads no detector, transport or corpus
-code.
+read them back.  This module imports nothing from the package but its
+version, so a command that only reads snapshots loads no detector,
+transport or corpus code.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import accumulate
 from urllib.parse import urljoin, urlsplit
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
 
 
 # --- corpus ---------------------------------------------------------------
@@ -102,7 +102,7 @@ def request_url_problem(url: str) -> str | None:
 
 @dataclass(frozen=True)
 class ProbeTarget:
-    """A URL under test plus its corpus metadata."""
+    """A URL under test plus its corpus metadata; ``app_id`` is a non-empty string."""
 
     url: str
     app_id: str
@@ -113,6 +113,8 @@ class ProbeTarget:
         problem = request_url_problem(self.url)
         if problem is not None:
             raise ValueError(f"{problem}: {self.url!r}")
+        if not (isinstance(self.app_id, str) and self.app_id):
+            raise ValueError(f"app_id {self.app_id!r} is not a non-empty string")
 
 
 # --- probe ----------------------------------------------------------------
@@ -376,6 +378,11 @@ class LeakRecord:
     locus: str  # header name, or "body"
 
     def __post_init__(self) -> None:
+        for name, value in (("software", self.software), ("locus", self.locus)):
+            if not (isinstance(value, str) and value):
+                raise ValueError(f"{name} {value!r} is not a non-empty string")
+        if not (self.version is None or isinstance(self.version, str)):
+            raise ValueError(f"version {self.version!r} is not a string or None")
         if self.category is LeakCategory.VERSION and not self.version:
             raise ValueError("version leak records must carry a version")
 

@@ -1,9 +1,11 @@
 """Aggregate views over snapshots: prevalence, leak counts, HSTS posture,
 and the smell-count vs maintenance-scenario matrix.
 
-All aggregations are pure tabulations over stored findings; display
-percentages round half-up to integers while machine output keeps full
-precision.
+Each table counts what the entries store and detects nothing again: the
+findings and leak records, the first exchange's body format (for a target
+that declares none), and whether an https first exchange was answered.
+Display percentages round half-up to integers while machine output keeps
+full precision.
 """
 
 from __future__ import annotations

@@ -397,7 +397,9 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         header = json.loads(line)
         snapshot_id = header["id"]
         taken_at = datetime.fromisoformat(header["taken_at"])
-        declared = int(header["entries"])
+        declared = header["entries"]
+        if type(declared) is not int:
+            raise ValueError(f"entries {declared!r} is not an integer")
         schema = header.get("schema", 1)
         if schema == 4:
             _check_keys("header", header, _HEADER_KEYS)

@@ -179,8 +179,8 @@ def _relocate_first_redirect(record: dict, url: str) -> None:
 
 # Changes to one record of SCHEMA4_ROUND1 that no writer makes, as
 # ``(record number, change, what the error says after "record N: ")``.
-# Record 1 has findings and leaks; record 11 stores its body as body_b64;
-# record 17 redirects once, to /json.
+# Record 0 is the header; record 1 has findings and leaks; record 11 stores
+# its body as body_b64; record 17 redirects once, to /json.
 SCHEMA4_CORRUPTIONS = {
     "redirect off the web": (
         17, lambda r: _move_first_redirect(r, "ftp://elsewhere/"),
@@ -225,6 +225,20 @@ SCHEMA4_CORRUPTIONS = {
     "body_b64 not strict base64": (
         11, lambda r: r["result"].update(body_b64="*!\n" + r["result"]["body_b64"]), "Only base64 data is allowed",
     ),
+    "leak software not a string": (
+        1, lambda r: r["report"]["leaks"][0].update(software=5), "software 5 is not a non-empty string",
+    ),
+    "leak locus not a string": (
+        1, lambda r: r["report"]["leaks"][0].update(locus=["server"]), r"locus \['server'\] is not a non-empty string",
+    ),
+    "leak version not a string": (
+        1, lambda r: r["report"]["leaks"][1].update(version=1.14), "version 1.14 is not a string or None",
+    ),
+    "target app_id not a string": (
+        1, lambda r: r["result"]["target"].update(app_id={"id": 0}), r"app_id \{'id': 0\} is not a non-empty string",
+    ),
+    "header entries a string": (0, lambda h: h.update(entries="43"), r"bad header \(entries '43' is not an integer\)"),
+    "header entries a float": (0, lambda h: h.update(entries=43.5), r"bad header \(entries 43\.5 is not an integer\)"),
 }
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import importlib
 import json
 import os
 import random
@@ -16,7 +15,7 @@ import pytest
 
 import smellprobe
 
-from smellprobe import cli
+from smellprobe import cli, model
 from smellprobe.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.model import BodyFormat, Locus, SmellFinding, SmellKind
@@ -185,6 +184,29 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == smellprobe.__version__
+
+
+def test_version_is_written_once():
+    """Snapshots and the User-Agent take the version from the package root."""
+    assert model.TOOL_VERSION is smellprobe.__version__
+    package = Path(smellprobe.__file__).parent
+    literal = f'"{smellprobe.__version__}"'
+    assert [path.name for path in sorted(package.rglob("*.py")) if literal in path.read_text()] == ["__init__.py"]
+
+
+def test_readme_library_example_runs(tmp_path, healthy_endpoint):
+    """The README's "Library use" block, run as it stands on a one-row corpus."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    block = section[section.index("```python\n") + len("```python\n"):section.index("```\n\n")]
+    write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    smells = ["insecure_transport", "lack_of_access_control", "missing_https_redirect", "version_disclosure"]
+    assert done.stdout == f"{healthy_endpoint.url('/')} {smells}\n"
 
 
 def test_diff_between_two_scans(tmp_path, endpoints, library, capsys):
@@ -464,21 +486,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint,
     assert loaded & COMMAND_SHUNS[command] == set()
 
 
-def test_package_names_load_their_home_module_on_first_use():
-    assert own_modules(loaded_modules("import smellprobe")) == set()
-    assert own_modules(loaded_modules("from smellprobe import diff_snapshots")) == {
-        "data", "maintenance", "model", "snapshot", "versions",
-    }
-    names = {}
-    exec("from smellprobe import *", names)
-    assert set(smellprobe.__all__) <= set(names)
-    for name in smellprobe.__all__:
-        value = getattr(smellprobe, name)
-        home = importlib.import_module(value.__module__)
-        assert getattr(home, name) is value is names[name]
-        assert home.__name__.startswith("smellprobe.")
-    with pytest.raises(AttributeError):
-        smellprobe.no_such_name
+def test_importing_the_package_loads_no_module():
+    assert own_modules(loaded_modules("import smellprobe\nassert smellprobe.__version__")) == set()
 
 
 # --- streaming scan, diff and report ---------------------------------------------
@@ -716,7 +725,9 @@ def test_header_without_utc_offset_is_corrupt(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["diff", "report"])
 @pytest.mark.parametrize("name", ["redirect off the web", "redirect to another host", "extra record key",
                                   "extra first exchange key", "extra finding key", "header value not a string",
-                                  "body_b64 not strict base64"])
+                                  "body_b64 not strict base64", "leak software not a string",
+                                  "leak locus not a string", "target app_id not a string",
+                                  "header entries a string"])
 def test_record_no_writer_makes_is_corrupt(tmp_path, capsys, command, name):
     first, message = corrupt_schema4_round1(tmp_path, name)
     second = SCHEMA4_ROUND1.with_name("round2.smellsnap.jsonl")
@@ -726,6 +737,43 @@ def test_record_no_writer_makes_is_corrupt(tmp_path, capsys, command, name):
     assert re.search(message, captured.err), captured.err
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == [first.name]
+
+
+# Values a JSON leaf can be swapped for: one of each JSON type, and the
+# empty and nested forms that a reader might take for absent or hashable.
+SWAP_VALUES = (None, True, 0, -1, 1.5, "", "x", [], {}, [[1]])
+
+
+def json_leaves(value, path=()):
+    """The path of each leaf of a JSON value: a scalar, an empty list or an empty object."""
+    if isinstance(value, (dict, list)) and value:
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_leaves(child, (*path, key))
+    else:
+        yield path
+
+
+def test_swapped_leaf_makes_diff_and_report_exit_0_or_3(tmp_path):
+    """200 seeded swaps of one leaf of the header or of three records: each is read or refused."""
+    lines = SCHEMA4_ROUND1.read_text(encoding="utf-8").splitlines()
+    second = SCHEMA4_ROUND1.with_name("round2.smellsnap.jsonl")
+    swaps = [
+        (number, path, value)
+        for number in (0, 1, 11, 17)
+        for path in json_leaves(json.loads(lines[number]))
+        for value in SWAP_VALUES
+    ]
+    first = tmp_path / SCHEMA4_ROUND1.name
+    for number, path, value in random.Random(1).sample(swaps, 200):
+        data = json.loads(lines[number])
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        first.write_text("\n".join([*lines[:number], json.dumps(data), *lines[number + 1:]]) + "\n", encoding="utf-8")
+        for args in (["diff", str(first), str(second), "--out", str(tmp_path / "m.jsonl")],
+                     ["report", str(first), str(second), "--out-dir", str(tmp_path / "r")]):
+            assert run(args) in (EXIT_OK, EXIT_IO), (number, path, value)
 
 
 # --- hostile responses -------------------------------------------------------------
