@@ -89,18 +89,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _bad_ca_bundle(path: str, exc: OSError) -> UsageError:
+    return UsageError(f"--ca-bundle {path}: {exc.strerror or exc}")
+
+
 def _probe_config(args: argparse.Namespace) -> ProbeConfig:
     """The scan's ProbeConfig: each probe flag not given keeps its field default."""
     from .probe import ProbeConfig
 
     if args.ca_bundle is not None:
-        # Checked here, not when the first https exchange loads it, so a bad
-        # path fails the scan once instead of failing every https URL.
+        # Checked here, before the corpus is read, so a bad path fails even a
+        # dry run or an http-only scan; a readable file that holds no
+        # certificate fails when probe_each loads it, before any request.
         try:
             with open(args.ca_bundle, "rb"):
                 pass
         except OSError as exc:
-            raise UsageError(f"--ca-bundle {args.ca_bundle}: {exc.strerror or exc}") from None
+            raise _bad_ca_bundle(args.ca_bundle, exc) from None
     flags = {f.name: getattr(args, f.name) for f in fields(ProbeConfig)}
     try:
         return ProbeConfig(**{name: value for name, value in flags.items() if value is not None})
@@ -149,8 +154,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .smells import detect_all
     from .snapshot import SnapshotEntry, SnapshotSpool
 
-    # The spool opens before the first request, so an --out that cannot be
-    # written fails the scan before it probes anything.
+    # probe_each loads the trust store of an https scan, and the spool opens,
+    # before the first request, so a --ca-bundle without a certificate or an
+    # --out that cannot be written fails the scan before it probes anything.
+    try:
+        results = probe_each(loaded.targets, cfg)
+    except OSError as exc:  # the system store loads without error, even an empty one
+        raise _bad_ca_bundle(args.ca_bundle, exc) from None
     try:
         spool = SnapshotSpool(args.out)
     except OSError as exc:
@@ -159,7 +169,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     tally = {kind: 0 for kind in SmellKind}
     failed = 0
     with spool:
-        results = probe_each(loaded.targets, cfg)
         try:
             for _, chain in results:
                 result = chain.result

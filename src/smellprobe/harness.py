@@ -75,6 +75,10 @@ _POLL_INTERVAL = 0.02
 
 class _FixtureServer(ThreadingHTTPServer):
     daemon_threads = True
+    # socketserver's listen backlog of 5 overflows when a scan's default 16
+    # workers connect at once, and each refused SYN waits a second for its
+    # retransmit.
+    request_queue_size = 128
     endpoint: "FixtureEndpoint"
     fixture_scheme: str
 

@@ -364,6 +364,9 @@ class SmellFinding:
     def __post_init__(self) -> None:
         if not self.evidence:
             raise ValueError("finding needs at least one piece of evidence")
+        for _, excerpt in self.evidence:
+            if not isinstance(excerpt, str):
+                raise ValueError(f"evidence excerpt {excerpt!r} is not a string")
         allowed = SUBFLAG_VOCABULARY[self.kind]
         stray = self.subflags - allowed
         if stray:

@@ -8,10 +8,15 @@ Each exchange is a ``ProbeResult`` and each probe a ``RedirectChain``; both
 live in ``smellprobe.model``.
 
 The TLS client context (the trust store and the validation settings) is the
-one exception: it is built once per ``ProbeConfig``, the first time an https
-exchange needs it, and shared by every worker, redirect hop and retry of the
-scan.  It carries no connection state: each exchange still does a full
-handshake on a fresh connection, with no session resumption.
+one exception: it is built once per ``ProbeConfig`` and shared by every
+worker, redirect hop and retry of the scan.  ``probe_each`` builds it on the
+calling thread before its workers start when any target is https, so a trust
+store that cannot be loaded fails the call before any request, and the
+store's certificates are allocated outside the workers' malloc arenas.
+Otherwise the first https exchange builds it: an http target redirected to
+https, or a direct ``probe_and_follow`` call.  It carries no connection
+state: each exchange still does a full handshake on a fresh connection, with
+no session resumption.
 
 A failed exchange is looked up once in ``_failure_table``, an ordered list of
 ``(exception type, stored reason, retryable)`` rows where the first match
@@ -64,9 +69,10 @@ class ProbeConfig:
     system store (how tests pin their fixture certificate).  Certificate
     validation itself is always on and never downgraded.
 
-    tls_context is built from these settings on first https use and then
-    shared by all workers of the scan; connections and TLS sessions are still
-    fresh for every exchange.
+    tls_context is built from these settings once, by ``probe_each`` before
+    its workers start when a target is https, else on first https use, and
+    then shared by all workers of the scan; connections and TLS sessions are
+    still fresh for every exchange.
     """
 
     connect_timeout: float = 10.0
@@ -104,8 +110,13 @@ class ProbeConfig:
         """The client context shared by every https exchange under this config.
 
         Loading the trust store costs tens of milliseconds of CPU, so it is
-        done once and lazily: a dry run or a plain-http scan never pays it.
-        It is not a dataclass field, so it stays out of eq, hash and repr.
+        done once and only for https: a dry run or a plain-http scan never
+        pays it.  ``probe_each`` reads it before its workers start when a
+        target is https; an http target redirected to https, or a direct
+        ``probe_and_follow`` call, builds it on first use, under a lock.  A
+        trust store that cannot be loaded raises ``OSError`` (``ssl.SSLError``
+        for a bundle that holds no certificate).  It is not a dataclass
+        field, so it stays out of eq, hash and repr.
         """
         with _TLS_CONTEXT_LOCK:
             context = self.__dict__.get("_tls_context")
@@ -237,6 +248,11 @@ def probe_each(
 ) -> Iterator[tuple[int, RedirectChain]]:
     """Probe every target; yield ``(corpus index, chain)`` as each finishes.
 
+    The call itself imports ``http.client`` and, when any target is https,
+    builds ``cfg.tls_context`` on the calling thread, so a trust store that
+    cannot be loaded raises its ``OSError`` here, before any worker starts
+    or any request is sent.  The workers start on the first ``next``.
+
     cfg.parallelism worker threads (fewer for a shorter corpus) take
     ``(index, target)`` pairs from one queue and put ``(index, chain)`` on
     another.  At most 2 x parallelism targets are handed out and not yet
@@ -247,6 +263,21 @@ def probe_each(
     embedded in the chains, never raised; any other exception in a worker is
     raised again here.
     """
+    # Loaded here, on the calling thread, these long-lived objects go to its
+    # malloc arena; loaded by the first worker to need them, they would grow
+    # that worker's own arena by as much.
+    import http.client  # noqa: F401 - and ssl with it
+
+    if any(urlsplit(target.url).scheme == "https" for target in corpus):
+        cfg.tls_context  # noqa: B018 - built now, raising here if it cannot be
+    return _probe_each(corpus, cfg)
+
+
+def _probe_each(
+    corpus: list[ProbeTarget] | tuple[ProbeTarget, ...],
+    cfg: ProbeConfig,
+) -> Iterator[tuple[int, RedirectChain]]:
+    """The generator ``probe_each`` returns once the set-up is done."""
     window = 2 * cfg.parallelism
     queued = iter(enumerate(corpus))
     todo: SimpleQueue = SimpleQueue()

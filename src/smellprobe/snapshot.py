@@ -126,8 +126,20 @@ def _target_from_dict(data: dict, url: str) -> ProbeTarget:
         url=url,
         app_id=data["app_id"],
         source_model=SourceModel(data["source_model"]),
-        declared_format=DeclaredFormat(declared) if declared else None,
+        declared_format=None if declared is None else DeclaredFormat(declared),
     )
+
+
+def _array(value: object, what: str) -> list:
+    """``value`` if it is a JSON array, as every writer stores each sequence; else TypeError."""
+    if type(value) is not list:
+        raise TypeError(f"{what} is {type(value).__name__}, not a list")
+    return value
+
+
+def _pairs(value: object, what: str) -> tuple[tuple, ...]:
+    """A JSON array of two-item arrays, such as ``headers``, as a tuple of pairs."""
+    return tuple((a, b) for a, b in (_array(item, f"{what} item") for item in _array(value, what)))
 
 
 # The ASCII bytes a JSON string holds as they are.  The quote, the backslash,
@@ -179,7 +191,7 @@ def _result_from_dict(data: dict, target: ProbeTarget, url: str) -> ProbeResult:
         url=url,
         timestamp=datetime.fromisoformat(data["timestamp"]),
         status=data["status"],
-        headers=tuple((n, v) for n, v in data["headers"]),
+        headers=_pairs(data["headers"], "headers"),
         body_sample=_body_from_dict(data),
         transport_error=data["transport_error"],
     )
@@ -232,10 +244,10 @@ def _report_from_dict(data: dict) -> SmellReport:
     findings = tuple(
         SmellFinding(
             kind=SmellKind(f["kind"]),
-            evidence=tuple((Locus(locus), excerpt) for locus, excerpt in f["evidence"]),
-            subflags=frozenset(f["subflags"]),
+            evidence=tuple((Locus(locus), text) for locus, text in _pairs(f["evidence"], "evidence")),
+            subflags=frozenset(_array(f["subflags"], "subflags")),
         )
-        for f in data["findings"]
+        for f in _array(data["findings"], "findings")
     )
     leaks = tuple(
         LeakRecord(
@@ -244,7 +256,7 @@ def _report_from_dict(data: dict) -> SmellReport:
             version=leak["version"],
             locus=leak["locus"],
         )
-        for leak in data["leaks"]
+        for leak in _array(data["leaks"], "leaks")
     )
     return SmellReport(findings=findings, leaks=leaks)
 
@@ -403,6 +415,9 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         schema = header.get("schema", 1)
         if schema == 4:
             _check_keys("header", header, _HEADER_KEYS)
+        for key in ("id", "tool_version"):
+            if not isinstance(header[key], str):
+                raise ValueError(f"{key} {header[key]!r} is not a string")
     except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
     if type(schema) is not int or schema not in range(1, SCHEMA + 1):
@@ -435,8 +450,8 @@ def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
     if schema == 1:
         chain = _v1_chain(result, data["chain"])
     else:
-        redirects = (_result_from_dict(e, target, e["url"]) for e in data["redirects"])
-        chain = RedirectChain((result, *redirects))
+        redirects = _array(data["redirects"], "redirects")
+        chain = RedirectChain((result, *(_result_from_dict(e, target, e["url"]) for e in redirects)))
     if schema <= 3:
         for what, stored, derived in _stored_copies(data, chain, schema):
             if stored != derived:

@@ -239,6 +239,29 @@ SCHEMA4_CORRUPTIONS = {
     ),
     "header entries a string": (0, lambda h: h.update(entries="43"), r"bad header \(entries '43' is not an integer\)"),
     "header entries a float": (0, lambda h: h.update(entries=43.5), r"bad header \(entries 43\.5 is not an integer\)"),
+    "header id a number": (0, lambda h: h.update(id=5), r"bad header \(id 5 is not a string\)"),
+    "header tool_version null": (
+        0, lambda h: h.update(tool_version=None), r"bad header \(tool_version None is not a string\)",
+    ),
+    "evidence excerpt a list": (
+        1, lambda r: r["report"]["findings"][0].update(evidence=[["url", ["x", 5]]]),
+        r"evidence excerpt \['x', 5\] is not a string",
+    ),
+    "evidence item an object": (
+        1, lambda r: r["report"]["findings"][0].update(evidence=[{"url": 1, "x": 2}]),
+        "evidence item is dict, not a list",
+    ),
+    "declared_format zero": (
+        1, lambda r: r["result"]["target"].update(declared_format=0), "0 is not a valid DeclaredFormat",
+    ),
+    "redirects a string": (1, lambda r: r.update(redirects=""), "redirects is str, not a list"),
+    "headers an object": (1, lambda r: r["result"].update(headers={}), "headers is dict, not a list"),
+    "header item a string": (1, lambda r: r["result"].update(headers=["ab"]), "headers item is str, not a list"),
+    "findings a string": (1, lambda r: r["report"].update(findings=""), "findings is str, not a list"),
+    "subflags an object": (
+        1, lambda r: r["report"]["findings"][1].update(subflags={}), "subflags is dict, not a list",
+    ),
+    "leaks a string": (1, lambda r: r["report"].update(leaks=""), "leaks is str, not a list"),
 }
 
 

@@ -92,17 +92,21 @@ def test_dry_run_lists_without_probing(tmp_path, healthy_endpoint, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
-@pytest.mark.parametrize("bundle", ["missing.pem", "."])
+@pytest.mark.parametrize("bundle", ["missing.pem", ".", "no-certificate.pem"])
 def test_unreadable_ca_bundle_is_usage_error(tmp_path, endpoints, library, capsys, bundle):
+    """A bundle that cannot be read, or that is read and holds no certificate, fails the scan
+    once, before any request."""
     ep = endpoints(library.profile("https_no_hsts"))
     corpus = write_corpus(tmp_path, [ep.url("/"), ep.url("/other")])
+    (tmp_path / "no-certificate.pem").write_text("no PEM block here\n", encoding="utf-8")
     path = str(tmp_path / bundle)
     out = tmp_path / "s.jsonl"
     code = run(scan_args(corpus, out, extra=["--ca-bundle", path]))
     assert code == EXIT_USAGE
-    assert path in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"usage error: --ca-bundle {path}: ")
     assert ep.requests == []
-    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "no-certificate.pem"]
 
 
 def test_scan_writes_rejects_file(tmp_path, healthy_endpoint, capsys):
@@ -632,6 +636,29 @@ def test_scan_interrupted_at_random_moments_exits_and_keeps_previous_snapshot(tm
         assert child.returncode != EXIT_OK
         assert out.read_bytes() == b"the previous snapshot\n"
         assert sorted(p.name for p in work.iterdir()) == ["corpus.csv", out.name]
+
+
+def test_snapshot_does_not_depend_on_parallelism_or_corpus_order(tmp_path, endpoints, library):
+    """A fixture-library scan writes the same bytes, timestamps masked, at 1 and 16 workers
+    and with its corpus rows shuffled."""
+    spawned = [endpoints(profile) for profile in library.profiles.values()]
+    rows = [f"{ep.url('/')},app-{i},open_source," for i, ep in enumerate(spawned)]
+    shuffled = random.Random(23).sample(rows, len(rows))
+    assert shuffled != rows
+    bundle = next(ep.ca_file for ep in spawned if ep.ca_file)
+    snapshots = []
+    for name, order, workers in (("one", rows, 1), ("many", rows, 16), ("shuffled", shuffled, 16)):
+        corpus = tmp_path / f"{name}.csv"
+        corpus.write_text("\n".join(["url,app_id,source_model,declared_format", *order]) + "\n",
+                          encoding="utf-8")
+        out = tmp_path / f"{name}.smellsnap.jsonl"
+        code = run(scan_args(corpus, out, extra=["--ca-bundle", bundle, "--parallelism", str(workers),
+                                                 "--id", "library"]))
+        assert code == EXIT_PARTIAL  # the endpoints that start down refuse
+        snapshots.append(SCAN_TIMES.sub(b"T", out.read_bytes()))
+    assert snapshots[0].count(b"\n") == len(spawned) + 1
+    assert snapshots[1] == snapshots[0]
+    assert snapshots[2] == snapshots[0]
 
 
 def test_slow_first_url_does_not_hold_up_the_rest(tmp_path, endpoints):

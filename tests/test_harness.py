@@ -7,7 +7,7 @@ from urllib.parse import urlsplit
 
 from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.model import SmellKind
-from smellprobe.probe import probe_and_follow
+from smellprobe.probe import probe_and_follow, probe_each
 
 from helpers import fast_cfg, make_target
 
@@ -112,6 +112,18 @@ def test_request_log_records_host_and_path(endpoints):
     assert len(ep.requests) == 1
     assert ep.requests[0].path == "/x"
     assert ep.requests[0].host == f"127.0.0.1:{ep.port('http')}"
+
+
+def test_endpoint_takes_a_default_scan_without_waiting_on_its_listen_queue(endpoints):
+    """16 workers connecting at once fit the listen backlog; a 5-slot queue overflows and
+    each refused connection waits a second for its SYN retransmit."""
+    ep = endpoints(FixtureProfile(name="many", routes={f"/u{i}": RouteSpec(body=b"ok") for i in range(40)}))
+    corpus = [make_target(ep.url(f"/u{i}"), app_id=f"a{i}") for i in range(40)]
+    started = time.monotonic()
+    chains = [chain for _, chain in probe_each(corpus, fast_cfg(parallelism=16))]
+    elapsed = time.monotonic() - started
+    assert [chain.terminal.status for chain in chains] == [200] * 40
+    assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
 def test_placeholder_expansion(endpoints):

@@ -755,6 +755,39 @@ class TestSharedTlsContext:
         assert len(ep.requests) == 10
         assert context_builds == [ep.ca_file]
 
+    def test_https_scan_builds_context_on_calling_thread_before_any_request(self, endpoints,
+                                                                            monkeypatch):
+        ep = endpoints(hop_profile(2))
+        https = endpoints(FixtureProfile(name="tls", schemes=("https",), routes=hop_profile(1).routes))
+        builds = []
+        real = ssl.create_default_context
+
+        def recording(*args, **kwargs):
+            builds.append((threading.get_ident(), len(ep.requests) + len(https.requests)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ssl, "create_default_context", recording)
+        corpus = [make_target(ep.url("/hop/1"), app_id="a"), make_target(https.url("/hop/1"))]
+        pairs = probe_all(corpus, fast_cfg(ca_bundle=https.ca_file, parallelism=2))
+        assert [chain.terminal.status for _, chain in pairs] == [200, 200]
+        assert builds == [(threading.get_ident(), 0)]
+
+    def test_http_target_redirected_to_https_builds_context_on_first_use(self, endpoints, library,
+                                                                         context_builds):
+        ep = endpoints(library.profile("http_upgrade_redirect"))
+        pairs = probe_all([make_target(ep.url("/", scheme="http"))], fast_cfg(ca_bundle=ep.ca_file))
+        assert [(chain.result.status, chain.terminal.status) for _, chain in pairs] == [(301, 200)]
+        assert context_builds == [ep.ca_file]
+
+    def test_bundle_without_certificate_fails_the_call_before_any_request(self, tmp_path,
+                                                                          endpoints, library):
+        ep = endpoints(library.profile("https_no_hsts"))
+        bundle = tmp_path / "no-certificate.pem"
+        bundle.write_text("no PEM block here\n", encoding="utf-8")
+        with pytest.raises(ssl.SSLError):
+            probe.probe_each([make_target(ep.url("/"))], fast_cfg(ca_bundle=str(bundle)))
+        assert ep.requests == []
+
     def test_http_only_scan_builds_no_context(self, endpoints, context_builds):
         ep = endpoints(hop_profile(2))
         corpus = [make_target(ep.url("/hop/1"), app_id="a"), make_target(ep.url("/final"))]
