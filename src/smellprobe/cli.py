@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING
 # Each command imports the modules it runs when it starts, so diff and report
 # load no probe or detector code, and a dry run no detector or snapshot code.
 if TYPE_CHECKING:
-    from .corpus import LoadResult
     from .maintenance import MaintenanceRecord
     from .probe import ProbeConfig
 
@@ -45,9 +44,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="probe a corpus and write a snapshot")
-    scan.add_argument("--corpus", required=True, help="corpus file (csv or jsonl)")
-    scan.add_argument("--corpus-format", choices=["csv", "jsonl"], default=None,
-                      help="corpus format (default: by file extension)")
+    scan.add_argument("--corpus", required=True,
+                      help="corpus file: JSONL if named *.jsonl or *.ndjson, else CSV")
     scan.add_argument("--out", required=True, help="snapshot output path (.smellsnap.jsonl)")
     scan.add_argument("--id", default=None, help="snapshot id (default: output file stem)")
     scan.add_argument("--rejects", default=None,
@@ -75,8 +73,8 @@ def _build_parser() -> _Parser:
 
     diff = sub.add_parser("diff", help="classify changes between two snapshots")
     diff.add_argument("snapshots", nargs=2, metavar="SNAPSHOT")
-    diff.add_argument("--out", required=True, help="maintenance records output path")
-    diff.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
+    diff.add_argument("--out", required=True,
+                      help="maintenance records output path: CSV if named *.csv, else JSONL")
 
     report = sub.add_parser("report", help="aggregate one or two snapshots into tables")
     report.add_argument("snapshots", nargs="+", metavar="SNAPSHOT")
@@ -84,7 +82,6 @@ def _build_parser() -> _Parser:
     report.add_argument("--format", choices=["csv", "json"], default="csv")
     report.add_argument("--corpus", default=None,
                         help="corpus file for group denominators (default: derived from snapshot)")
-    report.add_argument("--corpus-format", choices=["csv", "jsonl"], default=None)
 
     return parser
 
@@ -99,8 +96,8 @@ def _probe_config(args: argparse.Namespace) -> ProbeConfig:
 
     if args.ca_bundle is not None:
         # Checked here, before the corpus is read, so a bad path fails even a
-        # dry run or an http-only scan; a readable file that holds no
-        # certificate fails when probe_each loads it, before any request.
+        # dry run; a readable file that holds no certificate fails when
+        # probe_each loads it, before any request.
         try:
             with open(args.ca_bundle, "rb"):
                 pass
@@ -113,20 +110,12 @@ def _probe_config(args: argparse.Namespace) -> ProbeConfig:
         raise UsageError(str(exc)) from None
 
 
-def _load_corpus(args: argparse.Namespace) -> LoadResult:
-    """``--corpus`` read as ``--corpus-format`` says, or as its extension says."""
-    from .corpus import load_targets
-
-    default = "jsonl" if args.corpus.endswith((".jsonl", ".ndjson")) else "csv"
-    return load_targets(args.corpus, format=args.corpus_format or default)
-
-
 def _cmd_scan(args: argparse.Namespace) -> int:
-    from .corpus import write_rejects
+    from .corpus import load_targets, write_rejects
 
     cfg = _probe_config(args)
     try:
-        loaded = _load_corpus(args)
+        loaded = load_targets(args.corpus)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -154,9 +143,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .smells import detect_all
     from .snapshot import SnapshotEntry, SnapshotSpool
 
-    # probe_each loads the trust store of an https scan, and the spool opens,
-    # before the first request, so a --ca-bundle without a certificate or an
-    # --out that cannot be written fails the scan before it probes anything.
+    # probe_each loads any --ca-bundle, and the spool opens, before the first
+    # request, so a --ca-bundle without a certificate or an --out that cannot
+    # be written fails the scan before it probes anything.
     try:
         results = probe_each(loaded.targets, cfg)
     except OSError as exc:  # the system store loads without error, even an empty one
@@ -204,21 +193,17 @@ def _record_to_dict(record: MaintenanceRecord) -> dict:
     }
 
 
-def write_maintenance_records(records, path: str | Path, format: str = "jsonl") -> int:
+def write_maintenance_records(records, path: str | Path) -> int:
     """Write the records as they come, replacing ``path`` only once all are written.
 
-    Returns how many were written.  If ``records`` raises, ``path`` is left
-    as it was.
+    A ``path`` named ``*.csv`` gets CSV, any other JSONL.  Returns how many were
+    written.  If ``records`` raises, ``path`` is left as it was.
     """
     from .snapshot import replacing
 
     count = 0
     with replacing(path) as fh:
-        if format == "jsonl":
-            for count, record in enumerate(records, start=1):
-                fh.write(json.dumps(_record_to_dict(record), sort_keys=True))
-                fh.write("\n")
-        else:
+        if str(path).endswith(".csv"):
             columns = ["url", "scenario", "unclassifiable_reason", "before", "after", "annotations"]
             writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
             writer.writeheader()
@@ -226,6 +211,10 @@ def write_maintenance_records(records, path: str | Path, format: str = "jsonl") 
                 data = _record_to_dict(record)
                 data["annotations"] = "|".join(record.annotations)
                 writer.writerow(data)
+        else:
+            for count, record in enumerate(records, start=1):
+                fh.write(json.dumps(_record_to_dict(record), sort_keys=True))
+                fh.write("\n")
     return count
 
 
@@ -254,7 +243,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             if rounds is None:
                 return EXIT_USAGE
             try:
-                count = write_maintenance_records(diff_entries(*rounds), args.out, args.format)
+                count = write_maintenance_records(diff_entries(*rounds), args.out)
             except OSError as exc:
                 print(f"error: cannot write records: {exc}", file=sys.stderr)
                 return EXIT_IO
@@ -277,13 +266,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
             rounds = _open_rounds(stack, args.snapshots)
             if rounds is None:
                 return EXIT_USAGE
-            corpus = _load_corpus(args).targets if args.corpus else None
+            corpus = None
+            if args.corpus:
+                from .corpus import load_targets
+
+                corpus = load_targets(args.corpus).targets
             tables, records = tabulate(*rounds, corpus=corpus)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, table in tables.items():
             export(table, out_dir / f"{name}.{args.format}", args.format)
         if records is not None:
-            write_maintenance_records(records, out_dir / "maintenance.jsonl", "jsonl")
+            write_maintenance_records(records, out_dir / "maintenance.jsonl")
     except (OSError, ValueError, SnapshotIntegrityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

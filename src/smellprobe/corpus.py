@@ -2,8 +2,8 @@
 
 Accepted inputs are CSV with a ``url,app_id,source_model,declared_format``
 header or JSONL with the same keys, in UTF-8 with or without a byte-order
-mark.  Rows that fail validation are kept in a rejects list, never dropped
-silently.
+mark, told apart by file name (``load_targets``).  Rows that fail validation
+are kept in a rejects list, never dropped silently.
 """
 
 from __future__ import annotations
@@ -125,16 +125,14 @@ def _iter_jsonl(path: Path):
                 yield RejectedRow(row=raw, reason="row is not an object")
 
 
-def load_targets(path: str | Path, format: str = "csv") -> LoadResult:
-    """Load and deduplicate a corpus file.
+def load_targets(path: str | Path) -> LoadResult:
+    """Load and deduplicate a corpus file: JSONL if named ``*.jsonl`` or ``*.ndjson``, else CSV.
 
     Duplicate URLs (scheme and host compared case-insensitively) collapse
     onto the first occurrence.  Returns targets, rejects, and the number
     of collapsed duplicates; the three always sum to the input row count.
     """
     path = Path(path)
-    if format not in ("csv", "jsonl"):
-        raise ValueError(f"unknown corpus format: {format!r}")
     if not path.is_file():
         raise FileNotFoundError(f"corpus file not found: {path}")
 
@@ -143,7 +141,7 @@ def load_targets(path: str | Path, format: str = "csv") -> LoadResult:
     seen: set[str] = set()
     collapsed = 0
 
-    for row in _iter_csv(path) if format == "csv" else _iter_jsonl(path):
+    for row in _iter_jsonl(path) if path.name.endswith((".jsonl", ".ndjson")) else _iter_csv(path):
         if isinstance(row, RejectedRow):
             rejects.append(row)
             continue

@@ -1,9 +1,9 @@
 """The packaged JSON tables: detector patterns, body banners and name dictionaries."""
 
 import json
-from importlib import resources
+from pathlib import Path
 
 
 def load_table(name: str) -> dict:
-    with resources.files(__name__).joinpath(name).open("r", encoding="utf-8") as fh:
+    with Path(__file__).with_name(name).open("r", encoding="utf-8") as fh:
         return json.load(fh)

@@ -10,13 +10,13 @@ live in ``smellprobe.model``.
 The TLS client context (the trust store and the validation settings) is the
 one exception: it is built once per ``ProbeConfig`` and shared by every
 worker, redirect hop and retry of the scan.  ``probe_each`` builds it on the
-calling thread before its workers start when any target is https, so a trust
-store that cannot be loaded fails the call before any request, and the
-store's certificates are allocated outside the workers' malloc arenas.
-Otherwise the first https exchange builds it: an http target redirected to
-https, or a direct ``probe_and_follow`` call.  It carries no connection
-state: each exchange still does a full handshake on a fresh connection, with
-no session resumption.
+calling thread before its workers start when a ``ca_bundle`` is given or any
+target is https, so a trust store that cannot be loaded fails the call before
+any request, and the store's certificates are allocated outside the workers'
+malloc arenas.  Otherwise the first https exchange builds it (a redirect to
+https with the system store, or a direct ``probe_and_follow`` call).  It
+carries no connection state: each exchange still does a full handshake on a
+fresh connection, with no session resumption.
 
 A failed exchange is looked up once in ``_failure_table``, an ordered list of
 ``(exception type, stored reason, retryable)`` rows where the first match
@@ -70,9 +70,9 @@ class ProbeConfig:
     validation itself is always on and never downgraded.
 
     tls_context is built from these settings once, by ``probe_each`` before
-    its workers start when a target is https, else on first https use, and
-    then shared by all workers of the scan; connections and TLS sessions are
-    still fresh for every exchange.
+    its workers start when ca_bundle is given or a target is https, else on
+    first https use, and then shared by all workers of the scan; connections
+    and TLS sessions are still fresh for every exchange.
     """
 
     connect_timeout: float = 10.0
@@ -111,12 +111,12 @@ class ProbeConfig:
 
         Loading the trust store costs tens of milliseconds of CPU, so it is
         done once and only for https: a dry run or a plain-http scan never
-        pays it.  ``probe_each`` reads it before its workers start when a
-        target is https; an http target redirected to https, or a direct
-        ``probe_and_follow`` call, builds it on first use, under a lock.  A
-        trust store that cannot be loaded raises ``OSError`` (``ssl.SSLError``
-        for a bundle that holds no certificate).  It is not a dataclass
-        field, so it stays out of eq, hash and repr.
+        pays it.  ``probe_each`` reads it before its workers start when
+        ca_bundle is given or a target is https; otherwise the first https
+        exchange builds it, under a lock.  A trust store that cannot be loaded
+        raises ``OSError`` (``ssl.SSLError`` for a bundle that holds no
+        certificate).  It is not a dataclass field, so it stays out of eq,
+        hash and repr.
         """
         with _TLS_CONTEXT_LOCK:
             context = self.__dict__.get("_tls_context")
@@ -248,10 +248,11 @@ def probe_each(
 ) -> Iterator[tuple[int, RedirectChain]]:
     """Probe every target; yield ``(corpus index, chain)`` as each finishes.
 
-    The call itself imports ``http.client`` and, when any target is https,
-    builds ``cfg.tls_context`` on the calling thread, so a trust store that
-    cannot be loaded raises its ``OSError`` here, before any worker starts
-    or any request is sent.  The workers start on the first ``next``.
+    The call itself imports ``http.client`` and, when ``cfg.ca_bundle`` is
+    given or any target is https, builds ``cfg.tls_context`` on the calling
+    thread, so a trust store that cannot be loaded raises its ``OSError``
+    here, before any worker starts or any request is sent.  The workers start
+    on the first ``next``.
 
     cfg.parallelism worker threads (fewer for a shorter corpus) take
     ``(index, target)`` pairs from one queue and put ``(index, chain)`` on
@@ -268,7 +269,7 @@ def probe_each(
     # that worker's own arena by as much.
     import http.client  # noqa: F401 - and ssl with it
 
-    if any(urlsplit(target.url).scheme == "https" for target in corpus):
+    if cfg.ca_bundle is not None or any(urlsplit(t.url).scheme == "https" for t in corpus):
         cfg.tls_context  # noqa: B018 - built now, raising here if it cannot be
     return _probe_each(corpus, cfg)
 

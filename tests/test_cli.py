@@ -109,6 +109,21 @@ def test_unreadable_ca_bundle_is_usage_error(tmp_path, endpoints, library, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "no-certificate.pem"]
 
 
+def test_ca_bundle_without_certificate_fails_an_http_scan_redirected_to_https(tmp_path, endpoints,
+                                                                               library, capsys):
+    """The bundle is loaded once, before any request, even when only a redirect reaches https."""
+    ep = endpoints(library.profile("http_upgrade_redirect"))
+    corpus = write_corpus(tmp_path, [ep.url("/", scheme="http")])
+    bundle = tmp_path / "no-certificate.pem"
+    bundle.write_text("no PEM block here\n", encoding="utf-8")
+    code = run(scan_args(corpus, tmp_path / "s.jsonl", extra=["--ca-bundle", str(bundle)]))
+    assert code == EXIT_USAGE
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"usage error: --ca-bundle {bundle}: ")
+    assert ep.requests == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", "no-certificate.pem"]
+
+
 def test_scan_writes_rejects_file(tmp_path, healthy_endpoint, capsys):
     path = tmp_path / "corpus.csv"
     path.write_text(
@@ -165,6 +180,24 @@ def test_json_auth_heuristic_flag_is_gone(tmp_path, healthy_endpoint, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "report", "diff"])
+def test_format_flags_are_gone(tmp_path, healthy_endpoint, capsys, command):
+    """Each file's name decides its format; the flags that overrode it are usage errors."""
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    args, flag = {
+        "scan": (scan_args(corpus, tmp_path / "s.jsonl", extra=["--corpus-format", "csv"]),
+                 "--corpus-format"),
+        "report": (["report", *rounds, "--out-dir", str(tmp_path / "r"), "--corpus", str(corpus),
+                    "--corpus-format", "csv"], "--corpus-format"),
+        "diff": (["diff", *rounds, "--out", str(tmp_path / "m.csv"), "--format", "csv"], "--format"),
+    }[command]
+    assert run(args) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} csv" in capsys.readouterr().err
+    assert healthy_endpoint.requests == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv"]
+
+
 def test_scan_without_probe_flags_uses_config_defaults():
     args = cli._build_parser().parse_args(["scan", "--corpus", "c.csv", "--out", "s.jsonl"])
     assert cli._probe_config(args) == ProbeConfig()
@@ -173,7 +206,7 @@ def test_scan_without_probe_flags_uses_config_defaults():
 def test_probe_flags_match_config_fields_and_readme():
     """The scan parser, ProbeConfig and the README name the same probe settings."""
     scan = cli._build_parser()._subparsers._group_actions[0].choices["scan"]
-    other = {"-h", "--help", "--corpus", "--corpus-format", "--out", "--id", "--rejects", "--dry-run"}
+    other = {"-h", "--help", "--corpus", "--out", "--id", "--rejects", "--dry-run"}
     flags = {opt for action in scan._actions for opt in action.option_strings} - other
     settings = {"--" + f.name.replace("_", "-") for f in fields(ProbeConfig)}
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -237,7 +270,7 @@ def test_diff_csv_format(tmp_path, healthy_endpoint):
     run(scan_args(corpus, s1))
     run(scan_args(corpus, s2))
     out = tmp_path / "d.csv"
-    assert run(["diff", str(s1), str(s2), "--out", str(out), "--format", "csv"]) == EXIT_OK
+    assert run(["diff", str(s1), str(s2), "--out", str(out)]) == EXIT_OK
     header = out.read_text(encoding="utf-8").splitlines()[0]
     assert header == "url,scenario,unclassifiable_reason,before,after,annotations"
 
@@ -454,12 +487,13 @@ COMMAND_SHUNS = {
 }
 
 
-def loaded_modules(code: str, args=()) -> set[str]:
-    """Every module a child interpreter holds after running ``code``."""
+def loaded_modules(code: str, args=(), flags=()) -> set[str]:
+    """Every module a child interpreter, started with ``flags``, holds after running ``code``."""
     child = f"import sys\n{code}\nprint(' '.join(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *flags, "-c", child, *args], env=env, capture_output=True, text=True,
+        timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return set(done.stdout.splitlines()[-1].split())
@@ -488,6 +522,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint,
     loaded = loaded_modules(code, args)
     assert own_modules(loaded) == COMMAND_MODULES[command]
     assert loaded & COMMAND_SHUNS[command] == set()
+    # The data tables are read by path.  Only without site (-S) does that show:
+    # a .pth hook that site runs may import importlib.resources itself.
+    assert "importlib.resources" not in loaded_modules(code, args, flags=["-S"])
 
 
 def test_importing_the_package_loads_no_module():

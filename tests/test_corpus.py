@@ -30,7 +30,7 @@ def test_duplicate_urls_collapse_to_first(tmp_path):
             "http://api.example.com/v1,app-b,closed_source,",
         ],
     )
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert len(loaded.targets) == 1
     assert loaded.targets[0].app_id == "app-a"
     assert loaded.rejects == ()
@@ -39,7 +39,7 @@ def test_duplicate_urls_collapse_to_first(tmp_path):
 
 def test_unsupported_scheme_goes_to_rejects(tmp_path):
     path = write_csv(tmp_path, ["ftp://x,app-a,open_source,"])
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert loaded.targets == ()
     assert len(loaded.rejects) == 1
     assert loaded.rejects[0].reason == "unsupported scheme"
@@ -48,7 +48,7 @@ def test_unsupported_scheme_goes_to_rejects(tmp_path):
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert loaded.targets == ()
     assert loaded.rejects == ()
     assert loaded.duplicates_collapsed == 0
@@ -56,7 +56,7 @@ def test_empty_file(tmp_path):
 
 def test_header_only_file(tmp_path):
     path = write_csv(tmp_path, [])
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert loaded.targets == ()
     assert loaded.rejects == ()
 
@@ -70,8 +70,8 @@ def test_loading_is_idempotent(tmp_path):
             "not-a-url,app-c,open_source,",
         ],
     )
-    first = load_targets(path, format="csv")
-    second = load_targets(path, format="csv")
+    first = load_targets(path)
+    second = load_targets(path)
     assert first.targets == second.targets
     assert first.rejects == second.rejects
 
@@ -92,13 +92,13 @@ def test_row_conservation_randomized(tmp_path):
             rows.append(f"https://h{i}.example/p,app-{i},closed_source,json")
         expected_rows += 1
     path = write_csv(tmp_path, rows)
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert len(loaded.targets) + len(loaded.rejects) + loaded.duplicates_collapsed == expected_rows
 
 
 def test_scheme_and_host_lowercased_path_preserved(tmp_path):
     path = write_csv(tmp_path, ["HTTP://API.Example.COM/CaseSensitive?Q=1,app-a,open_source,"])
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert loaded.targets[0].url == "http://api.example.com/CaseSensitive?Q=1"
 
 
@@ -111,7 +111,7 @@ def test_dedup_key_ignores_host_case_only(tmp_path):
             "http://api.example.com/PATH,app-c,open_source,",
         ],
     )
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert len(loaded.targets) == 2
     assert loaded.duplicates_collapsed == 1
 
@@ -125,7 +125,7 @@ def test_jsonl_format(tmp_path):
         {"url": "bogus", "app_id": "app-c", "source_model": "open_source"},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-    loaded = load_targets(path, format="jsonl")
+    loaded = load_targets(path)
     assert len(loaded.targets) == 2
     assert loaded.targets[0].declared_format is DeclaredFormat.JSON
     assert loaded.targets[1].declared_format is None
@@ -133,10 +133,22 @@ def test_jsonl_format(tmp_path):
     assert loaded.rejects[0].reason == "url not absolute"
 
 
+def test_file_name_decides_the_format(tmp_path):
+    """A name ending in .jsonl or .ndjson is read as JSONL, any other as CSV."""
+    ndjson = tmp_path / "corpus.ndjson"
+    ndjson.write_text('{"url": "http://a.example/", "app_id": "app-a", "source_model": "open_source"}\n',
+                      encoding="utf-8")
+    txt = write_csv(tmp_path, ["http://a.example/,app-a,open_source,"], name="corpus.txt")
+    for path in (ndjson, txt):
+        loaded = load_targets(path)
+        assert [(t.url, t.app_id) for t in loaded.targets] == [("http://a.example/", "app-a")]
+        assert loaded.rejects == ()
+
+
 def test_jsonl_bad_json_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"url": "https://a.example/x", \n', encoding="utf-8")
-    loaded = load_targets(path, format="jsonl")
+    loaded = load_targets(path)
     assert loaded.targets == ()
     assert len(loaded.rejects) == 1
     assert loaded.rejects[0].reason.startswith("invalid json")
@@ -148,7 +160,7 @@ def test_jsonl_row_not_an_object_rejected(tmp_path):
              "[" * 100_000,
              '{"url": "https://c.example/", "app_id": "app-c", "source_model": "open_source"}']
     path.write_text("".join(f"  {line}\n" for line in lines), encoding="utf-8")
-    loaded = load_targets(path, format="jsonl")
+    loaded = load_targets(path)
     assert [t.url for t in loaded.targets] == ["https://c.example/"]
     assert [(r.row, r.reason) for r in loaded.rejects] == [
         (lines[0], "row is not an object"),
@@ -161,30 +173,24 @@ def test_jsonl_row_not_an_object_rejected(tmp_path):
 
 def test_missing_file_raises():
     with pytest.raises(FileNotFoundError):
-        load_targets("/nonexistent/corpus.csv", format="csv")
-
-
-def test_unknown_format_rejected(tmp_path):
-    path = write_csv(tmp_path, [])
-    with pytest.raises(ValueError):
-        load_targets(path, format="xml")
+        load_targets("/nonexistent/corpus.csv")
 
 
 def test_bad_source_model_rejected(tmp_path):
     path = write_csv(tmp_path, ["http://a.example/x,app-a,shareware,"])
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert loaded.rejects[0].reason == "bad source_model: 'shareware'"
 
 
 def test_placeholder_paths_accepted(tmp_path):
     path = write_csv(tmp_path, ["https://api.example.com/users/{userId}/posts,app-a,closed_source,"])
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert loaded.targets[0].url.endswith("/users/{userId}/posts")
 
 
 def test_write_rejects_schema(tmp_path):
     path = write_csv(tmp_path, ["ftp://x,app-a,open_source,"])
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     out = tmp_path / "rejects.jsonl"
     write_rejects(loaded.rejects, out)
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -228,7 +234,7 @@ def test_oversized_csv_field_goes_to_rejects(tmp_path):
             "http://c.example/,app-c,open_source,",
         ],
     )
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert [t.url for t in loaded.targets] == ["http://a.example/", "http://c.example/"]
     # The csv reader gives no access to the raw line, so the row is left empty.
     assert loaded.rejects == (
@@ -242,7 +248,7 @@ def test_csv_with_byte_order_mark(tmp_path):
     rows = HEADER + "http://a.example/,app-a,open_source,json\nhttp://b.example/,app-b,closed_source,\n"
     path.write_text(rows, encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-    loaded = load_targets(path, format="csv")
+    loaded = load_targets(path)
     assert [t.url for t in loaded.targets] == ["http://a.example/", "http://b.example/"]
     assert loaded.targets[0].declared_format is DeclaredFormat.JSON
     assert loaded.rejects == ()
@@ -256,6 +262,6 @@ def test_jsonl_with_byte_order_mark(tmp_path):
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-    loaded = load_targets(path, format="jsonl")
+    loaded = load_targets(path)
     assert [t.url for t in loaded.targets] == ["http://a.example/", "http://b.example/"]
     assert loaded.rejects == ()

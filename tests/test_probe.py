@@ -739,6 +739,19 @@ def context_builds(monkeypatch):
     return builds
 
 
+def requests_at_each_build(monkeypatch, ep):
+    """Records, for every TLS context built, how many requests ``ep`` had been sent by then."""
+    served = []
+    real = ssl.create_default_context
+
+    def recording(*args, **kwargs):
+        served.append(len(ep.requests))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", recording)
+    return served
+
+
 class TestSharedTlsContext:
     def test_one_context_per_scan(self, endpoints, context_builds):
         routes = dict(hop_profile(3).routes)
@@ -773,11 +786,14 @@ class TestSharedTlsContext:
         assert builds == [(threading.get_ident(), 0)]
 
     def test_http_target_redirected_to_https_builds_context_on_first_use(self, endpoints, library,
-                                                                         context_builds):
+                                                                         monkeypatch):
         ep = endpoints(library.profile("http_upgrade_redirect"))
-        pairs = probe_all([make_target(ep.url("/", scheme="http"))], fast_cfg(ca_bundle=ep.ca_file))
-        assert [(chain.result.status, chain.terminal.status) for _, chain in pairs] == [(301, 200)]
-        assert context_builds == [ep.ca_file]
+        served = requests_at_each_build(monkeypatch, ep)
+        target = make_target(ep.url("/", scheme="http"))
+        result, chain = probe_and_follow(target, fast_cfg(ca_bundle=ep.ca_file))
+        assert (result.status, chain.terminal.status) == (301, 200)
+        # Built once, between the http request and the https one.
+        assert served == [1]
 
     def test_bundle_without_certificate_fails_the_call_before_any_request(self, tmp_path,
                                                                           endpoints, library):
@@ -808,10 +824,11 @@ class TestSharedTlsContext:
         assert context_builds == []
         assert ep.requests == []
 
-    def test_http_scan_with_ca_bundle_builds_no_context(self, tmp_path, endpoints, library,
-                                                        context_builds):
+    def test_http_scan_with_ca_bundle_builds_context_before_any_request(self, tmp_path, endpoints,
+                                                                        library, monkeypatch):
         bundle = endpoints(library.profile("https_no_hsts")).ca_file
         ep = endpoints(hop_profile(1))
+        served = requests_at_each_build(monkeypatch, ep)
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(
             f"url,app_id,source_model,declared_format\n{ep.url('/final')},app-0,open_source,\n",
@@ -820,7 +837,7 @@ class TestSharedTlsContext:
         args = ["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl"),
                 "--ca-bundle", bundle, "--retries", "0"]
         assert run(args) == EXIT_OK
-        assert context_builds == []
+        assert served == [0]
         assert len(ep.requests) == 1
 
     def test_ca_bundle_replaces_system_store(self, endpoints, library):
