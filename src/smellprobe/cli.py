@@ -11,6 +11,7 @@ import atexit
 import csv
 import gc
 import json
+import os
 import signal
 import sys
 from contextlib import ExitStack
@@ -61,10 +62,6 @@ def _build_parser() -> _Parser:
     scan.add_argument("--retries", type=int,
                       help="further attempts of an exchange after a retryable error")
     scan.add_argument("--retry-backoff", type=float, help="seconds to wait before each retry")
-    scan.add_argument("--max-redirects", type=int,
-                      help="most exchanges per URL, the first included, when following redirects")
-    scan.add_argument("--body-sample-limit", type=int,
-                      help="bytes of each response body kept and scanned")
     scan.add_argument("--parallelism", type=int, help="worker count")
     scan.add_argument("--user-agent", help="User-Agent header of every request")
     scan.add_argument("--ca-bundle",
@@ -339,7 +336,16 @@ def _run(argv: list[str] | None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(run())
+    """Run as the console script: exit 3, with no traceback, once stdout's reader has gone."""
+    try:
+        code = run()
+        sys.stdout.flush()  # here, so that a closed pipe raises below and not at exit
+    except BrokenPipeError:
+        # As the Python signal docs advise: fd 1 goes to devnull, so that the
+        # flush at exit cannot raise again.  A scan commits before it prints.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -256,8 +256,8 @@ class RedirectChain:
     The first exchange requests the target's URL and each later one the
     ``redirect_url`` of the one before, as ``probe_and_follow`` does; this is
     checked.  The last exchange is a redirect too when following stopped at
-    a loop, at max_redirects, or at a Location that does not parse or leads
-    off the web.  Hops, loop and downgrades are derived from the exchanges.
+    a loop, at ``probe.MAX_EXCHANGES``, or at a Location that does not parse
+    or leads off the web.  Hops, loop and downgrades are derived from them.
     """
 
     exchanges: tuple[ProbeResult, ...]

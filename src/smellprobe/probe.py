@@ -55,6 +55,12 @@ from .model import TOOL_VERSION, ProbeResult, ProbeTarget, RedirectChain
 
 DEFAULT_USER_AGENT = f"smellprobe/{TOOL_VERSION}"
 
+# What every scan keeps, fixed so that snapshots of two rounds hold the same
+# evidence: the first bytes of each body, kept and scanned, and the exchanges
+# of each chain, the first included.
+BODY_SAMPLE_LIMIT = 256 * 1024
+MAX_EXCHANGES = 10
+
 
 # Serialises the first build of each config's TLS context, so that workers
 # racing to their first https exchange build it once, not once each.
@@ -63,24 +69,21 @@ _TLS_CONTEXT_LOCK = threading.Lock()
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Tunables for one probe run.
+    """Tunables for one probe run: how long and how often to wait, who asks, whom to trust.
+
+    What a scan keeps is fixed, not tuned: ``BODY_SAMPLE_LIMIT`` and
+    ``MAX_EXCHANGES``.
 
     ca_bundle is an optional PEM path used as the trust root instead of the
     system store (how tests pin their fixture certificate).  Certificate
-    validation itself is always on and never downgraded.
-
-    tls_context is built from these settings once, by ``probe_each`` before
-    its workers start when ca_bundle is given or a target is https, else on
-    first https use, and then shared by all workers of the scan; connections
-    and TLS sessions are still fresh for every exchange.
+    validation itself is always on and never downgraded.  One TLS context,
+    built from these settings, serves the whole scan (see ``tls_context``).
     """
 
     connect_timeout: float = 10.0
     read_timeout: float = 30.0
     retries: int = 3
     retry_backoff: float = 2.0
-    max_redirects: int = 10
-    body_sample_limit: int = 256 * 1024
     parallelism: int = 16
     user_agent: str = DEFAULT_USER_AGENT
     ca_bundle: str | None = None
@@ -90,7 +93,6 @@ class ProbeConfig:
             "connect_timeout": self.connect_timeout,
             "read_timeout": self.read_timeout,
             "retry_backoff": self.retry_backoff,
-            "body_sample_limit": self.body_sample_limit,
             "parallelism": self.parallelism,
         }
         for name, value in numeric.items():
@@ -100,8 +102,6 @@ class ProbeConfig:
                 raise ValueError(f"{name} must be finite")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.max_redirects < 1:
-            raise ValueError("max_redirects must be >= 1")
         if not self.user_agent:
             raise ValueError("user_agent must not be empty")
 
@@ -193,9 +193,9 @@ def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], b
         conn.endheaders()
         response = conn.getresponse()
         headers = [(name.lower(), value) for name, value in response.msg.items()]
-        body = response.read(cfg.body_sample_limit + 1)
-        if len(body) > cfg.body_sample_limit:
-            body = body[: cfg.body_sample_limit]
+        body = response.read(BODY_SAMPLE_LIMIT + 1)
+        if len(body) > BODY_SAMPLE_LIMIT:
+            body = body[:BODY_SAMPLE_LIMIT]
         return response.status, headers, body
     finally:
         conn.close()
@@ -233,11 +233,11 @@ def probe_and_follow(target: ProbeTarget, cfg: ProbeConfig) -> tuple[ProbeResult
     leads is decided by ``ProbeResult.redirect_url`` in ``smellprobe.model``.
     Following stops when there is no next URL (no followable 3xx, a loop, a
     Location that does not parse or leads off the web) or once the chain
-    holds max_redirects exchanges (the first included).
-    Returns the first exchange and the whole chain.
+    holds ``MAX_EXCHANGES`` exchanges, the first included (so at most
+    ``MAX_EXCHANGES - 1`` redirects).  Returns the first exchange and the chain.
     """
     chain = RedirectChain((_probe_url(target, target.url, cfg),))
-    while (url := chain.next_url) is not None and len(chain.exchanges) < cfg.max_redirects:
+    while (url := chain.next_url) is not None and len(chain.exchanges) < MAX_EXCHANGES:
         chain = RedirectChain((*chain.exchanges, _probe_url(target, url, cfg)))
     return chain.result, chain
 

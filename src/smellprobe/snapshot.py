@@ -459,8 +459,9 @@ def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
     return SnapshotEntry(result=result, chain=chain, report=_report_from_dict(data["report"]))
 
 
-# Read buffer of iter_entries: a record line holding a full 256 KB body sample
-# is one raw read instead of dozens of 8 KiB reads and a join.
+# Read buffer of iter_entries: a record line holding a body sample cut at the
+# probe's BODY_SAMPLE_LIMIT (256 KiB) is one raw read instead of dozens of
+# 8 KiB reads and a join.
 _READ_BUFFER = 1 << 20
 
 

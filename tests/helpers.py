@@ -30,13 +30,15 @@ from smellprobe.snapshot import Snapshot, SnapshotEntry
 
 EPOCH = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
-# CPU seconds allowed for one hostile input, such as a 256 KB body.  Recorded:
-# the whole framework table takes 3-15 ms on such bodies on a 2-CPU host,
+# CPU seconds allowed for one hostile input, such as a body as long as a scan
+# keeps (probe.BODY_SAMPLE_LIMIT, 256 KiB).  Recorded: the whole framework
+# table takes 3-15 ms on such bodies on a 2-CPU host,
 # while the PHP regexes took 1.2 s on 8.4 KB of "Warning: x in " and grow
 # cubically.
 ADVERSARIAL_BUDGET_S = 0.5
 # A block still running at this multiple of its budget is stopped: a
-# quadratic pattern on a 256 KB body would run for about an hour.
+# quadratic pattern on a body of probe.BODY_SAMPLE_LIMIT bytes would run for
+# about an hour.
 _STALL_FACTOR = 10
 
 
@@ -70,8 +72,6 @@ def fast_cfg(**overrides) -> ProbeConfig:
         read_timeout=3.0,
         retries=0,
         retry_backoff=0.05,
-        max_redirects=10,
-        body_sample_limit=256 * 1024,
         parallelism=8,
     )
     defaults.update(overrides)

@@ -180,20 +180,21 @@ def test_json_auth_heuristic_flag_is_gone(tmp_path, healthy_endpoint, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["scan", "report", "diff"])
-def test_format_flags_are_gone(tmp_path, healthy_endpoint, capsys, command):
-    """Each file's name decides its format; the flags that overrode it are usage errors."""
+@pytest.mark.parametrize("command, removed", [
+    ("scan", "--corpus-format csv"), ("report", "--corpus-format csv"), ("diff", "--format csv"),
+    ("scan", "--max-redirects 3"), ("scan", "--body-sample-limit 100"),
+])
+def test_removed_flags_are_usage_errors(tmp_path, healthy_endpoint, capsys, command, removed):
+    """The flags that set a file's format or what a scan keeps are gone: each is a usage error."""
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
     rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
-    args, flag = {
-        "scan": (scan_args(corpus, tmp_path / "s.jsonl", extra=["--corpus-format", "csv"]),
-                 "--corpus-format"),
-        "report": (["report", *rounds, "--out-dir", str(tmp_path / "r"), "--corpus", str(corpus),
-                    "--corpus-format", "csv"], "--corpus-format"),
-        "diff": (["diff", *rounds, "--out", str(tmp_path / "m.csv"), "--format", "csv"], "--format"),
+    args = {
+        "scan": scan_args(corpus, tmp_path / "s.jsonl"),
+        "report": ["report", *rounds, "--out-dir", str(tmp_path / "r"), "--corpus", str(corpus)],
+        "diff": ["diff", *rounds, "--out", str(tmp_path / "m.csv")],
     }[command]
-    assert run(args) == EXIT_USAGE
-    assert f"unrecognized arguments: {flag} csv" in capsys.readouterr().err
+    assert run([*args, *removed.split()]) == EXIT_USAGE
+    assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
     assert healthy_endpoint.requests == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv"]
 
@@ -212,7 +213,7 @@ def test_probe_flags_match_config_fields_and_readme():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = readme[readme.index("Probe behavior is tunable with"):].split("\n\n")[0]
     documented = set(re.findall(r"`(--[a-z-]+)`", paragraph))
-    assert len(settings) == 9
+    assert len(settings) == 7
     assert flags == settings == documented
 
 
@@ -411,6 +412,38 @@ def test_module_entry_runs_the_cli(tmp_path, healthy_endpoint):
     assert (dry.returncode, dry.stdout) == (EXIT_OK, healthy_endpoint.url("/") + "\n")
     assert healthy_endpoint.requests == []
     assert not out.exists()
+
+
+def test_closed_stdout_exits_io_without_traceback(tmp_path, healthy_endpoint):
+    """A reader that closes stdout early gets exit 3 and nothing on stderr, not a traceback."""
+    big = tmp_path / "big.csv"
+    rows = "".join(f"http://h{i}.example/,app-{i},open_source,\n" for i in range(20_000))
+    big.write_text("url,app_id,source_model,declared_format\n" + rows, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    cli_module = [sys.executable, "-m", "smellprobe.cli"]
+    # A dry run far longer than the pipe's buffer, read as `| head -n 1` reads it.
+    dry = subprocess.Popen(
+        [*cli_module, "scan", "--corpus", str(big), "--out", str(tmp_path / "d.jsonl"), "--dry-run"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert dry.stdout.readline() == b"http://h0.example/\n"
+    dry.stdout.close()
+    _, stderr = dry.communicate(timeout=60)
+    assert (dry.returncode, stderr) == (EXIT_IO, b"")
+
+    # A scan whose summary meets a pipe with no reader still commits its snapshot.
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    out = tmp_path / "s.smellsnap.jsonl"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([*cli_module, *scan_args(corpus, out)], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_IO, b"")
+    [entry] = load(out).entries.values()
+    assert entry.result.status == 200
 
 
 # Registered before run(), so atexit calls it after run()'s own exit hook.

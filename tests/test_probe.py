@@ -20,7 +20,9 @@ from smellprobe.cli import EXIT_OK, run
 from smellprobe.corpus import load_targets
 from smellprobe.harness import FixtureProfile, RouteSpec
 from smellprobe.model import JSON_MAX_DEPTH, BodyFormat, RedirectChain, Scheme, classify_body
-from smellprobe.probe import ProbeConfig, probe_all, probe_and_follow
+from smellprobe.probe import (
+    BODY_SAMPLE_LIMIT, MAX_EXCHANGES, ProbeConfig, probe_all, probe_and_follow,
+)
 
 from helpers import fast_cfg, make_result, make_target
 
@@ -58,30 +60,14 @@ class TestProbeOnce:
         assert result.status is None
         assert result.transport_error == "connection refused"
 
-    def test_redirect_not_followed(self, endpoints):
-        ep = endpoints(
-            FixtureProfile(
-                name="one-redirect",
-                routes={
-                    "/": RouteSpec(status=301, headers=(("Location", "{base}/next"),)),
-                    "/next": RouteSpec(status=200),
-                },
-            )
-        )
-        # With max_redirects=1 the first redirect ends the chain.
-        result, chain = probe_and_follow(make_target(ep.url("/")), fast_cfg(max_redirects=1))
-        assert result.status == 301
-        assert result.first_header("location") == ep.url("/next")
-        assert chain.exchanges == (result,)
-        # only the first exchange happened
-        assert [r.path for r in ep.requests] == ["/"]
-
     def test_body_truncated_at_limit(self, endpoints):
         ep = endpoints(
-            FixtureProfile(name="big", routes={"/": RouteSpec(status=200, body=b"x" * 5000)})
+            FixtureProfile(name="big", routes={
+                "/": RouteSpec(status=200, body=b"x" * (BODY_SAMPLE_LIMIT + 5000)),
+            })
         )
-        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg(body_sample_limit=100))
-        assert len(result.body_sample) == 100
+        result, _ = probe_and_follow(make_target(ep.url("/")), fast_cfg())
+        assert len(result.body_sample) == BODY_SAMPLE_LIMIT
 
     def test_read_timeout_reason(self, endpoints):
         ep = endpoints(
@@ -167,11 +153,12 @@ class TestFollowChain:
         assert hop_urls.count(hop_urls[-1]) == 2
 
     def test_cutoff_at_max_redirects(self, endpoints):
-        ep = endpoints(hop_profile(8))
-        _, chain = probe_and_follow(make_target(ep.url("/hop/1")), fast_cfg(max_redirects=7))
-        assert chain.chain_length == 7
+        ep = endpoints(hop_profile(12))
+        _, chain = probe_and_follow(make_target(ep.url("/hop/1")), fast_cfg())
+        assert len(chain.exchanges) == chain.chain_length == MAX_EXCHANGES
         assert chain.terminal.status == 302
-        assert chain.terminal.url == ep.url("/hop/7")
+        assert chain.terminal.url == ep.url(f"/hop/{MAX_EXCHANGES}")
+        assert len(ep.requests) == MAX_EXCHANGES
         assert not chain.loop_detected
 
     def test_downgrade_counted(self, endpoints, library):
@@ -668,8 +655,6 @@ class TestConfigAndBodyFormat:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProbeConfig(connect_timeout=0)
-        with pytest.raises(ValueError):
-            ProbeConfig(max_redirects=0)
         with pytest.raises(ValueError):
             ProbeConfig(retries=-1)
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from smellprobe.smells import (
     _framework_patterns,
     _framework_table,
 )
+from smellprobe.probe import BODY_SAMPLE_LIMIT
 from smellprobe.snapshot import load
 
 from helpers import direct_chain, make_result, make_target, within_cpu_budget
@@ -370,7 +371,7 @@ class TestFrameworkTable:
     )
     def test_every_entry_linear_on_adversarial_body(self, entry, unit):
         pattern = next(p for p in _framework_table() if p.marker == entry["marker"])
-        size = 256 * 1024
+        size = BODY_SAMPLE_LIMIT
         body = (unit * (size // len(unit) + 1))[:size]
         with within_cpu_budget(f"{entry['marker']!r} on {unit!r} repeated"):
             pattern.search(body, _fold(body))
@@ -384,7 +385,7 @@ class TestFrameworkTable:
          "Fatal error: a in .php on line \n"],
     )
     def test_php_errors_linear_on_adversarial_body(self, unit):
-        size = 256 * 1024
+        size = BODY_SAMPLE_LIMIT
         body = (unit * (size // len(unit) + 1))[:size].encode()
         with within_cpu_budget(f"{unit!r} repeated"):
             finding = detect_source_code_disclosure(http_result(status=500, body=body))
@@ -428,7 +429,7 @@ _BANNER_PREFIXES = {
 _RUN_CHARS = ["", "1", ".", "a", "-", "/", " ", "\n", "(", ")", "<", ">"]
 
 
-def _run_bodies(prefix, char, size=256 * 1024):
+def _run_bodies(prefix, char, size=BODY_SAMPLE_LIMIT):
     if not char:
         return [(prefix * (size // len(prefix) + 1))[:size]]
     unit = prefix + char
@@ -505,12 +506,12 @@ def _hostile_texts(max_size):
                      st.integers(0, max_size), st.booleans())
 
 
-# http.client takes header lines up to 64 KiB; a scan samples bodies up to 256 KB.
+# http.client takes header lines up to 64 KiB; a scan keeps BODY_SAMPLE_LIMIT bytes of a body.
 _HOSTILE_RESPONSES = st.tuples(
     st.sampled_from(["http", "https"]),
     st.sampled_from([200, 301, 302, 401, 404, 500]),
     st.lists(st.tuples(st.sampled_from(_HOSTILE_HEADER_NAMES), _hostile_texts(60_000)), max_size=4),
-    _hostile_texts(256 * 1024).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    _hostile_texts(BODY_SAMPLE_LIMIT).map(lambda text: text.encode("utf-8", "surrogatepass")),
 )
 
 
@@ -752,7 +753,10 @@ class TestMissingHttpsRedirect:
         assert detect_missing_https_redirect(chain) is None
 
     def test_unfollowed_padded_location_to_the_target_host_is_an_upgrade(self):
-        """Cut at --max-redirects 1: stripped, as the probe would request it, the Location is on h.example."""
+        """Cut after one exchange, as a snapshot of an older scan may hold it.
+
+        Stripped, as the probe would request it, the Location is on h.example.
+        """
         target = make_target("http://h.example/")
         cut = make_result(target, status=301, headers=(("Location", "https://h.example "),))
         assert detect_missing_https_redirect(direct_chain(cut)) is None

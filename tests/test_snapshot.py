@@ -332,7 +332,7 @@ SCHEMA1_CHAINS = {
     "http://127.0.0.1:43953/": (2, 1, False, 0, 200),  # 1 hop, http -> https
     "https://127.0.0.1:40993/": (2, 1, False, 1, 200),  # 1 hop, https -> http
     "http://127.0.0.1:35779/hop/1": (7, 6, False, 0, 200),  # multi-hop
-    "http://127.0.0.1:35779/hop/2": (3, 3, False, 0, 302),  # cut off at max_redirects 3
+    "http://127.0.0.1:35779/hop/2": (3, 3, False, 0, 302),  # cut off at 3 exchanges
     "http://127.0.0.1:42755/a": (3, 3, True, 0, 302),  # /a -> /b -> /a
     "https://127.0.0.1:38737/": (2, 2, True, 0, 302),  # self-loop
     "http://127.0.0.1:53879/": (1, 0, False, 0, "connection refused"),
