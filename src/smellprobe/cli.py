@@ -335,16 +335,44 @@ def _run(argv: list[str] | None) -> int:
     raise AssertionError("unreachable")
 
 
+class _Stdout:
+    """The console script's stdout: a write or flush that fails ends the process with exit 3.
+
+    A reader that has gone gets nothing on stderr, as the default SIGPIPE
+    action would give it; any other error, such as a full disk, one line.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name: str):
+        return getattr(self.stream, name)
+
+    def write(self, text: str) -> int:
+        return self._guard(self.stream.write, text)
+
+    def flush(self) -> None:
+        self._guard(self.stream.flush)
+
+    def _guard(self, method, *args):
+        try:
+            return method(*args)
+        except OSError as exc:
+            if not isinstance(exc, BrokenPipeError):
+                print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            # As the Python signal docs advise: fd 1 goes to devnull, so that the
+            # flush at exit cannot raise again.  A scan commits before it prints.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), self.stream.fileno())
+            raise SystemExit(EXIT_IO) from None
+
+
 def console_main() -> None:
-    """Run as the console script: exit 3, with no traceback, once stdout's reader has gone."""
+    """Run as the console script, on a ``_Stdout``: exit 3, with no traceback, once stdout fails."""
+    sys.stdout = _Stdout(sys.stdout)
     try:
         code = run()
-        sys.stdout.flush()  # here, so that a closed pipe raises below and not at exit
-    except BrokenPipeError:
-        # As the Python signal docs advise: fd 1 goes to devnull, so that the
-        # flush at exit cannot raise again.  A scan commits before it prints.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_IO
+    finally:  # here, and after --help too, so that a failed write never waits for exit
+        sys.stdout.flush()
     sys.exit(code)
 
 

@@ -115,6 +115,10 @@ class ProbeTarget:
             raise ValueError(f"{problem}: {self.url!r}")
         if not (isinstance(self.app_id, str) and self.app_id):
             raise ValueError(f"app_id {self.app_id!r} is not a non-empty string")
+        if not isinstance(self.source_model, SourceModel):
+            raise ValueError(f"source_model {self.source_model!r} is not a SourceModel")
+        if not isinstance(self.declared_format, (DeclaredFormat, type(None))):
+            raise ValueError(f"declared_format {self.declared_format!r} is neither a DeclaredFormat nor None")
 
 
 # --- probe ----------------------------------------------------------------

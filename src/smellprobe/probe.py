@@ -89,13 +89,11 @@ class ProbeConfig:
     ca_bundle: str | None = None
 
     def __post_init__(self) -> None:
-        numeric = {
-            "connect_timeout": self.connect_timeout,
-            "read_timeout": self.read_timeout,
-            "retry_backoff": self.retry_backoff,
-            "parallelism": self.parallelism,
-        }
-        for name, value in numeric.items():
+        for name in ("parallelism", "retries"):
+            if type(getattr(self, name)) is not int:  # so a bool is refused too
+                raise ValueError(f"{name} must be an integer")
+        for name in ("connect_timeout", "read_timeout", "retry_backoff", "parallelism"):
+            value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be > 0")
             if not value < math.inf:  # NaN or infinity

@@ -16,9 +16,8 @@ in URL order; ``save`` adds a whole ``Snapshot`` to one.  ``scan`` creates
 the spool before it sends a request, so an output path that cannot be
 written fails the scan at once.  Reading a ``body_text`` costs a JSON
 string parse and an ASCII encode, not a base64 decode.  Reading accepts
-schemas 4 to 1, refuses a schema-4 object with keys the writer does not
-write (the ``_*_KEYS`` tuples), checks what older schemas stored twice (see
-``_stored_copies``), and never touches the network.
+schema 4 alone, refuses an object with keys the writer does not write (the
+``_*_KEYS`` tuples), and never touches the network.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import json
 import os
 from collections.abc import Collection, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
@@ -53,7 +52,7 @@ class SnapshotIntegrityError(Exception):
     """Raised when a snapshot file is corrupt; names the first bad record."""
 
 
-SCHEMA = 4  # what save() and SnapshotSpool write; reading also accepts schemas 3, 2 and 1
+SCHEMA = 4  # what save() and SnapshotSpool write
 
 
 @dataclass(frozen=True)
@@ -91,9 +90,9 @@ def _iso(ts: datetime) -> str:
 
 # The keys of each object a schema-4 file holds.  The writer builds every
 # object from these with _object, and the reader refuses an object with any
-# other keys in a file whose header says schema 4, whatever SCHEMA the writer
-# has moved on to, so this is the one statement of the layout.  An exchange also
-# holds one of body_text and body_b64 (see _body_to_dict).
+# other keys, whatever SCHEMA the writer has moved on to, so this is the one
+# statement of the layout.  An exchange also holds one of body_text and
+# body_b64 (see _body_to_dict).
 _HEADER_KEYS = ("entries", "id", "schema", "taken_at", "tool_version")
 _RECORD_KEYS = ("redirects", "report", "result", "url")
 _EXCHANGE_KEYS = ("headers", "status", "timestamp", "transport_error")
@@ -195,32 +194,6 @@ def _result_from_dict(data: dict, target: ProbeTarget, url: str) -> ProbeResult:
         body_sample=_body_from_dict(data),
         transport_error=data["transport_error"],
     )
-
-
-def _v1_chain(result: ProbeResult, data: dict) -> RedirectChain:
-    """Rebuild a schema-1 chain and check it against the values stored with it.
-
-    Schema 1 kept the first and the terminal exchange in full and each
-    redirect only as a hop ``[url, status, location]``, so a hop between
-    them comes back with that status, a location header, no body and the
-    first exchange's timestamp.
-    """
-    hops, last = data["hops"], data["terminal"]
-    target = _target_from_dict(last["target"], last["target"]["url"])  # RedirectChain checks it
-    terminal = _result_from_dict(last, target, last["url"])
-    count = max(1, len(hops) + (terminal.redirect_location is None))
-    middle = tuple(
-        replace(result, url=url, status=status, headers=(("location", location),), body_sample=b"")
-        for url, status, location in hops[1 : count - 1]
-    )
-    chain = RedirectChain((result, *middle, terminal) if count > 1 else (result,))
-    stored = hops, terminal, data["chain_length"], data["downgrade_hops"], data["loop_detected"]
-    if stored != (
-        [[h.url, h.status, h.redirect_location] for h in chain.hops],
-        chain.terminal, chain.chain_length, chain.downgrade_hops, chain.loop_detected,
-    ):
-        raise ValueError("schema-1 chain disagrees with its stored hops, terminal or counts")
-    return chain
 
 
 def _report_to_dict(report: SmellReport) -> dict:
@@ -374,35 +347,13 @@ _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionErro
 
 
 def _check_keys(what: str, obj: dict, keys: Collection[str]) -> None:
-    """Refuse a schema-4 object whose keys are not those the writer builds it from.
-
-    Schemas 3 to 1 are read as their writers wrote them, unchecked.
-    """
+    """Refuse an object whose keys are not those the writer builds it from."""
     if obj.keys() != set(keys):
         raise ValueError(f"{what} has keys {sorted(obj)}, not {sorted(keys)}")
 
 
-def _schema4_objects(data: dict) -> Iterator[tuple[str, dict, Collection[str]]]:
-    """``(what, object, its keys)`` for each object of a schema-4 record, each before those inside it.
-
-    An exchange's keys include whichever of body_text and body_b64 it holds;
-    _body_from_dict checks that it holds one.
-    """
-    result, report = data.get("result"), data.get("report")
-    yield "record", data, _RECORD_KEYS
-    yield "first exchange", result, (result.keys() & _BODY_KEYS).union(_FIRST_EXCHANGE_KEYS)
-    yield "target", result["target"], _TARGET_KEYS
-    for redirect in data["redirects"]:
-        yield "redirect", redirect, (redirect.keys() & _BODY_KEYS).union(_REDIRECT_KEYS)
-    yield "report", report, _REPORT_KEYS
-    for finding in report["findings"]:
-        yield "finding", finding, _FINDING_KEYS
-    for leak in report["leaks"]:
-        yield "leak", leak, _LEAK_KEYS
-
-
-def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
-    """(id, taken_at, declared entry count, schema) of a header line."""
+def _header_from_line(line: bytes) -> tuple[str, datetime, int]:
+    """(id, taken_at, declared entry count) of a schema-4 header line."""
     if not line:
         raise SnapshotIntegrityError("record 0: empty snapshot file")
     try:
@@ -412,51 +363,41 @@ def _header_from_line(line: bytes) -> tuple[str, datetime, int, int]:
         declared = header["entries"]
         if type(declared) is not int:
             raise ValueError(f"entries {declared!r} is not an integer")
-        schema = header.get("schema", 1)
-        if schema == 4:
-            _check_keys("header", header, _HEADER_KEYS)
+        schema = header.get("schema", 1)  # schema 1 wrote no schema key
+        if type(schema) is not int or schema != 4:
+            raise SnapshotIntegrityError(f"record 0: schema {schema!r} is not read; this tool reads schema 4")
+        _check_keys("header", header, _HEADER_KEYS)
         for key in ("id", "tool_version"):
             if not isinstance(header[key], str):
                 raise ValueError(f"{key} {header[key]!r} is not a string")
     except _RECORD_ERRORS as exc:
         raise SnapshotIntegrityError(f"record 0: bad header ({exc})") from exc
-    if type(schema) is not int or schema not in range(1, SCHEMA + 1):
-        raise SnapshotIntegrityError(f"record 0: unknown schema {schema!r}")
     if taken_at.tzinfo is None:
         # Every writer stores UTC; a naive time cannot be ordered against it.
         raise SnapshotIntegrityError(f"record 0: taken_at {header['taken_at']!r} has no UTC offset")
-    return snapshot_id, taken_at, declared, schema
+    return snapshot_id, taken_at, declared
 
 
-def _stored_copies(data: dict, chain: RedirectChain, schema: int) -> Iterator[tuple]:
-    """``(what, stored, derived)`` for each copy a record of schema 3, 2 or 1 stored."""
-    url, result, report = data["url"], data["result"], data["report"]
-    copies = [("target", result["target"]), ("first exchange", result), ("report", report)]
-    for what, stored in copies + [("finding", finding) for finding in report["findings"]]:
-        yield f"{what} url", stored["url"], url
-    kept = [result, data["chain"]["terminal"]] if schema == 1 else [result, *data["redirects"]]
-    exchanges = [chain.result, chain.terminal] if schema == 1 else chain.exchanges
-    for stored, exchange in zip(kept, exchanges):
-        for key in ("scheme_used", "body_format"):
-            yield f"{key} of {exchange.url}", stored[key], getattr(exchange, key).value
-
-
-def _entry_from_record(data: dict, schema: int) -> SnapshotEntry:
-    if schema == 4:
-        for what, obj, keys in _schema4_objects(data):
-            _check_keys(what, obj, keys)
-    target = _target_from_dict(data["result"]["target"], data["url"])
-    result = _result_from_dict(data["result"], target, data["url"])
-    if schema == 1:
-        chain = _v1_chain(result, data["chain"])
-    else:
-        redirects = _array(data["redirects"], "redirects")
-        chain = RedirectChain((result, *(_result_from_dict(e, target, e["url"]) for e in redirects)))
-    if schema <= 3:
-        for what, stored, derived in _stored_copies(data, chain, schema):
-            if stored != derived:
-                raise ValueError(f"stored {what} {stored!r} disagrees with {derived!r}")
-    return SnapshotEntry(result=result, chain=chain, report=_report_from_dict(data["report"]))
+def _entry_from_record(data: dict) -> SnapshotEntry:
+    # Each object's keys are checked before those of the objects inside it.  An
+    # exchange's keys include whichever of body_text and body_b64 it holds;
+    # _body_from_dict checks that it holds one.
+    first, report = data.get("result"), data.get("report")
+    _check_keys("record", data, _RECORD_KEYS)
+    _check_keys("first exchange", first, (first.keys() & _BODY_KEYS).union(_FIRST_EXCHANGE_KEYS))
+    _check_keys("target", first["target"], _TARGET_KEYS)
+    for redirect in data["redirects"]:
+        _check_keys("redirect", redirect, (redirect.keys() & _BODY_KEYS).union(_REDIRECT_KEYS))
+    _check_keys("report", report, _REPORT_KEYS)
+    for finding in report["findings"]:
+        _check_keys("finding", finding, _FINDING_KEYS)
+    for leak in report["leaks"]:
+        _check_keys("leak", leak, _LEAK_KEYS)
+    target = _target_from_dict(first["target"], data["url"])
+    result = _result_from_dict(first, target, data["url"])
+    redirects = _array(data["redirects"], "redirects")
+    chain = RedirectChain((result, *(_result_from_dict(e, target, e["url"]) for e in redirects)))
+    return SnapshotEntry(result=result, chain=chain, report=_report_from_dict(report))
 
 
 # Read buffer of iter_entries: a record line holding a body sample cut at the
@@ -471,9 +412,7 @@ class _EntryReader:
     def __init__(self, path: str | Path):
         self._file = open(path, "rb", buffering=_READ_BUFFER)
         try:
-            self.id, self.taken_at, self.declared, self._schema = _header_from_line(
-                self._file.readline()
-            )
+            self.id, self.taken_at, self.declared = _header_from_line(self._file.readline())
         except BaseException:
             self._file.close()
             raise
@@ -485,7 +424,7 @@ class _EntryReader:
         with self._file:
             for count, line in enumerate(self._file, start=1):
                 try:
-                    entry = _entry_from_record(json.loads(line), self._schema)
+                    entry = _entry_from_record(json.loads(line))
                 except _RECORD_ERRORS as exc:
                     raise SnapshotIntegrityError(f"record {count}: {exc}") from exc
                 url = entry.url
@@ -520,21 +459,22 @@ class _EntryReader:
 
 
 def iter_entries(path: str | Path) -> _EntryReader:
-    """Open a snapshot of schema 4, 3, 2 or 1 and read its entries one line at a time.
+    """Open a schema-4 snapshot and read its entries one line at a time.
 
     The header is read at once: the returned iterator has ``id``,
     ``taken_at`` and ``declared`` (the entry count).  It yields the entries
     in file order and checks that their URLs strictly increase and, at the
     end, that their number matches the header.  A bad header or record
-    raises SnapshotIntegrityError naming the record (0 is the header).  The
-    file closes when the entries run out, or on ``close()`` or the end of a
-    ``with`` block.
+    raises SnapshotIntegrityError naming the record (0 is the header), and so
+    does a header of any other schema, naming its number.  The file closes
+    when the entries run out, or on ``close()`` or the end of a ``with``
+    block.
     """
     return _EntryReader(path)
 
 
 def load(path: str | Path) -> Snapshot:
-    """Read a whole snapshot of schema 4, 3, 2 or 1 with the checks of ``iter_entries``."""
+    """Read a whole schema-4 snapshot with the checks of ``iter_entries``."""
     with iter_entries(path) as reader:
         entries = {entry.url: entry for entry in reader}
     return Snapshot(id=reader.id, taken_at=reader.taken_at, entries=entries)

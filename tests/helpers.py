@@ -164,7 +164,8 @@ def snapshot_pair(first: dict[str, SnapshotEntry], second: dict[str, SnapshotEnt
 
 # --- corrupt snapshots -------------------------------------------------------
 
-SCHEMA4_ROUND1 = Path(__file__).parent / "data" / "schema4" / "round1.smellsnap.jsonl"
+SCHEMA4 = Path(__file__).parent / "data" / "schema4"
+SCHEMA4_ROUND1 = SCHEMA4 / "round1.smellsnap.jsonl"
 
 
 def _move_first_redirect(record: dict, url: str) -> None:

@@ -23,7 +23,7 @@ from smellprobe.probe import ProbeConfig
 from smellprobe.smells import detect_all
 from smellprobe.snapshot import iter_entries, load, save
 
-from helpers import EPOCH, SCHEMA4_ROUND1, build_entry, build_snapshot, corrupt_schema4_round1
+from helpers import EPOCH, SCHEMA4, SCHEMA4_ROUND1, build_entry, build_snapshot, corrupt_schema4_round1
 
 
 def write_corpus(tmp_path, urls, name="corpus.csv"):
@@ -187,7 +187,7 @@ def test_json_auth_heuristic_flag_is_gone(tmp_path, healthy_endpoint, capsys):
 def test_removed_flags_are_usage_errors(tmp_path, healthy_endpoint, capsys, command, removed):
     """The flags that set a file's format or what a scan keeps are gone: each is a usage error."""
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
-    rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
     args = {
         "scan": scan_args(corpus, tmp_path / "s.jsonl"),
         "report": ["report", *rounds, "--out-dir", str(tmp_path / "r"), "--corpus", str(corpus)],
@@ -375,8 +375,7 @@ def test_https_fixture_and_scan_need_only_the_standard_library(tmp_path):
 
 def test_cli_import_and_diff_compile_no_detector_pattern(tmp_path):
     """diff never detects, so it builds neither detector pattern table."""
-    data = Path(__file__).parent / "data" / "schema3"
-    rounds = [str(data / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
     child = (
         "import sys\n"
         "from smellprobe import smells\n"
@@ -446,6 +445,55 @@ def test_closed_stdout_exits_io_without_traceback(tmp_path, healthy_endpoint):
     assert entry.result.status == 200
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("command", ["diff", "dry run", "help"])
+def test_stdout_write_error_exits_io_with_one_error_line(tmp_path, command, buffered):
+    """A stdout that cannot be written exits 3 with one error line, whether a write fails
+    while the command runs or the last flush does, after argparse's --help exit included."""
+    rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    big = tmp_path / "big.csv"
+    rows = "".join(f"http://h{i}.example/,app-{i},open_source,\n" for i in range(2_000))
+    big.write_text("url,app_id,source_model,declared_format\n" + rows, encoding="utf-8")
+    args = {
+        "diff": ["diff", *rounds, "--out", str(tmp_path / "m.jsonl")],
+        "dry run": ["scan", "--corpus", str(big), "--out", str(tmp_path / "d.jsonl"), "--dry-run"],
+        "help": ["diff", "--help"],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "smellprobe.cli", *args], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == EXIT_IO
+    assert done.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+    if command == "diff":  # the records are written before the line that reports them
+        expected = SCHEMA4 / "report" / "maintenance.jsonl"
+        assert (tmp_path / "m.jsonl").read_bytes() == expected.read_bytes()
+
+
+def test_os_error_not_from_stdout_is_raised(tmp_path):
+    """Only stdout's write errors become exit 3: any other OSError keeps its traceback."""
+    child = (
+        "from smellprobe import cli\n"
+        "def broken(args):\n"
+        "    raise OSError(5, 'disk gone')\n"
+        "cli._cmd_diff = broken\n"
+        "cli.console_main()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(smellprobe.__file__).parent.parent))
+    rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    done = subprocess.run(
+        [sys.executable, "-c", child, "diff", *rounds, "--out", str(tmp_path / "m.jsonl")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert "Traceback" in done.stderr
+    assert done.stderr.splitlines()[-1] == "OSError: [Errno 5] disk gone"
+
+
 # Registered before run(), so atexit calls it after run()'s own exit hook.
 EXIT_PROBE = (
     "import atexit, gc, sys\n"
@@ -469,7 +517,7 @@ def test_exit_path_freezes_once_and_changes_no_output(tmp_path, healthy_endpoint
                                                       capsys, command):
     """A child that runs a command twice writes what two in-process runs write."""
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
-    rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
     args = {
         "scan": scan_args(corpus, "s.smellsnap.jsonl"),
         "diff": ["diff", *rounds, "--out", "m.jsonl"],
@@ -490,8 +538,6 @@ def test_exit_path_freezes_once_and_changes_no_output(tmp_path, healthy_endpoint
 
 
 # --- what each command loads -------------------------------------------------------
-
-SCHEMA3 = Path(__file__).parent / "data" / "schema3"
 
 # The smellprobe modules each command leaves in sys.modules.
 COMMAND_MODULES = {
@@ -538,7 +584,7 @@ def own_modules(names: set[str]) -> set[str]:
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint, command):
-    rounds = [str(SCHEMA3 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
+    rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
     covered_url = json.loads(Path(rounds[0]).read_text(encoding="utf-8").splitlines()[1])["url"]
     covered = write_corpus(tmp_path, [covered_url], name="covered.csv")

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -222,6 +223,19 @@ def test_normalize_url_keeps_query_case():
 def test_probe_target_validates_scheme():
     with pytest.raises(ValueError):
         ProbeTarget(url="ftp://x", app_id="a", source_model=SourceModel.OPEN_SOURCE)
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("source_model", "open_source", "not a SourceModel"),
+    ("source_model", None, "not a SourceModel"),
+    ("declared_format", "json", "neither a DeclaredFormat nor None"),
+    ("declared_format", SourceModel.OPEN_SOURCE, "neither a DeclaredFormat nor None"),
+])
+def test_probe_target_refuses_metadata_the_snapshot_cannot_store(field, value, expected):
+    """A plain string is refused before the probe, not by SnapshotSpool.add after it."""
+    fields = {"url": "http://a.example/", "app_id": "a", "source_model": SourceModel.OPEN_SOURCE}
+    with pytest.raises(ValueError, match=rf"^{field} {re.escape(repr(value))} is {expected}$"):
+        ProbeTarget(**{**fields, field: value})
 
 
 def test_oversized_csv_field_goes_to_rejects(tmp_path):

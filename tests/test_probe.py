@@ -660,6 +660,13 @@ class TestConfigAndBodyFormat:
         with pytest.raises(ValueError):
             ProbeConfig(user_agent="")
 
+    @pytest.mark.parametrize("name", ["parallelism", "retries"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None])
+    def test_counts_must_be_integers(self, name, value):
+        """A count range() could not take is refused here, not by the scan's workers."""
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            ProbeConfig(**{name: value})
+
     @pytest.mark.parametrize("name", ["connect_timeout", "read_timeout", "retry_backoff"])
     def test_durations_must_be_positive_and_finite(self, name):
         for value in (0, -1.5, -math.inf):

@@ -1,7 +1,6 @@
 import json
 import re
 from importlib import resources
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,7 +33,7 @@ from smellprobe.smells import (
 from smellprobe.probe import BODY_SAMPLE_LIMIT
 from smellprobe.snapshot import load
 
-from helpers import direct_chain, make_result, make_target, within_cpu_budget
+from helpers import SCHEMA4, direct_chain, make_result, make_target, within_cpu_budget
 
 
 def https_result(**kwargs):
@@ -940,8 +939,6 @@ class TestFindingValidation:
 
 # --- re-detection: a stored report is a function of the stored evidence ------------
 
-DATA = Path(__file__).parent / "data"
-
 
 def redetected_and_stored(path) -> tuple[dict, dict]:
     """Each entry's report detected again from its stored chain, and as stored."""
@@ -952,9 +949,8 @@ def redetected_and_stored(path) -> tuple[dict, dict]:
 
 
 @pytest.mark.parametrize("name", ["round1", "round2"])
-@pytest.mark.parametrize("schema", [1, 2, 3, 4])
-def test_checked_in_snapshot_redetects_to_its_stored_reports(schema, name):
-    redetected, stored = redetected_and_stored(DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl")
+def test_checked_in_snapshot_redetects_to_its_stored_reports(name):
+    redetected, stored = redetected_and_stored(SCHEMA4 / f"{name}.smellsnap.jsonl")
     assert redetected == stored
 
 

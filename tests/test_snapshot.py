@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smellprobe.cli import EXIT_OK, run
+from smellprobe.cli import EXIT_IO, EXIT_OK, run
 from smellprobe.model import LeakCategory, LeakRecord, RedirectChain, SmellKind, SmellReport
 from smellprobe import snapshot as snapshot_module
 from smellprobe.snapshot import (
@@ -27,6 +27,7 @@ from smellprobe.snapshot import (
 
 from helpers import (
     EPOCH,
+    SCHEMA4,
     SCHEMA4_CORRUPTIONS,
     SCHEMA4_ROUND1,
     build_entry,
@@ -36,9 +37,6 @@ from helpers import (
     make_result,
     make_target,
 )
-
-DATA = Path(__file__).parent / "data"
-SCHEMA1, SCHEMA2, SCHEMA3, SCHEMA4 = (DATA / f"schema{n}" for n in (1, 2, 3, 4))
 
 
 def chain_entry(url, *exchanges):
@@ -261,15 +259,6 @@ def test_empty_file_detected(tmp_path):
         load(path)
 
 
-def test_entry_key_must_match_target(tmp_path):
-    # Schema 4 stores the key only; a schema-3 key is checked against its copies.
-    path = tmp_path / "run.jsonl"
-    path.write_bytes((SCHEMA3 / "round1.smellsnap.jsonl").read_bytes())
-    rewrite_record(path, 1, lambda record: record.update(url="http://127.0.0.1:1/"))
-    with pytest.raises(SnapshotIntegrityError, match=r"record 1: stored target url .* disagrees"):
-        load(path)
-
-
 def test_load_never_touches_network(tmp_path, monkeypatch):
     snapshot = sample_snapshot()
     path = tmp_path / "run.jsonl"
@@ -304,7 +293,7 @@ def test_unknown_schema_names_record_0(tmp_path):
     header["schema"] = 5
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SnapshotIntegrityError, match=r"record 0: unknown schema 5"):
+    with pytest.raises(SnapshotIntegrityError, match=r"record 0: schema 5 is not read; this tool reads schema 4$"):
         load(path)
 
 
@@ -317,26 +306,60 @@ def test_entry_result_must_be_first_exchange():
         SnapshotEntry(result=retimed, chain=entry.chain, report=entry.report)
 
 
-# --- schema 1 -----------------------------------------------------------------
+# --- the checked-in schema-4 rounds ---------------------------------------------
 #
-# tests/data/schema1 holds two rounds of schema-1 snapshots of library
-# fixtures, written by smellprobe 0.1.0 before schema 2, with the diff and the
-# CSV report tables that version made from them.  Ports are baked in.
+# tests/data/schema4 holds two rounds of schema-4 snapshots of every library
+# fixture profile and of bodies that are not ASCII, hold control characters or
+# many quotes, or whose Content-Type and payload disagree, written by
+# smellprobe 0.1.0, with the diff and the CSV report tables (report/) that
+# version made from them.  Ports are baked in.  Each must load, and give those
+# outputs, whatever schema the writer has moved on to.
 
-SCHEMA1_CHAINS = {
+SCHEMA4_CHAINS = {
     # url: (exchanges, chain_length, loop_detected, downgrade_hops, terminal status or error)
-    "http://127.0.0.1:35473/": (1, 0, False, 0, 200),  # direct
-    "http://127.0.0.1:38187/": (1, 0, False, 0, 200),
-    "http://127.0.0.1:41451/": (1, 0, False, 0, 200),
-    "http://127.0.0.1:44681/": (1, 0, False, 0, 200),
-    "http://127.0.0.1:43953/": (2, 1, False, 0, 200),  # 1 hop, http -> https
-    "https://127.0.0.1:40993/": (2, 1, False, 1, 200),  # 1 hop, https -> http
-    "http://127.0.0.1:35779/hop/1": (7, 6, False, 0, 200),  # multi-hop
-    "http://127.0.0.1:35779/hop/2": (3, 3, False, 0, 302),  # cut off at 3 exchanges
-    "http://127.0.0.1:42755/a": (3, 3, True, 0, 302),  # /a -> /b -> /a
-    "https://127.0.0.1:38737/": (2, 2, True, 0, 302),  # self-loop
-    "http://127.0.0.1:53879/": (1, 0, False, 0, "connection refused"),
-    "http://127.0.0.1:43681/": (2, 1, False, 0, "connection refused"),  # fails mid-chain
+    "http://127.0.0.1:33403/": (1, 0, False, 0, 200),  # direct
+    "http://127.0.0.1:33543/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:34601/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:35119/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:35261/": (1, 0, False, 0, 500),
+    "http://127.0.0.1:37993/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:39371/": (1, 0, False, 0, 500),
+    "http://127.0.0.1:39417/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:39427/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:39537/": (1, 0, False, 0, 403),
+    "http://127.0.0.1:40067/binary": (1, 0, False, 0, 200),
+    "http://127.0.0.1:40067/control": (1, 0, False, 0, 200),
+    "http://127.0.0.1:40067/json": (1, 0, False, 0, 200),
+    "http://127.0.0.1:40067/json-type": (1, 0, False, 0, 200),
+    "http://127.0.0.1:40067/latin1": (1, 0, False, 0, 200),
+    "http://127.0.0.1:40067/quotes": (1, 0, False, 0, 200),
+    "http://127.0.0.1:40067/redirect-json": (2, 1, False, 0, 200),  # 1 hop
+    "http://127.0.0.1:40341/": (1, 0, False, 0, 500),
+    "http://127.0.0.1:40981/": (1, 0, False, 0, 500),
+    "http://127.0.0.1:41163/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:43061/hop/1": (7, 6, False, 0, 200),  # multi-hop
+    "http://127.0.0.1:43081/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:43293/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:43631/": (1, 0, False, 0, 500),
+    "http://127.0.0.1:44267/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:44535/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:45595/a": (3, 3, True, 0, 302),  # /a -> /b -> /a
+    "http://127.0.0.1:46259/": (1, 0, False, 0, 200),
+    "http://127.0.0.1:46663/": (2, 1, False, 0, 200),  # 1 hop, http -> https
+    "http://127.0.0.1:57339/": (1, 0, False, 0, "connection refused"),
+    "https://127.0.0.1:32907/": (1, 0, False, 0, 403),
+    "https://127.0.0.1:35593/": (1, 0, False, 0, 404),
+    "https://127.0.0.1:35805/": (1, 0, False, 0, 401),
+    "https://127.0.0.1:37061/": (1, 0, False, 0, 500),
+    "https://127.0.0.1:37341/": (1, 0, False, 0, 200),
+    "https://127.0.0.1:38679/": (1, 0, False, 0, 200),
+    "https://127.0.0.1:40183/": (1, 0, False, 0, 401),
+    "https://127.0.0.1:40873/": (1, 0, False, 0, 200),
+    "https://127.0.0.1:41577/": (2, 2, True, 0, 302),  # self-loop
+    "https://127.0.0.1:43321/": (1, 0, False, 0, 200),
+    "https://127.0.0.1:44119/": (2, 1, False, 1, 200),  # 1 hop, https -> http
+    "https://127.0.0.1:44633/": (1, 0, False, 0, 200),
+    "https://127.0.0.1:46557/": (1, 0, False, 0, 200),
 }
 
 
@@ -346,44 +369,19 @@ def chain_shape(chain):
     return (len(chain.exchanges), chain.chain_length, chain.loop_detected, chain.downgrade_hops, outcome)
 
 
-def test_schema1_file_loads_with_its_chains():
-    snapshot = load(SCHEMA1 / "round1.smellsnap.jsonl")
-    assert {url: chain_shape(e.chain) for url, e in snapshot.entries.items()} == SCHEMA1_CHAINS
-    multi = snapshot.entries["http://127.0.0.1:35779/hop/1"].chain
-    # an intermediate schema-1 hop keeps only its status and Location
-    assert multi.exchanges[2].url == "http://127.0.0.1:35779/hop/3"
+def test_schema4_file_loads_with_its_chains():
+    snapshot = load(SCHEMA4 / "round1.smellsnap.jsonl")
+    assert {url: chain_shape(e.chain) for url, e in snapshot.entries.items()} == SCHEMA4_CHAINS
+    multi = snapshot.entries["http://127.0.0.1:43061/hop/1"].chain
+    # each exchange of the chain is stored in full, its own timestamp included
+    assert multi.exchanges[2].url == "http://127.0.0.1:43061/hop/3"
     assert multi.exchanges[2].status == 302
-    assert multi.exchanges[2].headers == (("location", "http://127.0.0.1:35779/hop/4"),)
+    assert multi.exchanges[2].header_values("location") == ("http://127.0.0.1:43061/hop/4",)
     assert multi.exchanges[2].body_sample == b""
+    assert len({e.timestamp for e in multi.exchanges}) == 7
     assert multi.terminal.body_sample == b"done"
-
-
-@pytest.mark.parametrize("name", ["round1", "round2"])
-def test_schema1_resaved_as_schema2_gives_equal_entries(tmp_path, name):
-    old = load(SCHEMA1 / f"{name}.smellsnap.jsonl")
-    path = tmp_path / "v2.smellsnap.jsonl"
-    save(old, path)
-    assert json.loads(path.read_text(encoding="utf-8").splitlines()[0])["schema"] == SCHEMA
-    new = load(path)
-    assert (new.id, new.taken_at, new.entries) == (old.id, old.taken_at, old.entries)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("chain_length", 5), ("downgrade_hops", 1), ("loop_detected", True), ("hops", [])],
-)
-def test_schema1_record_disagreeing_with_its_chain_rejected(tmp_path, field, value):
-    lines = (SCHEMA1 / "round1.smellsnap.jsonl").read_text(encoding="utf-8").splitlines()
-    number = next(
-        i for i, line in enumerate(lines) if '"url":"http://127.0.0.1:35779/hop/1"' in line[-60:]
-    )
-    record = json.loads(lines[number])
-    record["chain"][field] = value
-    lines[number] = json.dumps(record)
-    path = tmp_path / "bad.smellsnap.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(SnapshotIntegrityError, match=rf"record {number}:"):
-        load(path)
+    downgrade = snapshot.entries["https://127.0.0.1:44119/"].chain
+    assert downgrade.terminal.url == "http://127.0.0.1:46169/legacy"
 
 
 def assert_stored_outputs(tmp_path, paths, expected):
@@ -396,65 +394,19 @@ def assert_stored_outputs(tmp_path, paths, expected):
         assert (tmp_path / "report" / table.name).read_bytes() == table.read_bytes(), table.name
 
 
-def in_schema(tmp_path, name, schema):
-    """A round of the schema-1 pair as written by schema 1, 2, 3 (checked in) or 4 (saved here)."""
-    if schema == 1:
-        return SCHEMA1 / f"{name}.smellsnap.jsonl"
-    if schema in (2, 3):
-        return DATA / f"schema{schema}" / "resaved-schema1" / f"{name}.smellsnap.jsonl"
-    path = tmp_path / f"{name}.v4.smellsnap.jsonl"
-    save(load(SCHEMA1 / f"{name}.smellsnap.jsonl"), path)
-    return path
-
-
-@pytest.mark.parametrize("resave", [(a, b) for a in range(1, 5) for b in range(1, 5)])
-def test_diff_and_report_across_schemas_match_schema1_outputs(tmp_path, resave):
-    """Every pair of schemas 1 to 4 gives the records and tables the schema-1 writer gave for v1/v1."""
-    paths = [in_schema(tmp_path, name, schema) for name, schema in zip(("round1", "round2"), resave)]
-    assert_stored_outputs(tmp_path, paths, SCHEMA1 / "report")
-
-
-# --- schema 2 -----------------------------------------------------------------
-#
-# tests/data/schema2 holds two rounds of schema-2 snapshots of library fixtures
-# and of bodies that are not ASCII, hold control characters or many quotes,
-# written by smellprobe 0.1.0 before schema 3, with the diff and the CSV report
-# tables that version made from them; resaved-schema1/ is the schema-1 pair
-# saved again by that version.  Ports are baked in.
-
-
-# --- schema 3 -----------------------------------------------------------------
-#
-# tests/data/schema3 holds two rounds of schema-3 snapshots of every library
-# fixture profile and of bodies that are not ASCII, hold control characters or
-# many quotes, or whose Content-Type and payload disagree, written by
-# smellprobe 0.1.0 before schema 4, with the diff and the CSV report tables
-# that version made from them; resaved-schema1/ is the schema-1 pair saved
-# again by that version.  Ports are baked in.
-
-
-# --- schema 4 -----------------------------------------------------------------
-#
-# tests/data/schema4 holds the two schema-3 rounds saved again by smellprobe
-# 0.1.0 as schema 4, the last schema before 5.  They have no report/ of their
-# own: their diff and report must match schema3/report.
-
-
 @pytest.mark.parametrize("name", ["round1", "round2"])
 def test_schema4_file_loads_when_schema_moves_on(monkeypatch, name):
-    """A schema-4 record stores no copies, so a later reader looks for none."""
-    schema3 = load(SCHEMA3 / f"{name}.smellsnap.jsonl")
+    """The reader takes schema 4 by its number, not as the SCHEMA the writer is at."""
+    path = SCHEMA4 / f"{name}.smellsnap.jsonl"
+    now = load(path)
     monkeypatch.setattr(snapshot_module, "SCHEMA", 5)
-    schema4 = load(SCHEMA4 / f"{name}.smellsnap.jsonl")
-    assert (schema4.id, schema4.taken_at, schema4.entries) == (
-        schema3.id, schema3.taken_at, schema3.entries
-    )
+    later = load(path)
+    assert (later.id, later.taken_at, later.entries) == (now.id, now.taken_at, now.entries)
 
 
-@pytest.mark.parametrize("schema", [2, 3, 4])
 @pytest.mark.parametrize("name", ["round1", "round2"])
-def test_old_file_loads_and_resaves_as_schema4_with_equal_entries(tmp_path, schema, name):
-    old = load(DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl")
+def test_schema4_file_resaves_to_its_own_bytes(tmp_path, name):
+    old = load(SCHEMA4 / f"{name}.smellsnap.jsonl")
     assert any(len(entry.chain.exchanges) > 2 for entry in old.entries.values())
     path = tmp_path / "v4.smellsnap.jsonl"
     save(old, path)
@@ -467,70 +419,40 @@ def test_old_file_loads_and_resaves_as_schema4_with_equal_entries(tmp_path, sche
     assert "body_text" in stored and "body_b64" in stored
     new = load(path)
     assert (new.id, new.taken_at, new.entries) == (old.id, old.taken_at, old.entries)
+    assert path.read_bytes() == (SCHEMA4 / f"{name}.smellsnap.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("schema", [2, 3])
-@pytest.mark.parametrize("name", ["round1", "round2"])
-def test_schema1_pair_resaved_by_later_schemas_loads_to_equal_entries(schema, name):
-    v1 = load(SCHEMA1 / f"{name}.smellsnap.jsonl")
-    resaved = load(DATA / f"schema{schema}" / "resaved-schema1" / f"{name}.smellsnap.jsonl")
-    assert (resaved.id, resaved.taken_at, resaved.entries) == (v1.id, v1.taken_at, v1.entries)
-
-
-@pytest.mark.parametrize("schema", [2, 3, 4])
 @pytest.mark.parametrize("resave", [(False, False), (False, True), (True, False), (True, True)])
-def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, schema, resave):
-    """Each round as stored or resaved as v4 gives the records and tables its writer gave.
-
-    The schema-4 rounds are the schema-3 ones saved again, so they share its outputs.
-    """
+def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, resave):
+    """Each round as checked in or saved again gives the records and tables stored in report/."""
     paths = []
-    for name, as_v4 in zip(("round1", "round2"), resave):
-        path = DATA / f"schema{schema}" / f"{name}.smellsnap.jsonl"
-        if as_v4:
+    for name, again in zip(("round1", "round2"), resave):
+        path = SCHEMA4 / f"{name}.smellsnap.jsonl"
+        if again:
             save(load(path), tmp_path / path.name)
             path = tmp_path / path.name
         paths.append(path)
-    assert_stored_outputs(tmp_path, paths, DATA / f"schema{min(schema, 3)}" / "report")
+    assert_stored_outputs(tmp_path, paths, SCHEMA4 / "report")
 
 
-def https_redirect_record(schema):
-    """(path, record number) of the first https record with a redirect and a finding."""
-    path = DATA / f"schema{schema}" / "round1.smellsnap.jsonl"
-    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines()[1:], start=1):
-        record = json.loads(line)
-        redirects = record["chain"]["hops"] if schema == 1 else record["redirects"]
-        if record["url"].startswith("https:") and redirects and record["report"]["findings"]:
-            return path, number
-    raise AssertionError(f"no https record with a redirect in {path}")
-
-
-def flip_format(exchange):
-    exchange["body_format"] = "json" if exchange["body_format"] != "json" else "non_json"
-
-
-STORED_COPIES = {
-    "report url": lambda r: r["report"].update(url="https://127.0.0.1:1/"),
-    "finding url": lambda r: r["report"]["findings"][-1].update(url="https://127.0.0.1:1/"),
-    "target url": lambda r: r["result"]["target"].update(url="https://127.0.0.1:1/"),
-    "first exchange url": lambda r: r["result"].update(url="https://127.0.0.1:1/"),
-    # an https URL stored as fetched over http
-    "scheme_used": lambda r: r["result"].update(scheme_used="http"),
-    # a redirect's; schema 1 stored only the terminal one in full
-    "body_format": lambda r: flip_format(r["chain"]["terminal"] if "chain" in r else r["redirects"][-1]),
-}
-
-
-@pytest.mark.parametrize("copy", sorted(STORED_COPIES))
+@pytest.mark.parametrize("command", ["diff", "report"])
 @pytest.mark.parametrize("schema", [1, 2, 3])
-def test_old_record_whose_stored_copy_disagrees_rejected(tmp_path, schema, copy):
-    source, number = https_redirect_record(schema)
-    path = tmp_path / "bad.smellsnap.jsonl"
-    path.write_bytes(source.read_bytes())
-    assert load(path).entries
-    rewrite_record(path, number, STORED_COPIES[copy])
-    with pytest.raises(SnapshotIntegrityError, match=rf"record {number}: stored {copy}.* disagrees"):
-        load(path)
+def test_schema_1_to_3_header_refused_with_its_schema_named(tmp_path, capsys, command, schema):
+    """Schemas 1 to 3 were written only while the tool was built; they are no longer read."""
+    header = {"entries": 0, "id": "old", "taken_at": "2024-01-01T00:00:00+00:00", "tool_version": "0.1.0"}
+    if schema > 1:  # schema 1 wrote no schema key
+        header["schema"] = schema
+    old = tmp_path / "old.smellsnap.jsonl"
+    old.write_text(json.dumps(header) + "\n", encoding="utf-8")
+    later = str(SCHEMA4 / "round2.smellsnap.jsonl")
+    args = {
+        "diff": ["diff", str(old), later, "--out", str(tmp_path / "m.jsonl")],
+        "report": ["report", str(old), later, "--out-dir", str(tmp_path / "r")],
+    }[command]
+    assert run(args) == EXIT_IO
+    message = f"error: record 0: schema {schema} is not read; this tool reads schema 4"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [old.name]
 
 
 def readme_key_sets():
