@@ -178,7 +178,7 @@ def _relocate_first_redirect(record: dict, url: str) -> None:
     _move_first_redirect(record, url)
 
 
-# Changes to one record of SCHEMA4_ROUND1 that no writer makes, as
+# Changes to one record of SCHEMA4_ROUND1 that no writer of schema 4 makes, as
 # ``(record number, change, what the error says after "record N: ")``.
 # Record 0 is the header; record 1 has findings and leaks; record 11 stores
 # its body as body_b64; record 17 redirects once, to /json.
@@ -263,6 +263,63 @@ SCHEMA4_CORRUPTIONS = {
         1, lambda r: r["report"]["findings"][1].update(subflags={}), "subflags is dict, not a list",
     ),
     "leaks a string": (1, lambda r: r["report"].update(leaks=""), "leaks is str, not a list"),
+    "missing record key": (1, lambda r: r.pop("redirects"), r"record has keys \['report', 'result', 'url'\]"),
+    "missing first exchange key": (1, lambda r: r["result"].pop("timestamp"), "first exchange has keys"),
+    "missing target key": (1, lambda r: r["result"]["target"].pop("source_model"), "target has keys"),
+    "missing redirect key": (17, lambda r: r["redirects"][0].pop("status"), "redirect has keys"),
+    "missing report key": (1, lambda r: r["report"].pop("leaks"), "report has keys"),
+    "missing finding key": (1, lambda r: r["report"]["findings"][0].pop("subflags"), "finding has keys"),
+    "body_text not ASCII": (1, lambda r: r["result"].update(body_text="café"), "'ascii' codec can't encode"),
+    "body_text a number": (1, lambda r: r["result"].update(body_text=5), "body_text is int, not a string"),
+    "source_model unknown": (
+        1, lambda r: r["result"]["target"].update(source_model="closed"), "'closed' is not a valid SourceModel",
+    ),
+    "finding kind unknown": (
+        1, lambda r: r["report"]["findings"][0].update(kind="weak_cipher"), "'weak_cipher' is not a valid SmellKind",
+    ),
+    "evidence locus unknown": (
+        1, lambda r: r["report"]["findings"][0].update(evidence=[["cookie", "x"]]), "'cookie' is not a valid Locus",
+    ),
+    "leak category unknown": (
+        1, lambda r: r["report"]["leaks"][0].update(category="cpu"), "'cpu' is not a valid LeakCategory",
+    ),
+    "subflag outside the kind's vocabulary": (
+        1, lambda r: r["report"]["findings"][1].update(subflags=["loop"]),
+        r"subflags \['loop'\] not in version_disclosure vocabulary",
+    ),
+    "finding without evidence": (
+        1, lambda r: r["report"]["findings"][0].update(evidence=[]), "finding needs at least one piece of evidence",
+    ),
+    "version leak without a version": (
+        1, lambda r: r["report"]["leaks"][1].update(version=None), "version leak records must carry a version",
+    ),
+    "status and transport_error both set": (
+        1, lambda r: r["result"].update(transport_error="connection refused"),
+        "exactly one of status and transport_error must be set",
+    ),
+    "neither status nor transport_error": (
+        1, lambda r: r["result"].update(status=None), "exactly one of status and transport_error must be set",
+    ),
+    "exchange timestamp not ISO": (
+        1, lambda r: r["result"].update(timestamp="yesterday"), "Invalid isoformat string: 'yesterday'",
+    ),
+    "redirect from an exchange with no Location": (
+        17, lambda r: r["result"]["headers"].pop(0),
+        r"'http://127\.0\.0\.1:\d+/json' is not where the Location of 'http://127\.0\.0\.1:\d+/redirect-json' leads",
+    ),
+    "redirect from an exchange that answered 200": (
+        17, lambda r: r["result"].update(status=200),
+        r"'http://127\.0\.0\.1:\d+/json' is not where the Location of 'http://127\.0\.0\.1:\d+/redirect-json' leads",
+    ),
+    "header taken_at naive": (
+        0, lambda h: h.update(taken_at="2024-01-01T00:00:00"), r"taken_at '2024-01-01T00:00:00' has no UTC offset",
+    ),
+    # Schemas 1 to 3 were written only while the tool was built; the reader takes the integer 4 alone.
+    "header schema absent": (0, lambda h: h.pop("schema"), "schema 1 is not read; this tool reads schema 4$"),
+    "header schema 3": (0, lambda h: h.update(schema=3), "schema 3 is not read; this tool reads schema 4$"),
+    "header schema a string": (0, lambda h: h.update(schema="4"), "schema '4' is not read; this tool reads schema 4$"),
+    "header schema a float": (0, lambda h: h.update(schema=4.0), r"schema 4\.0 is not read; this tool reads schema 4$"),
+    "header schema a boolean": (0, lambda h: h.update(schema=True), "schema True is not read; this tool reads schema 4$"),
 }
 
 
