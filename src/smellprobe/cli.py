@@ -1,7 +1,9 @@
 """Command-line entry point: scan, diff, report.
 
-Exit codes: 0 success, 1 usage error, 2 scan finished with transport
-errors on some targets, 3 I/O error.
+Exit codes: 0 success; 1 a command line that cannot run ("usage error: ...")
+or two snapshots out of time order ("error: ..."); 2 a scan that met
+transport errors on some targets; 3 a file, stdout included, that cannot be
+read or written, or bad data in one ("error: ..."); 130 Ctrl-C; 143 SIGTERM.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import os
 import signal
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,8 +33,20 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_IO = 3
 
-class UsageError(Exception):
-    pass
+
+class CommandError(Exception):
+    """A command that cannot finish: ``run`` prints ``error: <message>`` and returns ``code``."""
+
+    def __init__(self, message: str, code: int = EXIT_IO):
+        super().__init__(message)
+        self.code = code
+
+
+class UsageError(CommandError):
+    """A command line or option value that cannot run: ``usage error: <message>``, exit 1."""
+
+    def __init__(self, message: str):
+        super().__init__(message, EXIT_USAGE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,8 +128,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     try:
         loaded = load_targets(args.corpus)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(str(exc)) from None
 
     if loaded.rejects and args.dry_run:
         print(f"rejected {len(loaded.rejects)} row(s)", file=sys.stderr)
@@ -124,8 +137,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         try:
             write_rejects(loaded.rejects, rejects_path)
         except OSError as exc:
-            print(f"error: cannot write rejects: {exc}", file=sys.stderr)
-            return EXIT_IO
+            raise CommandError(f"cannot write rejects: {exc}") from None
         print(f"rejected {len(loaded.rejects)} row(s) -> {rejects_path}", file=sys.stderr)
     if loaded.duplicates_collapsed:
         print(f"collapsed {loaded.duplicates_collapsed} duplicate url(s)", file=sys.stderr)
@@ -147,15 +159,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         results = probe_each(loaded.targets, cfg)
     except OSError as exc:  # the system store loads without error, even an empty one
         raise _bad_ca_bundle(args.ca_bundle, exc) from None
-    try:
-        spool = SnapshotSpool(args.out)
-    except OSError as exc:
-        print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-        return EXIT_IO
     tally = {kind: 0 for kind in SmellKind}
     failed = 0
-    with spool:
-        try:
+    try:
+        with closing(results), SnapshotSpool(args.out) as spool:
             for _, chain in results:
                 result = chain.result
                 report = detect_all(result.target, result, chain)
@@ -165,11 +172,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 if not result.ok or not chain.terminal.ok:
                     failed += 1
             total = spool.commit(args.id or Path(args.out).stem, datetime.now(timezone.utc))
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return EXIT_IO
-        finally:
-            results.close()
+    except OSError as exc:
+        raise CommandError(f"cannot write snapshot: {exc}") from None
 
     print(f"scanned {total} url(s); {failed} with transport errors")
     for kind in SmellKind:
@@ -215,8 +219,8 @@ def write_maintenance_records(records, path: str | Path) -> int:
     return count
 
 
-def _open_rounds(stack: ExitStack, paths: list[str]) -> list | None:
-    """A reader per path, closed by ``stack``; None, the error printed, if two are out of order."""
+def _open_rounds(stack: ExitStack, paths: list[str]) -> list:
+    """A reader per path, closed by ``stack``; two out of order fail the command with exit 1."""
     from .maintenance import require_chronological
     from .snapshot import iter_entries
 
@@ -225,8 +229,7 @@ def _open_rounds(stack: ExitStack, paths: list[str]) -> list | None:
         if len(readers) == 2:
             require_chronological(readers[0].taken_at, readers[1].taken_at)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        raise CommandError(str(exc), EXIT_USAGE) from None
     return readers
 
 
@@ -237,16 +240,12 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         with ExitStack() as stack:
             rounds = _open_rounds(stack, args.snapshots)
-            if rounds is None:
-                return EXIT_USAGE
             try:
                 count = write_maintenance_records(diff_entries(*rounds), args.out)
             except OSError as exc:
-                print(f"error: cannot write records: {exc}", file=sys.stderr)
-                return EXIT_IO
+                raise CommandError(f"cannot write records: {exc}") from None
     except (OSError, SnapshotIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(str(exc)) from None
     print(f"classified {count} url(s) -> {args.out}")
     return EXIT_OK
 
@@ -261,8 +260,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         with ExitStack() as stack:
             rounds = _open_rounds(stack, args.snapshots)
-            if rounds is None:
-                return EXIT_USAGE
             corpus = None
             if args.corpus:
                 from .corpus import load_targets
@@ -275,8 +272,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         if records is not None:
             write_maintenance_records(records, out_dir / "maintenance.jsonl")
     except (OSError, ValueError, SnapshotIntegrityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(str(exc)) from None
 
     print(f"reports written to {out_dir}")
     return EXIT_OK
@@ -289,20 +285,24 @@ def _terminate(signum: int, frame: object) -> None:
 def run(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    Call it on the main thread: while the command runs, SIGTERM raises
-    ``SystemExit(143)``, so ``kill`` or ``timeout`` unwinds it as Ctrl-C does
-    and leaves no spool or temporary file.  It restores the previous handler.
+    Call it on the main thread: while the command runs, SIGTERM and SIGINT
+    raise ``SystemExit(128 + signum)``, so ``kill`` or Ctrl-C unwinds it with
+    no traceback and no spool or temporary file left, save a SIGINT ignored
+    at the start, as in a background job.  Both handlers come back after.
 
     The process that calls this skips the interpreter's exit-time garbage
     collection, in-process callers included: at exit the collector ignores
     every object alive then, so no ``__del__`` of such an object runs
     (CPython does not promise one at exit either).
     """
-    previous = signal.signal(signal.SIGTERM, _terminate)
+    previous = {signal.SIGTERM: signal.signal(signal.SIGTERM, _terminate)}
+    if signal.getsignal(signal.SIGINT) is not signal.SIG_IGN:
+        previous[signal.SIGINT] = signal.signal(signal.SIGINT, _terminate)
     try:
         return _run(argv)
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def _run(argv: list[str] | None) -> int:
@@ -315,24 +315,16 @@ def _run(argv: list[str] | None) -> int:
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     parser = _build_parser()
+    args = None
+    # The one place a failed command ends: its line on stderr, its exit code.
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "report":
-            return _cmd_report(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    raise AssertionError("unreachable")
+        return {"scan": _cmd_scan, "diff": _cmd_diff, "report": _cmd_report}[args.command](args)
+    except CommandError as exc:
+        print(f"{'usage error' if isinstance(exc, UsageError) else 'error'}: {exc}", file=sys.stderr)
+        if args is None:  # argparse refused the command line: its usage follows
+            parser.print_usage(sys.stderr)
+        return exc.code
 
 
 class _Stdout:

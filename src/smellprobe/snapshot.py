@@ -254,9 +254,17 @@ def _record_line(entry: SnapshotEntry) -> str:
     return _dump(record) + "\n"
 
 
-def _beside(path: Path, suffix: str) -> Path:
-    """A fresh hidden file name in the directory of ``path``."""
-    return path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.{suffix}")
+def _create_beside(path: Path, suffix: str, mode: str, **kwargs) -> tuple[Path, IO]:
+    """Create a fresh hidden file in the directory of ``path``: its name and the open file.
+
+    An ``OSError`` of the open names ``path``, the file the caller asked for,
+    not the hidden one.
+    """
+    hidden = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.{suffix}")
+    try:
+        return hidden, hidden.open(mode, **kwargs)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
 
 
 @contextmanager
@@ -269,13 +277,9 @@ def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
     as it was.  The file is not fsynced, so this guards against a crashed or
     interrupted process, not against power loss.
     """
-    path = Path(path)
-    temporary = _beside(path, "tmp")
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
+    temporary, fh = _create_beside(Path(path), "tmp", "xb" if binary else "x", **text)
     try:
-        if binary:
-            fh = temporary.open("xb")
-        else:
-            fh = temporary.open("x", encoding="utf-8", newline="")
         with fh:
             yield fh
         os.replace(temporary, path)
@@ -298,8 +302,7 @@ class SnapshotSpool:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._spool_path = _beside(self.path, "spool")
-        self._file = self._spool_path.open("xb+")
+        self._spool_path, self._file = _create_beside(self.path, "spool", "xb+")
         self._index: dict[str, tuple[int, int]] = {}
         self._end = 0  # the spool's length, kept so ``add`` makes no seek call
 

@@ -23,6 +23,7 @@ from smellprobe.probe import ProbeConfig
 from smellprobe.smells import detect_all
 from smellprobe.snapshot import iter_entries, load, save
 
+from golden import LIBRARY_GOLDEN, SCAN_TIMES, library_rows, mask_library_scan
 from helpers import EPOCH, SCHEMA4, SCHEMA4_ROUND1, build_entry, build_snapshot, corrupt_schema4_round1
 
 
@@ -319,6 +320,74 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["polish"]) == EXIT_USAGE
 
 
+ROUND1, ROUND2 = (str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2))
+ORDER_ERROR = "error: first snapshot must predate the second"
+# Run in a directory that holds the files FAILURE_FILES writes, through
+# relative paths, so each line names a file as the user gave it.
+FAILURES = {
+    "missing corpus": (["scan", "--corpus", "missing.csv", "--out", "s.jsonl"],
+                       EXIT_IO, ["error: corpus file not found: missing.csv"]),
+    "corpus not utf-8": (["scan", "--corpus", "latin1.csv", "--out", "s.jsonl"], EXIT_IO,
+                         ["error: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"]),
+    "unwritable rejects": (
+        ["scan", "--corpus", "mixed.csv", "--out", "s.jsonl", "--rejects", "missing/r.jsonl"], EXIT_IO,
+        ["error: cannot write rejects: [Errno 2] No such file or directory: 'missing/r.jsonl'"]),
+    "unwritable snapshot": (
+        ["scan", "--corpus", "corpus.csv", "--out", "missing/s.jsonl"], EXIT_IO,
+        ["error: cannot write snapshot: [Errno 2] No such file or directory: 'missing/s.jsonl'"]),
+    "unwritable records": (
+        ["diff", ROUND1, ROUND2, "--out", "missing/m.jsonl"], EXIT_IO,
+        ["error: cannot write records: [Errno 2] No such file or directory: 'missing/m.jsonl'"]),
+    "corrupt snapshot": (
+        ["diff", "corrupt.smellsnap.jsonl", ROUND2, "--out", "m.jsonl"], EXIT_IO,
+        ["error: record 0: bad header (Expecting value: line 1 column 1 (char 0))"]),
+    "missing snapshot": (
+        ["report", "missing.smellsnap.jsonl", "--out-dir", "r"], EXIT_IO,
+        ["error: [Errno 2] No such file or directory: 'missing.smellsnap.jsonl'"]),
+    "corpus not covered": (
+        ["report", ROUND1, "--corpus", "corpus.csv", "--out-dir", "r"], EXIT_IO,
+        ["error: snapshot does not cover corpus: 1 url(s) missing"]),
+    "out-dir is a file": (["report", ROUND1, "--out-dir", "a-file"], EXIT_IO,
+                          ["error: [Errno 17] File exists: 'a-file'"]),
+    "diff out of order": (["diff", ROUND2, ROUND1, "--out", "m.jsonl"], EXIT_USAGE, [ORDER_ERROR]),
+    "report out of order": (["report", ROUND2, ROUND1, "--out-dir", "r"], EXIT_USAGE, [ORDER_ERROR]),
+    "three report snapshots": (["report", ROUND1, ROUND1, ROUND2, "--out-dir", "r"], EXIT_USAGE,
+                               ["usage error: report takes one or two snapshots"]),
+    "negative retries": (["scan", "--corpus", "corpus.csv", "--out", "s.jsonl", "--retries", "-1"],
+                         EXIT_USAGE, ["usage error: retries must be >= 0"]),
+    "missing ca-bundle": (
+        ["scan", "--corpus", "corpus.csv", "--out", "s.jsonl", "--ca-bundle", "missing.pem"], EXIT_USAGE,
+        ["usage error: --ca-bundle missing.pem: No such file or directory"]),
+    # The one failure that prints more than its line: argparse's usage follows.
+    "missing required flag": (["scan", "--out", "s.jsonl"], EXIT_USAGE,
+                              ["usage error: the following arguments are required: --corpus",
+                               "usage: smellprobe [-h] {scan,diff,report} ..."]),
+}
+FAILURE_FILES = {
+    # Port 9 (discard) refuses at once, should a failure come too late.
+    "corpus.csv": b"url,app_id,source_model,declared_format\nhttp://127.0.0.1:9/,app-0,open_source,\n",
+    "mixed.csv": b"url,app_id,source_model,declared_format\n"
+                 b"http://127.0.0.1:9/,app-0,open_source,\nftp://files.example/,app-1,open_source,\n",
+    "latin1.csv": b"url,app_id\n\xff\xfe\n",
+    "a-file": b"not a directory\n",
+    "corrupt.smellsnap.jsonl": b"garbage\n",
+}
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, monkeypatch, capsys, name):
+    """Exit 3 with ``error:`` for I/O and data, exit 1 for a command line that cannot run;
+    the failure writes no file, hidden ones included."""
+    args, code, stderr = FAILURES[name]
+    for file_name, data in FAILURE_FILES.items():
+        (tmp_path / file_name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", stderr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FAILURE_FILES)
+
+
 def test_report_counts_url_new_in_second_snapshot(tmp_path, healthy_endpoint, endpoints, library):
     newcomer = endpoints(library.profile("http_nginx_banner"))
     corpus1 = write_corpus(tmp_path, [healthy_endpoint.url("/")], name="c1.csv")
@@ -504,7 +573,6 @@ EXIT_PROBE = (
     "from smellprobe.cli import run\n"
     "sys.exit(max(run(sys.argv[1:]) for _ in range(2)))\n"
 )
-SCAN_TIMES = re.compile(rb'"(taken_at|timestamp)":"[^"]*"|\["date","[^"]*"\]')
 
 
 def written_files(directory: Path) -> dict[str, bytes]:
@@ -706,12 +774,32 @@ def test_scan_interrupted_by_sigint_leaves_previous_snapshot(tmp_path, endpoints
         stderr.unlink()
     if hung:
         pytest.fail(f"the scan did not exit within 5 s of {signum.name}; its stderr:\n{dump}")
-    assert child.returncode != EXIT_OK
+    assert (child.returncode, dump) == (128 + signum, "")
     # Interrupted while the two workers run their first URLs: the two
     # queued URLs are cancelled.
     assert len(ep.requests) <= 2
     assert out.read_bytes() == b"the previous snapshot\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", out.name]
+
+
+@pytest.mark.parametrize("ignored", [False, True], ids=["sigint handled", "sigint ignored"])
+def test_run_handles_sigint_unless_ignored_and_restores_both_handlers(monkeypatch, ignored):
+    """A background job starts with SIGINT ignored; run leaves it so."""
+    inherited = signal.SIG_IGN if ignored else signal.default_int_handler
+    seen = {}
+
+    def command(argv):
+        seen.update((signum, signal.getsignal(signum)) for signum in (signal.SIGINT, signal.SIGTERM))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "_run", command)
+    before = signal.signal(signal.SIGINT, inherited), signal.getsignal(signal.SIGTERM)
+    try:
+        assert run([]) == EXIT_OK
+        assert (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) == (inherited, before[1])
+    finally:
+        signal.signal(signal.SIGINT, before[0])
+    assert seen == {signal.SIGINT: inherited if ignored else cli._terminate, signal.SIGTERM: cli._terminate}
 
 
 def test_scan_interrupted_at_random_moments_exits_and_keeps_previous_snapshot(tmp_path, endpoints):
@@ -756,9 +844,9 @@ def test_scan_interrupted_at_random_moments_exits_and_keeps_previous_snapshot(tm
 
 def test_snapshot_does_not_depend_on_parallelism_or_corpus_order(tmp_path, endpoints, library):
     """A fixture-library scan writes the same bytes, timestamps masked, at 1 and 16 workers
-    and with its corpus rows shuffled."""
+    and with its corpus rows shuffled; its ports masked too, the golden snapshot's bytes."""
     spawned = [endpoints(profile) for profile in library.profiles.values()]
-    rows = [f"{ep.url('/')},app-{i},open_source," for i, ep in enumerate(spawned)]
+    rows = library_rows(spawned)
     shuffled = random.Random(23).sample(rows, len(rows))
     assert shuffled != rows
     bundle = next(ep.ca_file for ep in spawned if ep.ca_file)
@@ -775,6 +863,7 @@ def test_snapshot_does_not_depend_on_parallelism_or_corpus_order(tmp_path, endpo
     assert snapshots[0].count(b"\n") == len(spawned) + 1
     assert snapshots[1] == snapshots[0]
     assert snapshots[2] == snapshots[0]
+    assert mask_library_scan(snapshots[0], spawned) == LIBRARY_GOLDEN.read_bytes()
 
 
 def test_slow_first_url_does_not_hold_up_the_rest(tmp_path, endpoints):

@@ -384,14 +384,18 @@ def test_schema4_file_loads_with_its_chains():
     assert downgrade.terminal.url == "http://127.0.0.1:46169/legacy"
 
 
-def assert_stored_outputs(tmp_path, paths, expected):
-    """diff and the CSV report over ``paths`` give the files stored in ``expected``."""
+def assert_stored_outputs(tmp_path, paths):
+    """diff and the CSV and JSON reports over ``paths`` give the files stored in
+    ``report`` and ``report-json`` beside the schema-4 rounds."""
     out = tmp_path / "maintenance.jsonl"
     assert run(["diff", *map(str, paths), "--out", str(out)]) == EXIT_OK
-    assert out.read_bytes() == (expected / "maintenance.jsonl").read_bytes()
-    assert run(["report", *map(str, paths), "--out-dir", str(tmp_path / "report")]) == EXIT_OK
-    for table in sorted(expected.iterdir()):
-        assert (tmp_path / "report" / table.name).read_bytes() == table.read_bytes(), table.name
+    assert out.read_bytes() == (SCHEMA4 / "report" / "maintenance.jsonl").read_bytes()
+    for fmt, expected in (("csv", SCHEMA4 / "report"), ("json", SCHEMA4 / "report-json")):
+        written = tmp_path / expected.name
+        assert run(["report", *map(str, paths), "--out-dir", str(written), "--format", fmt]) == EXIT_OK
+        assert sorted(p.name for p in written.iterdir()) == sorted(p.name for p in expected.iterdir())
+        for table in sorted(expected.iterdir()):
+            assert (written / table.name).read_bytes() == table.read_bytes(), table.name
 
 
 @pytest.mark.parametrize("name", ["round1", "round2"])
@@ -424,7 +428,8 @@ def test_schema4_file_resaves_to_its_own_bytes(tmp_path, name):
 
 @pytest.mark.parametrize("resave", [(False, False), (False, True), (True, False), (True, True)])
 def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, resave):
-    """Each round as checked in or saved again gives the records and tables stored in report/."""
+    """Each round as checked in or saved again gives the records and tables stored in
+    report/ and report-json/."""
     paths = []
     for name, again in zip(("round1", "round2"), resave):
         path = SCHEMA4 / f"{name}.smellsnap.jsonl"
@@ -432,7 +437,7 @@ def test_diff_and_report_across_schemas_match_stored_outputs(tmp_path, resave):
             save(load(path), tmp_path / path.name)
             path = tmp_path / path.name
         paths.append(path)
-    assert_stored_outputs(tmp_path, paths, SCHEMA4 / "report")
+    assert_stored_outputs(tmp_path, paths)
 
 
 @pytest.mark.parametrize("command", ["diff", "report"])
