@@ -97,33 +97,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _bad_ca_bundle(path: str, exc: OSError) -> UsageError:
-    return UsageError(f"--ca-bundle {path}: {exc.strerror or exc}")
-
-
 def _probe_config(args: argparse.Namespace) -> ProbeConfig:
     """The scan's ProbeConfig: each probe flag not given keeps its field default."""
     from .probe import ProbeConfig
 
-    if args.ca_bundle is not None:
-        # Checked here, before the corpus is read, so a bad path fails even a
-        # dry run; a readable file that holds no certificate fails when
-        # probe_each loads it, before any request.
-        try:
-            with open(args.ca_bundle, "rb"):
-                pass
-        except OSError as exc:
-            raise _bad_ca_bundle(args.ca_bundle, exc) from None
     flags = {f.name: getattr(args, f.name) for f in fields(ProbeConfig)}
     try:
         return ProbeConfig(**{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    except OSError as exc:  # loading ca_bundle is the one thing that opens a file
+        raise UsageError(f"--ca-bundle {args.ca_bundle}: {exc.strerror or exc}") from None
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     from .corpus import load_targets, write_rejects
 
+    # Made before the corpus is read, so a flag value or --ca-bundle that
+    # cannot be used fails a dry run as it fails the scan.
     cfg = _probe_config(args)
     try:
         loaded = load_targets(args.corpus)
@@ -152,13 +143,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .smells import detect_all
     from .snapshot import SnapshotEntry, SnapshotSpool
 
-    # probe_each loads any --ca-bundle, and the spool opens, before the first
-    # request, so a --ca-bundle without a certificate or an --out that cannot
-    # be written fails the scan before it probes anything.
-    try:
-        results = probe_each(loaded.targets, cfg)
-    except OSError as exc:  # the system store loads without error, even an empty one
-        raise _bad_ca_bundle(args.ca_bundle, exc) from None
+    # The spool opens before the first request, so an --out that cannot be
+    # written fails the scan before it probes anything.
+    results = probe_each(loaded.targets, cfg)
     tally = {kind: 0 for kind in SmellKind}
     failed = 0
     try:

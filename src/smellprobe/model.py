@@ -349,9 +349,7 @@ SUBFLAG_VOCABULARY: dict[SmellKind, frozenset[str]] = {
     SmellKind.INSECURE_TRANSPORT: frozenset(),
     SmellKind.SOURCE_CODE_DISCLOSURE: FRAMEWORK_SUBFLAGS,
     SmellKind.VERSION_DISCLOSURE: frozenset({*VERSION_HEADER_KEYS, "body_banner"}),
-    # No detector sets this any more; it stays so that snapshots written by
-    # scans run with the former --json-auth-heuristic flag still load.
-    SmellKind.LACK_OF_ACCESS_CONTROL: frozenset({"json_auth_error_heuristic"}),
+    SmellKind.LACK_OF_ACCESS_CONTROL: frozenset(),
     SmellKind.MISSING_HTTPS_REDIRECT: frozenset({"downgrade", "loop", "excessive_chain"}),
     SmellKind.MISSING_HSTS: frozenset(
         {"absent", "short_max_age", "missing_include_subdomains", "missing_preload"}

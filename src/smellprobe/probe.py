@@ -9,14 +9,13 @@ live in ``smellprobe.model``.
 
 The TLS client context (the trust store and the validation settings) is the
 one exception: it is built once per ``ProbeConfig`` and shared by every
-worker, redirect hop and retry of the scan.  ``probe_each`` builds it on the
-calling thread before its workers start when a ``ca_bundle`` is given or any
-target is https, so a trust store that cannot be loaded fails the call before
-any request, and the store's certificates are allocated outside the workers'
-malloc arenas.  Otherwise the first https exchange builds it (a redirect to
-https with the system store, or a direct ``probe_and_follow`` call).  It
-carries no connection state: each exchange still does a full handshake on a
-fresh connection, with no session resumption.
+worker, redirect hop and retry of the scan.  A config given a ``ca_bundle``
+builds it when it is made, so a bundle that cannot be loaded fails there.
+With the system store, ``probe_each`` builds it on the calling thread before
+its workers start when any target is https, so the store's certificates are
+allocated outside the workers' malloc arenas; otherwise the first https
+exchange builds it.  It carries no connection state: each exchange still
+does a full handshake on a fresh connection, with no session resumption.
 
 A failed exchange is looked up once in ``_failure_table``, an ordered list of
 ``(exception type, stored reason, retryable)`` rows where the first match
@@ -75,9 +74,10 @@ class ProbeConfig:
     ``MAX_EXCHANGES``.
 
     ca_bundle is an optional PEM path used as the trust root instead of the
-    system store (how tests pin their fixture certificate).  Certificate
-    validation itself is always on and never downgraded.  One TLS context,
-    built from these settings, serves the whole scan (see ``tls_context``).
+    system store (how tests pin their fixture certificate), loaded when the
+    config is made: one that cannot be read or holds no certificate raises
+    ``OSError`` (``ssl.SSLError``).  Validation is always on and never
+    downgraded.  One TLS context serves the whole scan (see ``tls_context``).
     """
 
     connect_timeout: float = 10.0
@@ -102,19 +102,20 @@ class ProbeConfig:
             raise ValueError("retries must be >= 0")
         if not self.user_agent:
             raise ValueError("user_agent must not be empty")
+        if self.ca_bundle is not None:
+            self.tls_context  # noqa: B018 - built now, raising here if it cannot be
 
     @property
     def tls_context(self) -> "ssl.SSLContext":
         """The client context shared by every https exchange under this config.
 
         Loading the trust store costs tens of milliseconds of CPU, so it is
-        done once and only for https: a dry run or a plain-http scan never
-        pays it.  ``probe_each`` reads it before its workers start when
-        ca_bundle is given or a target is https; otherwise the first https
-        exchange builds it, under a lock.  A trust store that cannot be loaded
-        raises ``OSError`` (``ssl.SSLError`` for a bundle that holds no
-        certificate).  It is not a dataclass field, so it stays out of eq,
-        hash and repr.
+        done once.  A ca_bundle is loaded when the config is made, and its
+        ``OSError`` raised there.  The system store is loaded only for https,
+        so a dry run or a plain-http scan never pays it: ``probe_each`` reads
+        it before its workers start when a target is https, and otherwise the
+        first https exchange builds it, under a lock.  It is not a dataclass
+        field, so it stays out of eq, hash and repr.
         """
         with _TLS_CONTEXT_LOCK:
             context = self.__dict__.get("_tls_context")
@@ -246,11 +247,10 @@ def probe_each(
 ) -> Iterator[tuple[int, RedirectChain]]:
     """Probe every target; yield ``(corpus index, chain)`` as each finishes.
 
-    The call itself imports ``http.client`` and, when ``cfg.ca_bundle`` is
-    given or any target is https, builds ``cfg.tls_context`` on the calling
-    thread, so a trust store that cannot be loaded raises its ``OSError``
-    here, before any worker starts or any request is sent.  The workers start
-    on the first ``next``.
+    The call itself imports ``http.client`` and, when any target is https,
+    builds ``cfg.tls_context`` on the calling thread (a ``ca_bundle`` was
+    loaded when ``cfg`` was made, so nothing here raises for trust).  The
+    workers start on the first ``next``.
 
     cfg.parallelism worker threads (fewer for a shorter corpus) take
     ``(index, target)`` pairs from one queue and put ``(index, chain)`` on
@@ -267,8 +267,8 @@ def probe_each(
     # that worker's own arena by as much.
     import http.client  # noqa: F401 - and ssl with it
 
-    if cfg.ca_bundle is not None or any(urlsplit(t.url).scheme == "https" for t in corpus):
-        cfg.tls_context  # noqa: B018 - built now, raising here if it cannot be
+    if any(urlsplit(t.url).scheme == "https" for t in corpus):
+        cfg.tls_context  # noqa: B018 - built now, on this thread
     return _probe_each(corpus, cfg)
 
 

@@ -23,6 +23,7 @@ schema 4 alone, refuses an object with keys the writer does not write (the
 from __future__ import annotations
 
 import base64
+import errno
 import json
 import os
 from collections.abc import Collection, Iterator
@@ -258,8 +259,11 @@ def _create_beside(path: Path, suffix: str, mode: str, **kwargs) -> tuple[Path, 
     """Create a fresh hidden file in the directory of ``path``: its name and the open file.
 
     An ``OSError`` of the open names ``path``, the file the caller asked for,
-    not the hidden one.
+    not the hidden one; a ``path`` no file can replace, a directory, raises
+    ``IsADirectoryError`` here, before any work.
     """
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     hidden = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.{suffix}")
     try:
         return hidden, hidden.open(mode, **kwargs)
@@ -292,7 +296,8 @@ class SnapshotSpool:
     """A scan's records in the order they arrive, written out as a snapshot.
 
     The spool file beside ``path`` is created when the spool is, so a
-    directory that is missing or not writable fails before any work.
+    directory that is missing or not writable, or a ``path`` that is a
+    directory, fails before any work.
     ``add`` appends a record to it and keeps only the URL, offset and
     length; ``commit`` writes the header and then the records in URL order
     to a temporary file that replaces ``path``.  ``close`` (the end of a

@@ -287,6 +287,11 @@ SCHEMA4_CORRUPTIONS = {
         1, lambda r: r["report"]["findings"][1].update(subflags=["loop"]),
         r"subflags \['loop'\] not in version_disclosure vocabulary",
     ),
+    # Written only by development builds run with the former --json-auth-heuristic flag.
+    "subflag of the removed json-auth heuristic": (
+        1, lambda r: r["report"]["findings"][2].update(subflags=["json_auth_error_heuristic"]),
+        r"subflags \['json_auth_error_heuristic'\] not in lack_of_access_control vocabulary",
+    ),
     "finding without evidence": (
         1, lambda r: r["report"]["findings"][0].update(evidence=[]), "finding needs at least one piece of evidence",
     ),

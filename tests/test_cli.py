@@ -18,12 +18,15 @@ import smellprobe
 from smellprobe import cli, model
 from smellprobe.cli import EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
 from smellprobe.harness import FixtureProfile, RouteSpec
-from smellprobe.model import BodyFormat, Locus, SmellFinding, SmellKind
+from smellprobe.model import BodyFormat, SmellKind
 from smellprobe.probe import ProbeConfig
 from smellprobe.smells import detect_all
-from smellprobe.snapshot import iter_entries, load, save
+from smellprobe.snapshot import load, save
 
-from golden import LIBRARY_GOLDEN, SCAN_TIMES, library_rows, mask_library_scan
+from golden import (
+    LIBRARY_GOLDEN, LIBRARY_REPORT, LIBRARY_ROUND2, SCAN_TIMES, library_rows, mask_library_report,
+    mask_library_scan, second_round_rows, write_library_corpus,
+)
 from helpers import EPOCH, SCHEMA4, SCHEMA4_ROUND1, build_entry, build_snapshot, corrupt_schema4_round1
 
 
@@ -93,16 +96,17 @@ def test_dry_run_lists_without_probing(tmp_path, healthy_endpoint, capsys):
     assert not (tmp_path / "s.jsonl").exists()
 
 
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["scan", "dry run"])
 @pytest.mark.parametrize("bundle", ["missing.pem", ".", "no-certificate.pem"])
-def test_unreadable_ca_bundle_is_usage_error(tmp_path, endpoints, library, capsys, bundle):
+def test_unreadable_ca_bundle_is_usage_error(tmp_path, endpoints, library, capsys, bundle, dry_run):
     """A bundle that cannot be read, or that is read and holds no certificate, fails the scan
-    once, before any request."""
+    once, before any request, and its dry run with the same line."""
     ep = endpoints(library.profile("https_no_hsts"))
     corpus = write_corpus(tmp_path, [ep.url("/"), ep.url("/other")])
     (tmp_path / "no-certificate.pem").write_text("no PEM block here\n", encoding="utf-8")
     path = str(tmp_path / bundle)
     out = tmp_path / "s.jsonl"
-    code = run(scan_args(corpus, out, extra=["--ca-bundle", path]))
+    code = run(scan_args(corpus, out, extra=["--ca-bundle", path, *dry_run]))
     assert code == EXIT_USAGE
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"usage error: --ca-bundle {path}: ")
@@ -338,6 +342,10 @@ FAILURES = {
     "unwritable records": (
         ["diff", ROUND1, ROUND2, "--out", "missing/m.jsonl"], EXIT_IO,
         ["error: cannot write records: [Errno 2] No such file or directory: 'missing/m.jsonl'"]),
+    "snapshot a directory": (["scan", "--corpus", "corpus.csv", "--out", "a-dir"], EXIT_IO,
+                             ["error: cannot write snapshot: [Errno 21] Is a directory: 'a-dir'"]),
+    "records a directory": (["diff", ROUND1, ROUND2, "--out", "a-dir"], EXIT_IO,
+                            ["error: cannot write records: [Errno 21] Is a directory: 'a-dir'"]),
     "corrupt snapshot": (
         ["diff", "corrupt.smellsnap.jsonl", ROUND2, "--out", "m.jsonl"], EXIT_IO,
         ["error: record 0: bad header (Expecting value: line 1 column 1 (char 0))"]),
@@ -363,29 +371,36 @@ FAILURES = {
                               ["usage error: the following arguments are required: --corpus",
                                "usage: smellprobe [-h] {scan,diff,report} ..."]),
 }
+# Each {url} is the test's live endpoint; None is an empty directory.
 FAILURE_FILES = {
-    # Port 9 (discard) refuses at once, should a failure come too late.
-    "corpus.csv": b"url,app_id,source_model,declared_format\nhttp://127.0.0.1:9/,app-0,open_source,\n",
+    "corpus.csv": b"url,app_id,source_model,declared_format\n{url},app-0,open_source,\n",
     "mixed.csv": b"url,app_id,source_model,declared_format\n"
-                 b"http://127.0.0.1:9/,app-0,open_source,\nftp://files.example/,app-1,open_source,\n",
+                 b"{url},app-0,open_source,\nftp://files.example/,app-1,open_source,\n",
     "latin1.csv": b"url,app_id\n\xff\xfe\n",
     "a-file": b"not a directory\n",
+    "a-dir": None,
     "corrupt.smellsnap.jsonl": b"garbage\n",
 }
 
 
 @pytest.mark.parametrize("name", FAILURES)
-def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, monkeypatch, capsys, name):
+def test_each_failure_exits_with_its_code_and_one_stderr_line(tmp_path, monkeypatch, capsys,
+                                                              healthy_endpoint, name):
     """Exit 3 with ``error:`` for I/O and data, exit 1 for a command line that cannot run;
-    the failure writes no file, hidden ones included."""
+    the failure sends no request and writes no file, hidden ones included."""
     args, code, stderr = FAILURES[name]
     for file_name, data in FAILURE_FILES.items():
-        (tmp_path / file_name).write_bytes(data)
+        if data is None:
+            (tmp_path / file_name).mkdir()
+        else:
+            (tmp_path / file_name).write_bytes(data.replace(b"{url}", healthy_endpoint.url("/").encode()))
     monkeypatch.chdir(tmp_path)
     assert run(args) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err.splitlines()) == ("", stderr)
+    assert healthy_endpoint.requests == []
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(FAILURE_FILES)
+    assert list((tmp_path / "a-dir").iterdir()) == []
 
 
 def test_report_counts_url_new_in_second_snapshot(tmp_path, healthy_endpoint, endpoints, library):
@@ -844,7 +859,8 @@ def test_scan_interrupted_at_random_moments_exits_and_keeps_previous_snapshot(tm
 
 def test_snapshot_does_not_depend_on_parallelism_or_corpus_order(tmp_path, endpoints, library):
     """A fixture-library scan writes the same bytes, timestamps masked, at 1 and 16 workers
-    and with its corpus rows shuffled; its ports masked too, the golden snapshot's bytes."""
+    and with its corpus rows shuffled; its ports masked too, the golden snapshot's bytes.
+    So do its second round, and diff and report on the two rounds."""
     spawned = [endpoints(profile) for profile in library.profiles.values()]
     rows = library_rows(spawned)
     shuffled = random.Random(23).sample(rows, len(rows))
@@ -853,8 +869,7 @@ def test_snapshot_does_not_depend_on_parallelism_or_corpus_order(tmp_path, endpo
     snapshots = []
     for name, order, workers in (("one", rows, 1), ("many", rows, 16), ("shuffled", shuffled, 16)):
         corpus = tmp_path / f"{name}.csv"
-        corpus.write_text("\n".join(["url,app_id,source_model,declared_format", *order]) + "\n",
-                          encoding="utf-8")
+        write_library_corpus(corpus, order)
         out = tmp_path / f"{name}.smellsnap.jsonl"
         code = run(scan_args(corpus, out, extra=["--ca-bundle", bundle, "--parallelism", str(workers),
                                                  "--id", "library"]))
@@ -864,6 +879,20 @@ def test_snapshot_does_not_depend_on_parallelism_or_corpus_order(tmp_path, endpo
     assert snapshots[1] == snapshots[0]
     assert snapshots[2] == snapshots[0]
     assert mask_library_scan(snapshots[0], spawned) == LIBRARY_GOLDEN.read_bytes()
+
+    corpus, round2 = tmp_path / "round2.csv", tmp_path / "round2.smellsnap.jsonl"
+    write_library_corpus(corpus, second_round_rows(spawned))
+    code = run(scan_args(corpus, round2, extra=["--ca-bundle", bundle, "--parallelism", "16",
+                                                "--id", "library-round2"]))
+    assert code == EXIT_PARTIAL  # the endpoints shut down refuse
+    assert mask_library_scan(round2.read_bytes(), spawned) == LIBRARY_ROUND2.read_bytes()
+    rounds = [str(tmp_path / "one.smellsnap.jsonl"), str(round2)]
+    assert run(["diff", *rounds, "--out", str(tmp_path / "m.jsonl")]) == EXIT_OK
+    assert run(["report", *rounds, "--out-dir", str(tmp_path / "r")]) == EXIT_OK
+    assert mask_library_report(tmp_path / "r", spawned) == {
+        path.name: path.read_bytes() for path in sorted(LIBRARY_REPORT.iterdir())
+    }
+    assert (tmp_path / "m.jsonl").read_bytes() == (tmp_path / "r" / "maintenance.jsonl").read_bytes()
 
 
 def test_slow_first_url_does_not_hold_up_the_rest(tmp_path, endpoints):
@@ -915,30 +944,6 @@ def test_snapshots_in_wrong_order_are_usage_error(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == [first.name, second.name]
 
 
-def test_stored_json_auth_subflag_loads_diffs_and_reports(tmp_path, capsys):
-    """Scans run with the former --json-auth-heuristic flag stored this subflag."""
-    url = "http://api.example.com/"
-    finding = SmellFinding(
-        kind=SmellKind.LACK_OF_ACCESS_CONTROL,
-        evidence=((Locus.HEADER, "status 200 without credential challenge"),),
-        subflags=frozenset({"json_auth_error_heuristic"}),
-    )
-    entry = build_entry(url, server="nginx/1.14.1", headers=(("content-type", "application/json"),),
-                        body=b'{"error":"invalid_token"}', findings=(finding,))
-    paths = [tmp_path / f"round{n}.smellsnap.jsonl" for n in (1, 2)]
-    for n, path in enumerate(paths, start=1):
-        save(build_snapshot({url: entry}, path.stem, taken_at=EPOCH + timedelta(days=n)), path)
-    with iter_entries(paths[0]) as reader:
-        assert [e.report for e in reader] == [entry.report]
-
-    rounds = [str(path) for path in paths]
-    assert run(["diff", *rounds, "--out", str(tmp_path / "m.jsonl")]) == EXIT_OK
-    assert run(["report", *rounds, "--out-dir", str(tmp_path / "r"), "--format", "json"]) == EXIT_OK
-    rows = json.loads((tmp_path / "r" / "prevalence.json").read_text(encoding="utf-8"))["rows"]
-    flagged = {row["smell"] for row in rows if row["urls_affected"]}
-    assert flagged == {"lack_of_access_control"}
-
-
 @pytest.mark.parametrize("command", ["diff", "report"])
 def test_header_without_utc_offset_is_corrupt(tmp_path, capsys, command):
     first, second = two_rounds(tmp_path)
@@ -959,7 +964,7 @@ def test_header_without_utc_offset_is_corrupt(tmp_path, capsys, command):
                                   "extra first exchange key", "extra finding key", "header value not a string",
                                   "body_b64 not strict base64", "leak software not a string",
                                   "leak locus not a string", "target app_id not a string",
-                                  "header entries a string"])
+                                  "header entries a string", "subflag of the removed json-auth heuristic"])
 def test_record_no_writer_makes_is_corrupt(tmp_path, capsys, command, name):
     first, message = corrupt_schema4_round1(tmp_path, name)
     second = SCHEMA4_ROUND1.with_name("round2.smellsnap.jsonl")

@@ -158,7 +158,7 @@ def test_jsonl_bad_json_rejected(tmp_path):
 def test_jsonl_row_not_an_object_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     lines = ['["https://a.example/x", "app-a"]', '"https://b.example/"', "null", "{not json}",
-             "[" * 100_000,
+             "[" * 100_000, "",  # a blank line is skipped, not rejected
              '{"url": "https://c.example/", "app_id": "app-c", "source_model": "open_source"}']
     path.write_text("".join(f"  {line}\n" for line in lines), encoding="utf-8")
     loaded = load_targets(path)
@@ -177,10 +177,17 @@ def test_missing_file_raises():
         load_targets("/nonexistent/corpus.csv")
 
 
-def test_bad_source_model_rejected(tmp_path):
-    path = write_csv(tmp_path, ["http://a.example/x,app-a,shareware,"])
-    loaded = load_targets(path)
-    assert loaded.rejects[0].reason == "bad source_model: 'shareware'"
+@pytest.mark.parametrize("row, reason", [
+    (" ,app-a,open_source,", "missing url"),
+    ("http://a.example/x, ,open_source,", "missing app_id"),
+    ("http://a.example/x,app-a,shareware,", "bad source_model: 'shareware'"),
+    ("http://a.example/x,app-a,open_source,yaml", "bad declared_format: 'yaml'"),
+], ids=["url", "app_id", "source_model", "declared_format"])
+def test_bad_row_field_rejected(tmp_path, row, reason):
+    """A row missing a required field, or holding a value outside its enum, is rejected as given."""
+    loaded = load_targets(write_csv(tmp_path, [row]))
+    assert loaded.targets == ()
+    assert [(r.row, r.reason) for r in loaded.rejects] == [(row, reason)]
 
 
 def test_placeholder_paths_accepted(tmp_path):

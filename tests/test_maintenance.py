@@ -296,6 +296,8 @@ def test_server_banner_reads_direct_result():
     assert first.name == "nginx"
     assert rest == ("mod_x/1.0",)
     assert server_banner(None) == (None, ())
+    # A banner with no product token gives no software to compare.
+    assert server_banner(build_entry("http://u.example/", server="(Ubuntu)")) == (None, ())
 
 
 def test_token_with_nothing_before_its_slash_unchanged_is_no_update(tmp_path):

@@ -15,6 +15,8 @@ from urllib.parse import urlsplit
 
 import pytest
 
+import smellprobe
+
 from smellprobe import probe
 from smellprobe.cli import EXIT_OK, run
 from smellprobe.corpus import load_targets
@@ -297,14 +299,21 @@ def _one_request_server(family: socket.AddressFamily, host: str):
     ids=["ipv4", "ipv6"],
 )
 def test_host_header(family, host, netloc_host):
+    """The whole request head: the path with its query, and these fields alone, so no
+    Accept-Encoding."""
     port, received, thread = _one_request_server(family, host)
-    result, _ = probe_and_follow(make_target(f"http://{netloc_host}:{port}/"), fast_cfg())
+    result, _ = probe_and_follow(make_target(f"http://{netloc_host}:{port}/p?q=1"), fast_cfg())
     thread.join(5)
     assert not thread.is_alive()
     assert result.status == 200
-    lines = received[0].split(b"\r\n")
-    assert [line for line in lines if line.lower().startswith(b"host:")] == [
-        f"Host: {netloc_host}:{port}".encode()
+    assert received[0].split(b"\r\n") == [
+        b"GET /p?q=1 HTTP/1.1",
+        f"Host: {netloc_host}:{port}".encode(),
+        f"User-Agent: smellprobe/{smellprobe.__version__}".encode(),
+        b"Accept: */*",
+        b"Connection: close",
+        b"",
+        b"",
     ]
 
 
@@ -779,21 +788,24 @@ class TestSharedTlsContext:
 
     def test_http_target_redirected_to_https_builds_context_on_first_use(self, endpoints, library,
                                                                          monkeypatch):
+        """The system store is loaded lazily; the fixture is trusted through it here."""
         ep = endpoints(library.profile("http_upgrade_redirect"))
+        monkeypatch.setenv("SSL_CERT_FILE", ep.ca_file)
         served = requests_at_each_build(monkeypatch, ep)
         target = make_target(ep.url("/", scheme="http"))
-        result, chain = probe_and_follow(target, fast_cfg(ca_bundle=ep.ca_file))
+        result, chain = probe_and_follow(target, fast_cfg())
         assert (result.status, chain.terminal.status) == (301, 200)
         # Built once, between the http request and the https one.
         assert served == [1]
 
     def test_bundle_without_certificate_fails_the_call_before_any_request(self, tmp_path,
                                                                           endpoints, library):
+        """The config loads its bundle when it is made, so no probe call ever gets one it cannot use."""
         ep = endpoints(library.profile("https_no_hsts"))
         bundle = tmp_path / "no-certificate.pem"
         bundle.write_text("no PEM block here\n", encoding="utf-8")
         with pytest.raises(ssl.SSLError):
-            probe.probe_each([make_target(ep.url("/"))], fast_cfg(ca_bundle=str(bundle)))
+            fast_cfg(ca_bundle=str(bundle))
         assert ep.requests == []
 
     def test_http_only_scan_builds_no_context(self, endpoints, context_builds):
@@ -804,16 +816,18 @@ class TestSharedTlsContext:
         assert context_builds == []
 
     def test_dry_run_builds_no_context(self, tmp_path, endpoints, library, context_builds):
+        """A dry run loads no system store; a --ca-bundle it loads once, to check it."""
         ep = endpoints(library.profile("https_no_hsts"))
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(
             f"url,app_id,source_model,declared_format\n{ep.url('/')},app-0,open_source,\n",
             encoding="utf-8",
         )
-        args = ["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl"),
-                "--ca-bundle", ep.ca_file, "--dry-run"]
+        args = ["scan", "--corpus", str(corpus), "--out", str(tmp_path / "s.jsonl"), "--dry-run"]
         assert run(args) == EXIT_OK
         assert context_builds == []
+        assert run([*args, "--ca-bundle", ep.ca_file]) == EXIT_OK
+        assert context_builds == [ep.ca_file]
         assert ep.requests == []
 
     def test_http_scan_with_ca_bundle_builds_context_before_any_request(self, tmp_path, endpoints,

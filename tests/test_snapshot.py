@@ -5,7 +5,7 @@ import re
 import socket
 import tracemalloc
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -279,8 +279,6 @@ def test_snapshot_validates_entry_keys():
 
 
 def test_naive_timestamp_rejected():
-    from datetime import datetime
-
     with pytest.raises(ValueError):
         Snapshot(id="bad", taken_at=datetime(2024, 1, 1), entries={})
 
@@ -665,6 +663,20 @@ def test_spool_writes_records_in_url_order_whatever_their_arrival(tmp_path):
         assert spool.commit(snapshot.id, snapshot.taken_at) == 6
     assert path.read_bytes() == saved.read_bytes()
     assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_commit_with_naive_taken_at_leaves_path_as_it_was(tmp_path):
+    path = tmp_path / "run.smellsnap.jsonl"
+    save(sample_snapshot(), path)
+    before = path.read_bytes()
+    with SnapshotSpool(path) as spool:
+        spool.add(sample_snapshot().entries["http://a.example/x"])
+        with pytest.raises(ValueError, match="taken_at must be timezone-aware"):
+            spool.commit("naive", datetime(2024, 1, 1))
+        # The refusal comes before any temporary file: the snapshot and the spool alone.
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".jsonl", ".spool"]
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_spool_closed_without_commit_leaves_nothing(tmp_path):
