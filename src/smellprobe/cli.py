@@ -121,19 +121,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise CommandError(str(exc)) from None
 
-    if loaded.rejects and args.dry_run:
-        print(f"rejected {len(loaded.rejects)} row(s)", file=sys.stderr)
-    elif loaded.rejects:
-        rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
-        try:
-            write_rejects(loaded.rejects, rejects_path)
-        except OSError as exc:
-            raise CommandError(f"cannot write rejects: {exc}") from None
-        print(f"rejected {len(loaded.rejects)} row(s) -> {rejects_path}", file=sys.stderr)
     if loaded.duplicates_collapsed:
         print(f"collapsed {loaded.duplicates_collapsed} duplicate url(s)", file=sys.stderr)
-
     if args.dry_run:
+        if loaded.rejects:
+            print(f"rejected {len(loaded.rejects)} row(s)", file=sys.stderr)
         for target in loaded.targets:
             print(target.url)
         return EXIT_OK
@@ -143,13 +135,22 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .smells import detect_all
     from .snapshot import SnapshotEntry, SnapshotSpool
 
-    # The spool opens before the first request, so an --out that cannot be
-    # written fails the scan before it probes anything.
+    # The spool is created, and then the rejects written, before the first
+    # next(results) starts the workers: an --out or --rejects that cannot be
+    # written fails the scan before it probes anything, and an --out that
+    # cannot be written leaves no rejects behind.
     results = probe_each(loaded.targets, cfg)
     tally = {kind: 0 for kind in SmellKind}
     failed = 0
     try:
         with closing(results), SnapshotSpool(args.out) as spool:
+            if loaded.rejects:
+                rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
+                try:
+                    write_rejects(loaded.rejects, rejects_path)
+                except OSError as exc:
+                    raise CommandError(f"cannot write rejects: {exc}") from None
+                print(f"rejected {len(loaded.rejects)} row(s) -> {rejects_path}", file=sys.stderr)
             for _, chain in results:
                 result = chain.result
                 report = detect_all(result.target, result, chain)

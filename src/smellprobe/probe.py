@@ -293,11 +293,12 @@ def _probe_each(
                 finished.put((index, exc))
 
     workers: list[threading.Thread] = []
+    count = min(cfg.parallelism, len(corpus))
     outstanding = 0
     try:
         # Daemon threads, so that the workers of a generator never closed
         # hold up no exit.
-        for _ in range(min(cfg.parallelism, len(corpus))):
+        for _ in range(count):
             worker = threading.Thread(target=work, daemon=True)
             worker.start()
             workers.append(worker)
@@ -317,7 +318,7 @@ def _probe_each(
         # A None for every worker that may have started, also one that an
         # interrupt inside Thread.start kept out of the list, so that none
         # takes another's None and leaves it waiting in join.
-        for _ in range(cfg.parallelism):
+        for _ in range(count):
             todo.put(None)
         for worker in workers:
             worker.join()

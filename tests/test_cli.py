@@ -146,6 +146,32 @@ def test_scan_writes_rejects_file(tmp_path, healthy_endpoint, capsys):
     assert record["reason"] == "unsupported scheme"
 
 
+# Rows the request-URL rule refuses, and the rejects a scan writes for them:
+# the same byte for byte on every Python, brackets and ports included.
+REFUSED_ROWS = [
+    ("http://[garbage]/,app-0,open_source,", "bad bracketed host: '[garbage]'"),
+    ("http://a[::1]b/,app-1,open_source,", "bad bracketed host: 'a[::1]b'"),
+    ("http://[::1/,app-2,open_source,", "bad bracketed host: '[::1'"),
+    ("http://:80/,app-3,open_source,", "url has no host"),
+    ("http://h.example:8x/,app-4,open_source,", "bad port: '8x'"),
+    ("http://h.example:99999/,app-5,open_source,", "bad port: '99999'"),
+    ("http:///x,app-6,open_source,", "url not absolute"),
+    ("ftp://h.example/,app-7,open_source,", "unsupported scheme"),
+]
+
+
+def test_scan_of_refused_rows_writes_their_rejects_byte_for_byte(tmp_path, capsys):
+    corpus = tmp_path / "refused.csv"
+    corpus.write_text("url,app_id,source_model,declared_format\n"
+                      + "".join(f"{row}\n" for row, _ in REFUSED_ROWS), encoding="utf-8")
+    rejects = tmp_path / "refused.rejects.jsonl"
+    assert run(scan_args(corpus, tmp_path / "refused.jsonl", extra=["--rejects", str(rejects)])) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "scanned 0 url(s); 0 with transport errors"
+    assert rejects.read_text(encoding="utf-8") == "".join(
+        f'{{"reason": "{reason}", "row": "{row}"}}\n' for row, reason in REFUSED_ROWS
+    )
+
+
 def test_dry_run_writes_no_file(tmp_path, healthy_endpoint, capsys):
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), "ftp://files.example/"])
     out = tmp_path / "missing" / "s.smellsnap.jsonl"
@@ -235,6 +261,14 @@ def test_version_is_written_once():
     package = Path(smellprobe.__file__).parent
     literal = f'"{smellprobe.__version__}"'
     assert [path.name for path in sorted(package.rglob("*.py")) if literal in path.read_text()] == ["__init__.py"]
+
+
+def test_package_holds_its_data_tables_and_fixture_pems():
+    """What package-data must ship: against an install, this checks the install."""
+    package = Path(smellprobe.__file__).parent
+    tables = ["body_banners.json", "framework_patterns.json", "os_dictionary.json", "service_names.json"]
+    assert sorted(path.name for path in (package / "data").glob("*.json")) == tables
+    assert sorted(path.name for path in package.glob("*.pem")) == ["fixture_cert.pem", "fixture_key.pem"]
 
 
 def test_readme_library_example_runs(tmp_path, healthy_endpoint):
@@ -344,6 +378,9 @@ FAILURES = {
         ["error: cannot write records: [Errno 2] No such file or directory: 'missing/m.jsonl'"]),
     "snapshot a directory": (["scan", "--corpus", "corpus.csv", "--out", "a-dir"], EXIT_IO,
                              ["error: cannot write snapshot: [Errno 21] Is a directory: 'a-dir'"]),
+    "snapshot a directory, with rejects": (
+        ["scan", "--corpus", "mixed.csv", "--out", "a-dir"], EXIT_IO,
+        ["error: cannot write snapshot: [Errno 21] Is a directory: 'a-dir'"]),
     "records a directory": (["diff", ROUND1, ROUND2, "--out", "a-dir"], EXIT_IO,
                             ["error: cannot write records: [Errno 21] Is a directory: 'a-dir'"]),
     "corrupt snapshot": (
@@ -714,9 +751,11 @@ def test_scan_to_unwritable_out_fails_before_probing(tmp_path, healthy_endpoint,
 
 
 def test_scan_with_rejects_to_missing_directory_is_io_error(tmp_path, healthy_endpoint, capsys):
+    """The default rejects go beside --out: the snapshot, checked first, names the missing directory."""
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), "ftp://files.example/"])
-    assert run(scan_args(corpus, tmp_path / "missing" / "s.smellsnap.jsonl")) == EXIT_IO
-    assert "cannot write rejects" in capsys.readouterr().err
+    out = tmp_path / "missing" / "s.smellsnap.jsonl"
+    assert run(scan_args(corpus, out)) == EXIT_IO
+    assert capsys.readouterr().err == f"error: cannot write snapshot: [Errno 2] No such file or directory: '{out}'\n"
     assert healthy_endpoint.requests == []
 
 

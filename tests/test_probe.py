@@ -11,6 +11,7 @@ import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
+from queue import SimpleQueue
 from urllib.parse import urlsplit
 
 import pytest
@@ -658,6 +659,25 @@ class TestProbeEach:
                 assert stop <= len(started) <= stop + 2 * cfg.parallelism
         finally:
             sys.setswitchinterval(interval)
+
+    def test_one_stop_signal_per_worker_started(self, monkeypatch):
+        """A one-target corpus at a vast parallelism starts one worker and queues one None for it."""
+        stops = []
+
+        class CountingQueue(SimpleQueue):
+            def put(self, item, *args, **kwargs):
+                if item is None:
+                    stops.append(item)
+                super().put(item, *args, **kwargs)
+
+        monkeypatch.setattr(probe, "SimpleQueue", CountingQueue)
+        monkeypatch.setattr(probe, "probe_and_follow",
+                            lambda target, cfg: (None, RedirectChain((make_result(target),))))
+        threads = threading.active_count()
+        corpus = [make_target("http://h0.example/")]
+        assert [index for index, _ in probe.probe_each(corpus, fast_cfg(parallelism=100_000))] == [0]
+        assert len(stops) <= 1
+        assert threading.active_count() == threads
 
 
 class TestConfigAndBodyFormat:
