@@ -16,7 +16,8 @@ import json
 import os
 import signal
 import sys
-from contextlib import ExitStack, closing
+from collections.abc import Iterator
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -133,23 +134,22 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     from .model import SmellKind
     from .probe import probe_each
     from .smells import detect_all
-    from .snapshot import SnapshotEntry, SnapshotSpool
+    from .snapshot import SnapshotEntry, SnapshotSpool, replacing
 
-    # The spool is created, and then the rejects written, before the first
-    # next(results) starts the workers: an --out or --rejects that cannot be
-    # written fails the scan before it probes anything, and an --out that
-    # cannot be written leaves no rejects behind.
+    # The spool is created, and then the rejects written to a file beside
+    # their path, before the first next(results) starts the workers: an --out
+    # or --rejects that cannot be written fails the scan before it probes
+    # anything.  The rejects replace their path only once the snapshot is
+    # committed, so a scan that fails or is interrupted leaves both as they were.
     results = probe_each(loaded.targets, cfg)
     tally = {kind: 0 for kind in SmellKind}
     failed = 0
     try:
-        with closing(results), SnapshotSpool(args.out) as spool:
+        with closing(results), SnapshotSpool(args.out) as spool, ExitStack() as rejects_file:
             if loaded.rejects:
                 rejects_path = args.rejects or f"{args.out}.rejects.jsonl"
-                try:
-                    write_rejects(loaded.rejects, rejects_path)
-                except OSError as exc:
-                    raise CommandError(f"cannot write rejects: {exc}") from None
+                with _writing_rejects():
+                    write_rejects(loaded.rejects, rejects_file.enter_context(replacing(rejects_path)))
                 print(f"rejected {len(loaded.rejects)} row(s) -> {rejects_path}", file=sys.stderr)
             for _, chain in results:
                 result = chain.result
@@ -160,6 +160,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 if not result.ok or not chain.terminal.ok:
                     failed += 1
             total = spool.commit(args.id or Path(args.out).stem, datetime.now(timezone.utc))
+            with _writing_rejects():
+                rejects_file.close()
     except OSError as exc:
         raise CommandError(f"cannot write snapshot: {exc}") from None
 
@@ -167,6 +169,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for kind in SmellKind:
         print(f"  {kind.value}: {tally[kind]} url(s)")
     return EXIT_PARTIAL if failed else EXIT_OK
+
+
+@contextmanager
+def _writing_rejects() -> Iterator[None]:
+    try:
+        yield
+    except OSError as exc:
+        raise CommandError(f"cannot write rejects: {exc}") from None
 
 
 def _record_to_dict(record: MaintenanceRecord) -> dict:

@@ -12,6 +12,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 from urllib.parse import urlsplit, urlunsplit
 
 from .model import DeclaredFormat, ProbeTarget, SourceModel, request_url_problem
@@ -164,14 +165,12 @@ def load_targets(path: str | Path) -> LoadResult:
     )
 
 
-def write_rejects(rejects, path: str | Path) -> None:
-    """Emit rejects as JSONL records of ``{row, reason}``, replacing ``path`` atomically.
+def write_rejects(rejects, fh: TextIO) -> None:
+    """Write rejects to the open text file ``fh`` as JSONL records of ``{row, reason}``.
 
-    If ``rejects`` raises, ``path`` is left as it was.
+    ``scan`` opens it with ``snapshot.replacing``, so the file replaces the
+    old one only once the snapshot is written.
     """
-    from .snapshot import replacing
-
-    with replacing(path) as fh:
-        for reject in rejects:
-            fh.write(json.dumps({"row": reject.row, "reason": reject.reason}, sort_keys=True))
-            fh.write("\n")
+    for reject in rejects:
+        fh.write(json.dumps({"row": reject.row, "reason": reject.reason}, sort_keys=True))
+        fh.write("\n")

@@ -1,21 +1,31 @@
 """HTTP probing: single GET exchanges and manually followed redirect chains.
 
-The transport sits directly on ``http.client`` so that response headers are
-captured in wire order (including repeats) and redirects are never followed
-implicitly.  Every exchange opens a fresh connection, sends a minimal header
-set, and closes; no cookies or connection state persist between exchanges.
-Each exchange is a ``ProbeResult`` and each probe a ``RedirectChain``; both
-live in ``smellprobe.model``.
+Each exchange opens a fresh connection (``socket.create_connection``, then
+the shared TLS context for https), writes a minimal request head itself, and
+reads the response itself, so that headers are kept in wire order (repeats
+included) and no redirect is ever followed implicitly.  No cookies or
+connection state persist between exchanges.  Each exchange is a
+``ProbeResult`` and each probe a ``RedirectChain``; both live in
+``smellprobe.model``.
+
+The reader takes a response (RFC 9112 sections 2-7) by the rules that
+``http.client`` and its ``email.feedparser`` applied when they read it, quirks
+included, so that every stored result is the one they gave: lines of at most
+65,536 bytes, at most 100 header lines, only ``100 Continue`` skipped, the
+header block ended by the first line that is not a field, folded lines kept in
+their value, and a chunked or Content-Length body read as ``HTTPResponse.read``
+read it.  A failure raises one of the exception classes below, which carry
+``http.client``'s names and bases, so each is stored and retried as before.
 
 The TLS client context (the trust store and the validation settings) is the
-one exception: it is built once per ``ProbeConfig`` and shared by every
-worker, redirect hop and retry of the scan.  A config given a ``ca_bundle``
-builds it when it is made, so a bundle that cannot be loaded fails there.
-With the system store, ``probe_each`` builds it on the calling thread before
-its workers start when any target is https, so the store's certificates are
-allocated outside the workers' malloc arenas; otherwise the first https
-exchange builds it.  It carries no connection state: each exchange still
-does a full handshake on a fresh connection, with no session resumption.
+one exception to "no shared state": it is built once per ``ProbeConfig`` and
+shared by every worker, redirect hop and retry of the scan.  A config given a
+``ca_bundle`` builds it when it is made, so a bundle that cannot be loaded
+fails there.  With the system store, ``probe_each`` builds it on the calling
+thread before its workers start when any target is https, so the store's
+certificates are allocated outside the workers' malloc arenas; otherwise the
+first https exchange builds it.  It carries no connection state: each exchange
+still does a full handshake on a fresh connection, with no session resumption.
 
 A failed exchange is looked up once in ``_failure_table``, an ordered list of
 ``(exception type, stored reason, retryable)`` rows where the first match
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import threading
 import time
 from collections.abc import Iterator
@@ -48,8 +59,8 @@ from urllib.parse import urlsplit
 
 from .model import TOOL_VERSION, ProbeResult, ProbeTarget, RedirectChain
 
-# http.client, ssl and socket are imported by the functions that probe, so a
-# dry run loads none of them.  The workers are plain threads, so no scan loads
+# ssl and socket are imported by the functions that probe, so a dry run loads
+# neither.  The workers are plain threads, so no scan loads
 # concurrent.futures (nor the logging it imports).
 
 DEFAULT_USER_AGENT = f"smellprobe/{TOOL_VERSION}"
@@ -127,6 +138,51 @@ class ProbeConfig:
         return context
 
 
+# The limits http.client read responses under, kept so that every server is
+# read as before.
+_MAX_LINE = 65536
+_MAX_HEADER_LINES = 100  # the blank line that ends the block counts
+
+# A request target or host with one of these is refused before it is sent.
+_CONTROL_OR_SPACE = re.compile("[\x00-\x20\x7f]")
+# A CR or LF that does not start an obs-fold: such a field value is refused.
+_BAD_VALUE_BREAK = re.compile(rb"\n(?![ \t])|\r(?![ \t\n])")
+# A line that email.feedparser takes as part of a header block: a field, a
+# folded line, or a mailbox "From " line.
+_HEADER_BLOCK_LINE = re.compile(r"From |[\041-\071\073-\176]*:|[\t ]")
+
+
+class HTTPException(Exception):
+    """A request the probe refuses to send or a response it cannot read."""
+
+
+class InvalidURL(HTTPException):
+    """A request target or host with a control character or a space."""
+
+
+class BadStatusLine(HTTPException):
+    """A status line without an ``HTTP/`` version or a code from 100 to 999."""
+
+
+class UnknownProtocol(HTTPException):
+    """A final response whose version is neither HTTP/0.9 nor HTTP/1.x."""
+
+
+class LineTooLong(HTTPException):
+    """A status, header, chunk-size or trailer line longer than 65,536 bytes."""
+
+    def __init__(self, what: str):
+        super().__init__(f"got more than {_MAX_LINE} bytes when reading {what}")
+
+
+class IncompleteRead(HTTPException):
+    """A chunked body that ends early or has a chunk size that is not hex."""
+
+
+class RemoteDisconnected(ConnectionResetError, BadStatusLine):
+    """The server closed the connection before it sent a status line."""
+
+
 @cache
 def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
     """Ordered ``(exception type, stored reason, retryable)`` rows; the first match wins.
@@ -138,9 +194,8 @@ def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
     an untrusted certificate, a name that does not resolve, a malformed URL,
     an unsupported stream operation (an ``OSError`` that is also a
     ``ValueError``).  The last row takes every ``Exception``.  Built on first
-    use, because it needs ``http.client``, ``socket`` and ``ssl``.
+    use, because it needs ``socket`` and ``ssl``.
     """
-    import http.client
     import socket
     import ssl
 
@@ -151,8 +206,8 @@ def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
         (ConnectionRefusedError, "connection refused", True),
         (TimeoutError, "timeout", True),
         (ConnectionResetError, "connection reset", True),
-        (http.client.InvalidURL, "malformed response: {name}", False),
-        (http.client.HTTPException, "malformed response: {name}", True),
+        (InvalidURL, "malformed response: {name}", False),
+        (HTTPException, "malformed response: {name}", True),
         (io.UnsupportedOperation, "connection error: {exc}", False),
         (OSError, "connection error: {exc}", True),
         (ValueError, "error: {exc}", False),
@@ -162,42 +217,204 @@ def _failure_table() -> tuple[tuple[type[Exception], str, bool], ...]:
 
 def _exchange(url: str, cfg: ProbeConfig) -> tuple[int, list[tuple[str, str]], bytes]:
     """One raw GET. Returns (status, wire-ordered headers, capped body)."""
-    import http.client
+    import socket
 
     parts = urlsplit(url)  # request_url_problem passed it, so it has a host and a valid port
+    https = parts.scheme == "https"
+    context = cfg.tls_context if https else None
     host = parts.hostname
+    default_port = 443 if https else 80
+    port = parts.port or default_port
     path = parts.path or "/"
     if parts.query:
         path = f"{path}?{parts.query}"
+    _refuse_controls(host)
 
-    # http.client would take the last group of a bare IPv6 literal as the port.
-    if parts.scheme == "https":
-        conn = http.client.HTTPSConnection(
-            host, parts.port or 443, timeout=cfg.connect_timeout, context=cfg.tls_context
-        )
-    else:
-        conn = http.client.HTTPConnection(host, parts.port or 80, timeout=cfg.connect_timeout)
-
+    sock = socket.create_connection((host, port), cfg.connect_timeout)
     try:
-        conn.connect()
-        # Connect honored connect_timeout; reads get their own budget.
-        if conn.sock is not None:
-            conn.sock.settimeout(cfg.read_timeout)
-        # http.client writes Host: brackets for IPv6, punycode for IDN hosts,
-        # and the port only when it is not the scheme's default.
-        conn.putrequest("GET", path, skip_accept_encoding=True)
-        conn.putheader("User-Agent", cfg.user_agent)
-        conn.putheader("Accept", "*/*")
-        conn.putheader("Connection", "close")
-        conn.endheaders()
-        response = conn.getresponse()
-        headers = [(name.lower(), value) for name, value in response.msg.items()]
-        body = response.read(BODY_SAMPLE_LIMIT + 1)
-        if len(body) > BODY_SAMPLE_LIMIT:
-            body = body[:BODY_SAMPLE_LIMIT]
-        return response.status, headers, body
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if context is not None:
+            sock = context.wrap_socket(sock, server_hostname=host)
+        # Connect honored connect_timeout; the request and the reads get their own budget.
+        sock.settimeout(cfg.read_timeout)
+        sock.sendall(_request_head(host, port if port != default_port else None, path, cfg.user_agent))
+        with sock.makefile("rb") as fp:
+            return _read_response(fp)
     finally:
-        conn.close()
+        sock.close()
+
+
+def _refuse_controls(text: str) -> None:
+    match = _CONTROL_OR_SPACE.search(text)
+    if match:
+        raise InvalidURL(f"URL can't contain control characters. {text!r} (found at least {match.group()!r})")
+
+
+def _request_head(host: str, port: int | None, path: str, user_agent: str) -> bytes:
+    """The request line and fields, refused where ``http.client`` refused them.
+
+    The Host field brackets an IPv6 literal (without its zone), gives an IDN
+    host in punycode, and names the port only when it is not the scheme's
+    default (``port`` is None then).
+    """
+    _refuse_controls(path)
+    request_line = f"GET {path} HTTP/1.1".encode("ascii")
+    try:
+        host_field = host.encode("ascii")
+    except UnicodeEncodeError:
+        host_field = host.encode("idna")
+    if ":" in host:
+        host_field = b"[" + host_field.partition(b"%")[0] + b"]"
+    if port is not None:
+        host_field += b":%d" % port
+    agent = user_agent.encode("latin-1")
+    if _BAD_VALUE_BREAK.search(agent):
+        raise ValueError(f"Invalid header value {agent!r}")
+    return b"\r\n".join((request_line, b"Host: " + host_field, b"User-Agent: " + agent,
+                          b"Accept: */*", b"Connection: close", b"", b""))
+
+
+def _read_response(fp: io.BufferedReader) -> tuple[int, list[tuple[str, str]], bytes]:
+    """Status, fields and body (at most ``BODY_SAMPLE_LIMIT`` bytes) of one response."""
+    status, version = _read_status(fp)
+    while status == 100:  # 100 Continue is skipped; any other 1xx is the response
+        _read_header_lines(fp)
+        status, version = _read_status(fp)
+    if version not in ("HTTP/1.0", "HTTP/0.9") and not version.startswith("HTTP/1."):
+        raise UnknownProtocol(version)
+    headers = _parse_fields(_read_header_lines(fp))
+    encoding = next((value for name, value in headers if name == "transfer-encoding"), None)
+    if encoding and encoding.lower() == "chunked":
+        body = _read_chunked(fp, BODY_SAMPLE_LIMIT + 1)
+    else:
+        # The first Content-Length counts; one that int() refuses or below 0 is
+        # ignored, and then the body runs to the end of the stream.
+        amount = BODY_SAMPLE_LIMIT + 1
+        declared = next((value for name, value in headers if name == "content-length"), None)
+        if status in (204, 304) or 100 <= status < 200:
+            amount = 0
+        elif declared:
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if 0 <= length < amount:
+                amount = length
+        body = fp.read(amount)  # a short body is kept as it came
+    return status, headers, body[:BODY_SAMPLE_LIMIT]
+
+
+def _read_status(fp: io.BufferedReader) -> tuple[int, str]:
+    line = str(fp.readline(_MAX_LINE + 1), "iso-8859-1")
+    if len(line) > _MAX_LINE:
+        raise LineTooLong("status line")
+    if not line:
+        raise RemoteDisconnected("Remote end closed connection without response")
+    words = line.split(None, 2)
+    if len(words) < 2 or not words[0].startswith("HTTP/"):
+        raise BadStatusLine(line)
+    try:
+        status = int(words[1])
+    except ValueError:
+        raise BadStatusLine(line) from None
+    if not 100 <= status <= 999:
+        raise BadStatusLine(line)
+    return status, words[0]
+
+
+def _read_header_lines(fp: io.BufferedReader) -> list[bytes]:
+    """The lines of a header block, the blank line (or end of stream) that ends it included."""
+    lines = []
+    while True:
+        line = fp.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise LineTooLong("header line")
+        lines.append(line)
+        if len(lines) > _MAX_HEADER_LINES:
+            raise HTTPException(f"got more than {_MAX_HEADER_LINES} headers")
+        if line in (b"\r\n", b"\n", b""):
+            return lines
+
+
+def _parse_fields(raw: list[bytes]) -> list[tuple[str, str]]:
+    """``(lowercased name, value)`` of each field, as ``email.feedparser`` took them.
+
+    The block is read as Latin-1 and split at CRLF, CR or LF.  It ends at the
+    first line that is neither a field, a folded line nor a "From " line, so
+    the fields after a line without a colon are lost.  A folded line is kept
+    in its value with the line break before it; a value is stripped of
+    spaces and tabs on the left only.  A "From " line, a field without a name
+    and a folded line with no field before it are dropped.
+    """
+    fields = []
+    current: list[str] = []  # the first line of the field being read, and its folded lines
+    for line in io.StringIO(b"".join(raw).decode("iso-8859-1"), newline="").readlines():
+        if not _HEADER_BLOCK_LINE.match(line):
+            break
+        if line[0] in " \t":
+            if current:
+                current.append(line)
+            continue
+        if current:
+            fields.append(_field(current))
+            current = []
+        if not line.startswith("From ") and not line.startswith(":"):
+            current = [line]
+    if current:
+        fields.append(_field(current))
+    return fields
+
+
+def _field(lines: list[str]) -> tuple[str, str]:
+    name, value = lines[0].split(":", 1)
+    return name.lower(), (value.lstrip(" \t") + "".join(lines[1:])).rstrip("\r\n")
+
+
+def _read_chunked(fp: io.BufferedReader, amount: int) -> bytes:
+    """Up to ``amount`` bytes of a chunked body, as ``HTTPResponse.read(amount)`` read them.
+
+    A chunk size is what ``int(size, 16)`` makes of its line without the
+    extensions, and the two bytes after a chunk are skipped unread.
+    """
+    parts = []
+    left = None  # bytes left in the current chunk; None before the first
+    while True:
+        if not left:
+            if left is not None:
+                _read_exactly(fp, 2)
+            line = fp.readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                raise LineTooLong("chunk size")
+            try:
+                left = int(line.partition(b";")[0], 16)
+            except ValueError:
+                raise IncompleteRead(f"chunk size {line!r}") from None
+            if left == 0:
+                _skip_trailer(fp)
+                return b"".join(parts)
+        if amount <= left:
+            parts.append(_read_exactly(fp, amount))
+            return b"".join(parts)
+        parts.append(_read_exactly(fp, left))
+        amount -= left
+        left = 0
+
+
+def _read_exactly(fp: io.BufferedReader, amount: int) -> bytes:
+    # A negative amount reads to the end of the stream, as it did in http.client.
+    data = fp.read(amount)
+    if len(data) < amount:
+        raise IncompleteRead(f"{len(data)} of {amount} bytes")
+    return data
+
+
+def _skip_trailer(fp: io.BufferedReader) -> None:
+    while True:
+        line = fp.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise LineTooLong("trailer line")
+        if line in (b"\r\n", b"\n", b""):
+            return
 
 
 def _probe_url(target: ProbeTarget, url: str, cfg: ProbeConfig) -> ProbeResult:
@@ -247,7 +464,7 @@ def probe_each(
 ) -> Iterator[tuple[int, RedirectChain]]:
     """Probe every target; yield ``(corpus index, chain)`` as each finishes.
 
-    The call itself imports ``http.client`` and, when any target is https,
+    The call itself imports ``ssl`` and, when any target is https,
     builds ``cfg.tls_context`` on the calling thread (a ``ca_bundle`` was
     loaded when ``cfg`` was made, so nothing here raises for trust).  The
     workers start on the first ``next``.
@@ -265,7 +482,7 @@ def probe_each(
     # Loaded here, on the calling thread, these long-lived objects go to its
     # malloc arena; loaded by the first worker to need them, they would grow
     # that worker's own arena by as much.
-    import http.client  # noqa: F401 - and ssl with it
+    import ssl  # noqa: F401
 
     if any(urlsplit(t.url).scheme == "https" for t in corpus):
         cfg.tls_context  # noqa: B018 - built now, on this thread

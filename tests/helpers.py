@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import random
 import signal
+import socket
+import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from queue import SimpleQueue
 
 import pytest
 
@@ -64,6 +67,61 @@ def within_cpu_budget(what: str):
         signal.signal(signal.SIGPROF, previous)
     elapsed = time.process_time() - start
     assert elapsed < ADVERSARIAL_BUDGET_S, f"{what}: {elapsed:.2f} s of CPU"
+
+
+class ScriptedServer:
+    """A loopback listener that answers every connection with the bytes of ``reply``, then closes it.
+
+    For each connection it first reads the request head, up to the blank line
+    that ends it or until the client closes, and puts what it read on
+    ``requests``: ``b""`` for a client that connected and sent nothing.
+    ``reply`` may be changed between connections.  Connections are served one
+    at a time.  Use it in a ``with`` block, which stops the listener.
+    """
+
+    def __init__(self, reply: bytes = b"", host: str = "127.0.0.1"):
+        self.reply = reply
+        self.requests: SimpleQueue = SimpleQueue()
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        try:
+            self._listener = socket.create_server((host, 0), family=family)
+        except OSError:
+            pytest.skip(f"no loopback listener on {host}")
+        self._listener.settimeout(0.05)  # how often the loop looks at _stopping
+        self.address = self._listener.getsockname()[:2]
+        self._stopping = False
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def url(self, path: str = "/") -> str:
+        host, port = self.address
+        return f"http://{f'[{host}]' if ':' in host else host}:{port}{path}"
+
+    def _serve(self) -> None:
+        while not self._stopping:
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                head = b""
+                with suppress(OSError):
+                    while b"\r\n\r\n" not in head and (chunk := conn.recv(65536)):
+                        head += chunk
+                self.requests.put(head)
+                # A client that stops reading (a body past the cap, a bad line)
+                # resets the connection.
+                with suppress(OSError):
+                    conn.sendall(self.reply)
+
+    def __enter__(self) -> "ScriptedServer":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stopping = True
+        self._thread.join()
+        self._listener.close()
 
 
 def fast_cfg(**overrides) -> ProbeConfig:

@@ -663,6 +663,7 @@ def test_exit_path_freezes_once_and_changes_no_output(tmp_path, healthy_endpoint
 COMMAND_MODULES = {
     "dry run": {"cli", "corpus", "model", "probe"},
     "scan": {"cli", "corpus", "data", "model", "probe", "smells", "snapshot", "versions"},
+    "scan with a transport error": {"cli", "corpus", "data", "model", "probe", "smells", "snapshot", "versions"},
     "diff": {"cli", "data", "maintenance", "model", "snapshot", "versions"},
     "report": {"cli", "data", "maintenance", "model", "reports", "snapshot", "versions"},
     "report --corpus": {
@@ -673,13 +674,16 @@ COMMAND_MODULES = {
 
 # The modules each command leaves out of sys.modules (README "Library use").
 # The probe's workers are plain threads, so no command loads concurrent.futures
-# or the logging it imports; diff and report never probe or detect, and report
-# rounds percentages with integers alone.
-NOT_LOADED = {"concurrent.futures", "logging"}
-NOT_PROBING = NOT_LOADED | {"ssl", "socket", "http.client", "smellprobe.probe", "smellprobe.smells"}
+# or the logging it imports; the probe reads each response itself, so none
+# loads http.client or the email package it parsed header blocks with, not even
+# to look up a failed exchange; diff and report never probe or detect, and
+# report rounds percentages with integers alone.
+NOT_LOADED = {"concurrent.futures", "logging", "http.client", "email"}
+NOT_PROBING = NOT_LOADED | {"ssl", "socket", "smellprobe.probe", "smellprobe.smells"}
 COMMAND_SHUNS = {
-    "dry run": NOT_LOADED | {"ssl", "http.client"},
+    "dry run": NOT_LOADED | {"ssl"},
     "scan": NOT_LOADED,
+    "scan with a transport error": NOT_LOADED,
     "diff": NOT_PROBING,
     "report": NOT_PROBING | {"decimal"},
     "report --corpus": NOT_PROBING | {"decimal"},
@@ -703,21 +707,24 @@ def own_modules(names: set[str]) -> set[str]:
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint, command):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, healthy_endpoint, refusing_endpoint, command):
     rounds = [str(SCHEMA4 / f"round{n}.smellsnap.jsonl") for n in (1, 2)]
     corpus = write_corpus(tmp_path, [healthy_endpoint.url("/")])
+    failing = write_corpus(tmp_path, [healthy_endpoint.url("/"), refusing_endpoint.url("/")], name="failing.csv")
     covered_url = json.loads(Path(rounds[0]).read_text(encoding="utf-8").splitlines()[1])["url"]
     covered = write_corpus(tmp_path, [covered_url], name="covered.csv")
     out = tmp_path / "s.smellsnap.jsonl"
     args = {
         "dry run": scan_args(corpus, out, extra=["--dry-run"]),
         "scan": scan_args(corpus, out),
+        "scan with a transport error": scan_args(failing, out, extra=["--retries", "0"]),
         "diff": ["diff", *rounds, "--out", str(tmp_path / "m.jsonl")],
         "report": ["report", *rounds, "--out-dir", str(tmp_path / "r")],
         "report --corpus": ["report", rounds[0], "--out-dir", str(tmp_path / "r"),
                             "--corpus", str(covered)],
     }[command]
-    code = "from smellprobe.cli import run\nassert run(sys.argv[1:]) == 0"
+    exit_code = EXIT_PARTIAL if command == "scan with a transport error" else EXIT_OK
+    code = f"from smellprobe.cli import run\nassert run(sys.argv[1:]) == {exit_code}"
     loaded = loaded_modules(code, args)
     assert own_modules(loaded) == COMMAND_MODULES[command]
     assert loaded & COMMAND_SHUNS[command] == set()
@@ -787,6 +794,22 @@ def test_scan_failing_midway_cancels_queue_and_keeps_previous_snapshot(
     assert len(ep.requests) <= 8
     assert out.read_bytes() == b"the previous snapshot\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", out.name]
+
+
+def test_scan_interrupted_while_probing_keeps_the_previous_rejects(tmp_path, healthy_endpoint, monkeypatch):
+    corpus = write_corpus(tmp_path, [healthy_endpoint.url("/"), "ftp://files.example/"])
+    out = tmp_path / "s.smellsnap.jsonl"
+    rejects = tmp_path / "s.smellsnap.jsonl.rejects.jsonl"
+    rejects.write_bytes(b"the previous rejects\n")
+
+    def interrupted(target, cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("smellprobe.probe.probe_and_follow", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(scan_args(corpus, out))
+    assert rejects.read_bytes() == b"the previous rejects\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.csv", rejects.name]
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=lambda s: s.name)

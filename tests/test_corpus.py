@@ -13,6 +13,7 @@ from smellprobe.corpus import (
     normalize_url,
     write_rejects,
 )
+from smellprobe.snapshot import replacing
 
 HEADER = "url,app_id,source_model,declared_format\n"
 
@@ -200,7 +201,8 @@ def test_write_rejects_schema(tmp_path):
     path = write_csv(tmp_path, ["ftp://x,app-a,open_source,"])
     loaded = load_targets(path)
     out = tmp_path / "rejects.jsonl"
-    write_rejects(loaded.rejects, out)
+    with out.open("w", encoding="utf-8") as fh:
+        write_rejects(loaded.rejects, fh)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
@@ -217,8 +219,8 @@ def test_write_rejects_that_fails_midway_keeps_previous_file(tmp_path):
         yield RejectedRow(row="ftp://x,app-a,open_source,", reason="unsupported scheme")
         raise RuntimeError("interrupted")
 
-    with pytest.raises(RuntimeError, match="interrupted"):
-        write_rejects(rejects(), out)
+    with pytest.raises(RuntimeError, match="interrupted"), replacing(out) as fh:
+        write_rejects(rejects(), fh)
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 

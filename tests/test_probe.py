@@ -1,4 +1,3 @@
-import http.client
 import io
 import math
 import random
@@ -27,7 +26,7 @@ from smellprobe.probe import (
     BODY_SAMPLE_LIMIT, MAX_EXCHANGES, ProbeConfig, probe_all, probe_and_follow,
 )
 
-from helpers import fast_cfg, make_result, make_target
+from helpers import ScriptedServer, fast_cfg, make_result, make_target
 
 
 def hop_profile(count: int, terminal_status: int = 200) -> FixtureProfile:
@@ -264,52 +263,17 @@ class TestFollowChain:
         assert chain.chain_length == 1
 
 
-def _one_request_server(family: socket.AddressFamily, host: str):
-    """A raw listener that answers one GET with 200; returns (port, received bytes, thread)."""
-    listener = socket.socket(family)
-    try:
-        listener.bind((host, 0))
-    except OSError:
-        listener.close()
-        pytest.skip(f"no loopback listener on {host}")
-    listener.listen(1)
-    listener.settimeout(5)
-    received = []
-
-    def serve():
-        with listener:
-            conn, _ = listener.accept()
-            with conn:
-                data = b""
-                while b"\r\n\r\n" not in data:
-                    chunk = conn.recv(4096)
-                    if not chunk:
-                        break
-                    data += chunk
-                received.append(data)
-                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok")
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    return listener.getsockname()[1], received, thread
-
-
-@pytest.mark.parametrize(
-    "family, host, netloc_host",
-    [(socket.AF_INET, "127.0.0.1", "127.0.0.1"), (socket.AF_INET6, "::1", "[::1]")],
-    ids=["ipv4", "ipv6"],
-)
-def test_host_header(family, host, netloc_host):
+@pytest.mark.parametrize("host", ["127.0.0.1", "::1"], ids=["ipv4", "ipv6"])
+def test_host_header(host):
     """The whole request head: the path with its query, and these fields alone, so no
     Accept-Encoding."""
-    port, received, thread = _one_request_server(family, host)
-    result, _ = probe_and_follow(make_target(f"http://{netloc_host}:{port}/p?q=1"), fast_cfg())
-    thread.join(5)
-    assert not thread.is_alive()
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok"
+    with ScriptedServer(reply, host) as server:
+        result, _ = probe_and_follow(make_target(server.url("/p?q=1")), fast_cfg())
     assert result.status == 200
-    assert received[0].split(b"\r\n") == [
+    assert server.requests.get(timeout=5).split(b"\r\n") == [
         b"GET /p?q=1 HTTP/1.1",
-        f"Host: {netloc_host}:{port}".encode(),
+        f"Host: {urlsplit(server.url()).netloc}".encode(),
         f"User-Agent: smellprobe/{smellprobe.__version__}".encode(),
         b"Accept: */*",
         b"Connection: close",
@@ -923,16 +887,16 @@ class TestRetries:
             (socket.gaierror(-2, "Name or service not known"), "dns failure", 1),
             (ValueError("url has no host"), "error: url has no host", 1),
             (UnicodeError("label too long"), "error: label too long", 1),
-            (http.client.InvalidURL("nonnumeric port"), "malformed response: InvalidURL", 1),
+            (probe.InvalidURL("URL can't contain control characters."), "malformed response: InvalidURL", 1),
             (io.UnsupportedOperation("not readable"), "connection error: not readable", 1),
             (socket.timeout("timed out"), "timeout", 3),
             (TimeoutError(), "timeout", 3),
             (ConnectionResetError(), "connection reset", 3),
             # Both a ConnectionResetError and an HTTPException: the reset row
             # comes first.
-            (http.client.RemoteDisconnected("closed"), "connection reset", 3),
+            (probe.RemoteDisconnected("closed"), "connection reset", 3),
             (ConnectionRefusedError(), "connection refused", 3),
-            (http.client.IncompleteRead(b"par", 5), "malformed response: IncompleteRead", 3),
+            (probe.IncompleteRead(b"par"), "malformed response: IncompleteRead", 3),
             (OSError("network unreachable"), "connection error: network unreachable", 3),
             (ssl.SSLError("handshake"), "tls handshake failure", 3),
             (RuntimeError("boom"), "error: boom", 3),
@@ -964,7 +928,8 @@ class TestRetries:
     ],
 )
 def test_connects_to_the_url_host_and_its_default_port(monkeypatch, url, address):
-    # http.client splits an IPv6 literal without a port at its last colon.
+    # The host and port go to create_connection apart, so an IPv6 literal without a
+    # port is not split at its last colon.
     addresses = []
 
     def refuse(addr, *args, **kwargs):

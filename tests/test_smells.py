@@ -505,7 +505,7 @@ def _hostile_texts(max_size):
                      st.integers(0, max_size), st.booleans())
 
 
-# http.client takes header lines up to 64 KiB; a scan keeps BODY_SAMPLE_LIMIT bytes of a body.
+# The probe reads header lines of up to 64 KiB; a scan keeps BODY_SAMPLE_LIMIT bytes of a body.
 _HOSTILE_RESPONSES = st.tuples(
     st.sampled_from(["http", "https"]),
     st.sampled_from([200, 301, 302, 401, 404, 500]),

@@ -150,7 +150,7 @@ def test_numeric_prefix_stops_before_a_segment_past_640_digits():
 
 
 def test_parse_banner_linear_on_unclosed_parentheses():
-    value = "x (" * 21_845  # 65,535 characters, within http.client's header line limit
+    value = "x (" * 21_845  # 65,535 characters, within the probe's header line limit
     with within_cpu_budget("a Server banner of 21,845 unclosed parentheses"):
         parsed = parse_banner("nginx/1.2 (Ubuntu) " + value)
     assert parsed.os == "Ubuntu"
