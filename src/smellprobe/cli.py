@@ -18,7 +18,6 @@ import signal
 import sys
 from collections.abc import Iterator
 from contextlib import ExitStack, closing, contextmanager
-from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -102,7 +101,7 @@ def _probe_config(args: argparse.Namespace) -> ProbeConfig:
     """The scan's ProbeConfig: each probe flag not given keeps its field default."""
     from .probe import ProbeConfig
 
-    flags = {f.name: getattr(args, f.name) for f in fields(ProbeConfig)}
+    flags = {name: getattr(args, name) for name in ProbeConfig._fields}
     try:
         return ProbeConfig(**{name: value for name, value in flags.items() if value is not None})
     except ValueError as exc:

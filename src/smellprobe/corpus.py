@@ -10,27 +10,32 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 from urllib.parse import urlsplit, urlunsplit
 
-from .model import DeclaredFormat, ProbeTarget, SourceModel, request_url_problem
+from .model import DeclaredFormat, ProbeTarget, Record, SourceModel, _set, request_url_problem
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(Record):
     """A row that failed validation, with the reason it was refused."""
 
-    row: str
-    reason: str
+    __slots__ = ("row", "reason")
+
+    def __init__(self, row: str, reason: str) -> None:
+        _set(self, "row", row)
+        _set(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class LoadResult:
-    targets: tuple[ProbeTarget, ...]
-    rejects: tuple[RejectedRow, ...]
-    duplicates_collapsed: int
+class LoadResult(Record):
+    __slots__ = ("targets", "rejects", "duplicates_collapsed")
+
+    def __init__(
+        self, targets: tuple[ProbeTarget, ...], rejects: tuple[RejectedRow, ...], duplicates_collapsed: int
+    ) -> None:
+        _set(self, "targets", targets)
+        _set(self, "rejects", rejects)
+        _set(self, "duplicates_collapsed", duplicates_collapsed)
 
 
 def normalize_url(url: str) -> str:

@@ -29,10 +29,10 @@ When a banner exists on only one side, endpoint liveness disambiguates:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
+from .model import Record, _set
 from .snapshot import Snapshot, SnapshotEntry
 from .versions import SoftwareId, compare_versions, parse_banner
 
@@ -54,25 +54,33 @@ class UnclassifiableReason(str, Enum):
     VERSIONING_SCHEME_CHANGED = "versioning_scheme_changed"
 
 
-@dataclass(frozen=True)
-class MaintenanceRecord:
-    url: str
-    before: SoftwareId | None
-    after: SoftwareId | None
-    scenario: MaintenanceScenario | None
-    unclassifiable_reason: UnclassifiableReason | None = None
-    annotations: tuple[str, ...] = ()
+class MaintenanceRecord(Record):
+    __slots__ = ("url", "before", "after", "scenario", "unclassifiable_reason", "annotations")
 
-    def __post_init__(self) -> None:
-        if (self.scenario is None) == (self.unclassifiable_reason is None):
+    def __init__(
+        self,
+        url: str,
+        before: SoftwareId | None,
+        after: SoftwareId | None,
+        scenario: MaintenanceScenario | None,
+        unclassifiable_reason: UnclassifiableReason | None = None,
+        annotations: tuple[str, ...] = (),
+    ) -> None:
+        if (scenario is None) == (unclassifiable_reason is None):
             raise ValueError("exactly one of scenario and unclassifiable_reason must be set")
-        if self.scenario in (
+        if scenario in (
             MaintenanceScenario.NO_UPDATE,
             MaintenanceScenario.VERSION_DOWNGRADE,
             MaintenanceScenario.VERSION_UPGRADE,
         ):
-            if self.before is None or self.after is None or self.before.name != self.after.name:
-                raise ValueError(f"{self.scenario.value} requires an unchanged software name")
+            if before is None or after is None or before.name != after.name:
+                raise ValueError(f"{scenario.value} requires an unchanged software name")
+        _set(self, "url", url)
+        _set(self, "before", before)
+        _set(self, "after", after)
+        _set(self, "scenario", scenario)
+        _set(self, "unclassifiable_reason", unclassifiable_reason)
+        _set(self, "annotations", annotations)
 
 
 def _classify(

@@ -13,13 +13,62 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import accumulate
+from operator import attrgetter
 from urllib.parse import urljoin, urlsplit
 
 from . import __version__ as TOOL_VERSION
+
+
+# --- records --------------------------------------------------------------
+
+# How a record's __init__ sets its fields, since Record refuses assignment.
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value compared by its fields, the base of every record class.
+
+    A subclass lists its fields in ``__slots__`` in the order its own
+    ``__init__`` takes them, and that ``__init__`` checks its arguments and
+    sets each field with ``_set``.  A slot whose name starts with an
+    underscore holds a cache and stays out of ``_fields``, eq, hash and repr.
+    Two records are equal when they are of the same class with equal fields;
+    assigning or deleting an attribute raises ``AttributeError``.  Pickle and
+    ``copy`` rebuild a record through its constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        values = attrgetter(*cls._fields)
+        cls._values = staticmethod(values if len(cls._fields) > 1 else lambda record: (values(record),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --- corpus ---------------------------------------------------------------
@@ -100,25 +149,31 @@ def request_url_problem(url: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class ProbeTarget:
+class ProbeTarget(Record):
     """A URL under test plus its corpus metadata; ``app_id`` is a non-empty string."""
 
-    url: str
-    app_id: str
-    source_model: SourceModel
-    declared_format: DeclaredFormat | None = None
+    __slots__ = ("url", "app_id", "source_model", "declared_format")
 
-    def __post_init__(self) -> None:
-        problem = request_url_problem(self.url)
+    def __init__(
+        self,
+        url: str,
+        app_id: str,
+        source_model: SourceModel,
+        declared_format: DeclaredFormat | None = None,
+    ) -> None:
+        problem = request_url_problem(url)
         if problem is not None:
-            raise ValueError(f"{problem}: {self.url!r}")
-        if not (isinstance(self.app_id, str) and self.app_id):
-            raise ValueError(f"app_id {self.app_id!r} is not a non-empty string")
-        if not isinstance(self.source_model, SourceModel):
-            raise ValueError(f"source_model {self.source_model!r} is not a SourceModel")
-        if not isinstance(self.declared_format, (DeclaredFormat, type(None))):
-            raise ValueError(f"declared_format {self.declared_format!r} is neither a DeclaredFormat nor None")
+            raise ValueError(f"{problem}: {url!r}")
+        if not (isinstance(app_id, str) and app_id):
+            raise ValueError(f"app_id {app_id!r} is not a non-empty string")
+        if not isinstance(source_model, SourceModel):
+            raise ValueError(f"source_model {source_model!r} is not a SourceModel")
+        if not isinstance(declared_format, (DeclaredFormat, type(None))):
+            raise ValueError(f"declared_format {declared_format!r} is neither a DeclaredFormat nor None")
+        _set(self, "url", url)
+        _set(self, "app_id", app_id)
+        _set(self, "source_model", source_model)
+        _set(self, "declared_format", declared_format)
 
 
 # --- probe ----------------------------------------------------------------
@@ -176,8 +231,7 @@ def classify_body(body: bytes, content_type: str | None) -> BodyFormat:
 _LOCATION_PADDING = _URL_PADDING + "\x85\xa0"
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(Record):
     """One HTTP exchange. Exactly one of status / transport_error is set.
 
     It holds only what the probe can record: a status from 100 to 999 (as
@@ -187,27 +241,37 @@ class ProbeResult:
     first Content-Type header; neither is stored.
     """
 
-    target: ProbeTarget
-    url: str
-    timestamp: datetime
-    status: int | None
-    headers: tuple[tuple[str, str], ...]
-    body_sample: bytes
-    transport_error: str | None = None
+    __slots__ = ("target", "url", "timestamp", "status", "headers", "body_sample", "transport_error")
 
-    def __post_init__(self) -> None:
-        if (self.status is None) == (self.transport_error is None):
+    def __init__(
+        self,
+        target: ProbeTarget,
+        url: str,
+        timestamp: datetime,
+        status: int | None,
+        headers: tuple[tuple[str, str], ...],
+        body_sample: bytes,
+        transport_error: str | None = None,
+    ) -> None:
+        if (status is None) == (transport_error is None):
             raise ValueError("exactly one of status and transport_error must be set")
-        if self.status is None:
-            if not isinstance(self.transport_error, str):
-                raise ValueError(f"transport_error {self.transport_error!r} is not a string")
-        elif type(self.status) is not int or self.status not in range(100, 1000):
-            raise ValueError(f"status {self.status!r} is not a number from 100 to 999")
-        if self.timestamp.tzinfo is None:
-            raise ValueError(f"timestamp {self.timestamp.isoformat()!r} has no UTC offset")
-        for name, value in self.headers:
+        if status is None:
+            if not isinstance(transport_error, str):
+                raise ValueError(f"transport_error {transport_error!r} is not a string")
+        elif type(status) is not int or status not in range(100, 1000):
+            raise ValueError(f"status {status!r} is not a number from 100 to 999")
+        if timestamp.tzinfo is None:
+            raise ValueError(f"timestamp {timestamp.isoformat()!r} has no UTC offset")
+        for name, value in headers:
             if not (isinstance(name, str) and isinstance(value, str) and name == name.lower()):
                 raise ValueError(f"header {[name, value]!r} is not a lowercase name and a string value")
+        _set(self, "target", target)
+        _set(self, "url", url)
+        _set(self, "timestamp", timestamp)
+        _set(self, "status", status)
+        _set(self, "headers", headers)
+        _set(self, "body_sample", body_sample)
+        _set(self, "transport_error", transport_error)
 
     def header_values(self, name: str) -> tuple[str, ...]:
         name = name.lower()
@@ -253,8 +317,7 @@ class ProbeResult:
         return None if request_url_problem(url) else url
 
 
-@dataclass(frozen=True)
-class RedirectChain:
+class RedirectChain(Record):
     """Every exchange of one probe in request order; never empty.
 
     The first exchange requests the target's URL and each later one the
@@ -264,18 +327,20 @@ class RedirectChain:
     or leads off the web.  Hops, loop and downgrades are derived from them.
     """
 
-    exchanges: tuple[ProbeResult, ...]
+    __slots__ = ("exchanges",)
 
-    def __post_init__(self) -> None:
-        if not self.exchanges:
+    def __init__(self, exchanges: tuple[ProbeResult, ...]) -> None:
+        if not exchanges:
             raise ValueError("a redirect chain has at least one exchange")
-        if any(e.target != self.result.target for e in self.exchanges):
+        first = exchanges[0]
+        if any(e.target != first.target for e in exchanges):
             raise ValueError("every exchange of a chain probes the same target")
-        if self.result.url != self.result.target.url:
+        if first.url != first.target.url:
             raise ValueError("the first exchange of a chain requests the target's URL")
-        for a, b in zip(self.exchanges, self.exchanges[1:]):
+        for a, b in zip(exchanges, exchanges[1:]):
             if b.url != a.redirect_url:
                 raise ValueError(f"{b.url!r} is not where the Location of {a.url!r} leads")
+        _set(self, "exchanges", exchanges)
 
     @property
     def result(self) -> ProbeResult:
@@ -357,47 +422,56 @@ SUBFLAG_VOCABULARY: dict[SmellKind, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
-class SmellFinding:
-    kind: SmellKind
-    evidence: tuple[tuple[Locus, str], ...]
-    subflags: frozenset[str] = frozenset()
+class SmellFinding(Record):
+    __slots__ = ("kind", "evidence", "subflags")
 
-    def __post_init__(self) -> None:
-        if not self.evidence:
+    def __init__(
+        self,
+        kind: SmellKind,
+        evidence: tuple[tuple[Locus, str], ...],
+        subflags: frozenset[str] = frozenset(),
+    ) -> None:
+        if not evidence:
             raise ValueError("finding needs at least one piece of evidence")
-        for _, excerpt in self.evidence:
+        for _, excerpt in evidence:
             if not isinstance(excerpt, str):
                 raise ValueError(f"evidence excerpt {excerpt!r} is not a string")
-        allowed = SUBFLAG_VOCABULARY[self.kind]
-        stray = self.subflags - allowed
+        allowed = SUBFLAG_VOCABULARY[kind]
+        stray = subflags - allowed
         if stray:
-            raise ValueError(f"subflags {sorted(stray)} not in {self.kind.value} vocabulary")
+            raise ValueError(f"subflags {sorted(stray)} not in {kind.value} vocabulary")
+        _set(self, "kind", kind)
+        _set(self, "evidence", evidence)
+        _set(self, "subflags", subflags)
 
 
-@dataclass(frozen=True)
-class LeakRecord:
-    category: LeakCategory
-    software: str
-    version: str | None
-    locus: str  # header name, or "body"
+class LeakRecord(Record):
+    """One leaked product, OS or version; ``locus`` is a header name, or "body"."""
 
-    def __post_init__(self) -> None:
-        for name, value in (("software", self.software), ("locus", self.locus)):
+    __slots__ = ("category", "software", "version", "locus")
+
+    def __init__(self, category: LeakCategory, software: str, version: str | None, locus: str) -> None:
+        for name, value in (("software", software), ("locus", locus)):
             if not (isinstance(value, str) and value):
                 raise ValueError(f"{name} {value!r} is not a non-empty string")
-        if not (self.version is None or isinstance(self.version, str)):
-            raise ValueError(f"version {self.version!r} is not a string or None")
-        if self.category is LeakCategory.VERSION and not self.version:
+        if not (version is None or isinstance(version, str)):
+            raise ValueError(f"version {version!r} is not a string or None")
+        if category is LeakCategory.VERSION and not version:
             raise ValueError("version leak records must carry a version")
+        _set(self, "category", category)
+        _set(self, "software", software)
+        _set(self, "version", version)
+        _set(self, "locus", locus)
 
 
-@dataclass(frozen=True)
-class SmellReport:
+class SmellReport(Record):
     """Per-URL detection outcome: the findings plus every extracted leak."""
 
-    findings: tuple[SmellFinding, ...]
-    leaks: tuple[LeakRecord, ...]
+    __slots__ = ("findings", "leaks")
+
+    def __init__(self, findings: tuple[SmellFinding, ...], leaks: tuple[LeakRecord, ...]) -> None:
+        _set(self, "findings", findings)
+        _set(self, "leaks", leaks)
 
     def kinds(self) -> frozenset[SmellKind]:
         return frozenset(f.kind for f in self.findings)

@@ -16,6 +16,8 @@ header block ended by the first line that is not a field, folded lines kept in
 their value, and a chunked or Content-Length body read as ``HTTPResponse.read``
 read it.  A failure raises one of the exception classes below, which carry
 ``http.client``'s names and bases, so each is stored and retried as before.
+One rule is the reader's own: a negative chunk size is refused at its line,
+where ``http.client`` read on to the end of the stream, past the sample limit.
 
 The TLS client context (the trust store and the validation settings) is the
 one exception to "no shared state": it is built once per ``ProbeConfig`` and
@@ -50,14 +52,13 @@ import re
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
 from itertools import islice
 from queue import SimpleQueue
 from urllib.parse import urlsplit
 
-from .model import TOOL_VERSION, ProbeResult, ProbeTarget, RedirectChain
+from .model import TOOL_VERSION, ProbeResult, ProbeTarget, Record, RedirectChain, _set
 
 # ssl and socket are imported by the functions that probe, so a dry run loads
 # neither.  The workers are plain threads, so no scan loads
@@ -77,8 +78,7 @@ MAX_EXCHANGES = 10
 _TLS_CONTEXT_LOCK = threading.Lock()
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(Record):
     """Tunables for one probe run: how long and how often to wait, who asks, whom to trust.
 
     What a scan keeps is fixed, not tuned: ``BODY_SAMPLE_LIMIT`` and
@@ -91,15 +91,29 @@ class ProbeConfig:
     downgraded.  One TLS context serves the whole scan (see ``tls_context``).
     """
 
-    connect_timeout: float = 10.0
-    read_timeout: float = 30.0
-    retries: int = 3
-    retry_backoff: float = 2.0
-    parallelism: int = 16
-    user_agent: str = DEFAULT_USER_AGENT
-    ca_bundle: str | None = None
+    __slots__ = (
+        "connect_timeout", "read_timeout", "retries", "retry_backoff", "parallelism", "user_agent", "ca_bundle",
+        "_tls_context",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        connect_timeout: float = 10.0,
+        read_timeout: float = 30.0,
+        retries: int = 3,
+        retry_backoff: float = 2.0,
+        parallelism: int = 16,
+        user_agent: str = DEFAULT_USER_AGENT,
+        ca_bundle: str | None = None,
+    ) -> None:
+        _set(self, "connect_timeout", connect_timeout)
+        _set(self, "read_timeout", read_timeout)
+        _set(self, "retries", retries)
+        _set(self, "retry_backoff", retry_backoff)
+        _set(self, "parallelism", parallelism)
+        _set(self, "user_agent", user_agent)
+        _set(self, "ca_bundle", ca_bundle)
+        _set(self, "_tls_context", None)
         for name in ("parallelism", "retries"):
             if type(getattr(self, name)) is not int:  # so a bool is refused too
                 raise ValueError(f"{name} must be an integer")
@@ -125,16 +139,16 @@ class ProbeConfig:
         ``OSError`` raised there.  The system store is loaded only for https,
         so a dry run or a plain-http scan never pays it: ``probe_each`` reads
         it before its workers start when a target is https, and otherwise the
-        first https exchange builds it, under a lock.  It is not a dataclass
+        first https exchange builds it, under a lock.  Its slot is not a
         field, so it stays out of eq, hash and repr.
         """
         with _TLS_CONTEXT_LOCK:
-            context = self.__dict__.get("_tls_context")
+            context = self._tls_context
             if context is None:
                 import ssl
 
                 context = ssl.create_default_context(cafile=self.ca_bundle)
-                object.__setattr__(self, "_tls_context", context)
+                _set(self, "_tls_context", context)
         return context
 
 
@@ -176,7 +190,7 @@ class LineTooLong(HTTPException):
 
 
 class IncompleteRead(HTTPException):
-    """A chunked body that ends early or has a chunk size that is not hex."""
+    """A chunked body that ends early or has a chunk size that is not hex or is negative."""
 
 
 class RemoteDisconnected(ConnectionResetError, BadStatusLine):
@@ -374,7 +388,8 @@ def _read_chunked(fp: io.BufferedReader, amount: int) -> bytes:
     """Up to ``amount`` bytes of a chunked body, as ``HTTPResponse.read(amount)`` read them.
 
     A chunk size is what ``int(size, 16)`` makes of its line without the
-    extensions, and the two bytes after a chunk are skipped unread.
+    extensions, and the two bytes after a chunk are skipped unread.  A size
+    that is not hex or is negative raises ``IncompleteRead``.
     """
     parts = []
     left = None  # bytes left in the current chunk; None before the first
@@ -388,7 +403,9 @@ def _read_chunked(fp: io.BufferedReader, amount: int) -> bytes:
             try:
                 left = int(line.partition(b";")[0], 16)
             except ValueError:
-                raise IncompleteRead(f"chunk size {line!r}") from None
+                left = -1
+            if left < 0:
+                raise IncompleteRead(f"chunk size {line!r}")
             if left == 0:
                 _skip_trailer(fp)
                 return b"".join(parts)
@@ -401,7 +418,6 @@ def _read_chunked(fp: io.BufferedReader, amount: int) -> bytes:
 
 
 def _read_exactly(fp: io.BufferedReader, amount: int) -> bytes:
-    # A negative amount reads to the end of the stream, as it did in http.client.
     data = fp.read(amount)
     if len(data) < amount:
         raise IncompleteRead(f"{len(data)} of {amount} bytes")

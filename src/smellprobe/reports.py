@@ -14,7 +14,6 @@ import csv
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -25,9 +24,11 @@ from .model import (
     LeakCategory,
     ProbeResult,
     ProbeTarget,
+    Record,
     Scheme,
     SmellKind,
     SourceModel,
+    _set,
 )
 from .snapshot import Snapshot, SnapshotEntry, replacing
 from .versions import OS_DICTIONARY, canonical_service_name
@@ -66,12 +67,14 @@ def group_key(target: ProbeTarget, result: ProbeResult) -> GroupKey:
     return GroupKey.CLOSED_JSON if is_json else GroupKey.CLOSED_NONJSON
 
 
-@dataclass(frozen=True)
-class PrevalenceCell:
-    urls_affected: int
-    urls_total: int
-    apps_affected: int
-    apps_total: int
+class PrevalenceCell(Record):
+    __slots__ = ("urls_affected", "urls_total", "apps_affected", "apps_total")
+
+    def __init__(self, urls_affected: int, urls_total: int, apps_affected: int, apps_total: int) -> None:
+        _set(self, "urls_affected", urls_affected)
+        _set(self, "urls_total", urls_total)
+        _set(self, "apps_affected", apps_affected)
+        _set(self, "apps_total", apps_total)
 
     @property
     def url_pct(self) -> float:
@@ -175,13 +178,13 @@ def prevalence(snapshot: Snapshot, corpus: list[ProbeTarget] | tuple[ProbeTarget
     return table
 
 
-@dataclass
 class LeakBreakdown:
     """Counts keyed by (category, lowercased software name, locus)."""
 
-    counts: Counter[tuple[LeakCategory, str, str]] = field(default_factory=Counter)
-
     columns = ["category", "software", "display", "locus", "count"]
+
+    def __init__(self) -> None:
+        self.counts: Counter[tuple[LeakCategory, str, str]] = Counter()
 
     def add(self, entry: SnapshotEntry) -> None:
         for leak in entry.report.leaks:
@@ -216,20 +219,18 @@ def leak_breakdown(snapshot: Snapshot) -> LeakBreakdown:
     return breakdown
 
 
-@dataclass
 class HstsStats:
     """HSTS posture tallies over the https endpoints that answered.
 
     missing_include_subdomains and missing_preload count endpoints without
     the respective directive, including those with no HSTS header at all.
+    Each tally starts at its class default, 0.
     """
 
-    https_total: int = 0
-    protected: int = 0
-    absent: int = 0
-    short_max_age: int = 0
-    missing_include_subdomains: int = 0
-    missing_preload: int = 0
+    metrics = (
+        "https_total", "protected", "absent", "short_max_age", "missing_include_subdomains", "missing_preload",
+    )
+    https_total = protected = absent = short_max_age = missing_include_subdomains = missing_preload = 0
 
     columns = ["metric", "count"]
 
@@ -253,7 +254,7 @@ class HstsStats:
             self.missing_preload += "missing_preload" in finding.subflags
 
     def to_rows(self) -> list[dict]:
-        return [{"metric": f.name, "count": getattr(self, f.name)} for f in fields(self)]
+        return [{"metric": name, "count": getattr(self, name)} for name in self.metrics]
 
 
 def hsts_stats(snapshot: Snapshot) -> HstsStats:
@@ -264,13 +265,13 @@ def hsts_stats(snapshot: Snapshot) -> HstsStats:
     return stats
 
 
-@dataclass
 class CorrelationMatrix:
     """scenario x smell-count cells; they sum to the classified URL count."""
 
-    cells: Counter[tuple[MaintenanceScenario, int]] = field(default_factory=Counter)
-
     columns = ["scenario", "smell_count", "urls"]
+
+    def __init__(self) -> None:
+        self.cells: Counter[tuple[MaintenanceScenario, int]] = Counter()
 
     def add(self, record: MaintenanceRecord, smell_count: int) -> None:
         """Count a classified record; an unclassifiable one is left out."""

@@ -12,7 +12,6 @@ the code; they are compiled on first use.  Of the CLI's commands, only
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from urllib.parse import urlsplit
 
@@ -24,11 +23,13 @@ from .model import (
     Locus,
     ProbeResult,
     ProbeTarget,
+    Record,
     RedirectChain,
     Scheme,
     SmellFinding,
     SmellKind,
     SmellReport,
+    _set,
 )
 from .versions import BannerParse, SoftwareId, parse_banner
 
@@ -129,8 +130,7 @@ def _node_frame(text: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class _FrameworkPattern:
+class _FrameworkPattern(Record):
     """One marker; ``gate`` is a literal that every match contains.
 
     The gate is tested first, so a regex runs only on a body that holds it:
@@ -139,14 +139,27 @@ class _FrameworkPattern:
     pattern reads ``folded``, so it may be None for them.
     """
 
-    framework: str
-    kind: str  # literal | regex | php_error | frame | node_frame
-    marker: str
-    gate: str
-    specificity: int
-    order: int
-    matcher: re.Pattern | None = None
-    case_insensitive: bool = False
+    __slots__ = ("framework", "kind", "marker", "gate", "specificity", "order", "matcher", "case_insensitive")
+
+    def __init__(
+        self,
+        framework: str,
+        kind: str,  # literal | regex | php_error | frame | node_frame
+        marker: str,
+        gate: str,
+        specificity: int,
+        order: int,
+        matcher: re.Pattern | None = None,
+        case_insensitive: bool = False,
+    ) -> None:
+        _set(self, "framework", framework)
+        _set(self, "kind", kind)
+        _set(self, "marker", marker)
+        _set(self, "gate", gate)
+        _set(self, "specificity", specificity)
+        _set(self, "order", order)
+        _set(self, "matcher", matcher)
+        _set(self, "case_insensitive", case_insensitive)
 
     def search(self, text: str, folded: str | None) -> str | None:
         if self.gate not in (folded if self.case_insensitive else text):
@@ -195,12 +208,14 @@ def _framework_patterns(table: dict) -> tuple[_FrameworkPattern, ...]:
     return tuple(sorted(patterns, key=lambda p: (-p.specificity, p.order)))
 
 
-@dataclass(frozen=True)
-class _BodyBanner:
-    label: str
-    matcher: re.Pattern
-    template: str
-    literal: bool
+class _BodyBanner(Record):
+    __slots__ = ("label", "matcher", "template", "literal")
+
+    def __init__(self, label: str, matcher: re.Pattern, template: str, literal: bool) -> None:
+        _set(self, "label", label)
+        _set(self, "matcher", matcher)
+        _set(self, "template", template)
+        _set(self, "literal", literal)
 
 
 _ANCHOR_TAG = "(?:<a[^>]*>)?"

@@ -28,7 +28,6 @@ import json
 import os
 from collections.abc import Collection, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO
@@ -41,11 +40,13 @@ from .model import (
     Locus,
     ProbeResult,
     ProbeTarget,
+    Record,
     RedirectChain,
     SmellFinding,
     SmellKind,
     SmellReport,
     SourceModel,
+    _set,
 )
 
 
@@ -56,33 +57,33 @@ class SnapshotIntegrityError(Exception):
 SCHEMA = 4  # what save() and SnapshotSpool write
 
 
-@dataclass(frozen=True)
-class SnapshotEntry:
-    result: ProbeResult
-    chain: RedirectChain
-    report: SmellReport
+class SnapshotEntry(Record):
+    __slots__ = ("result", "chain", "report")
 
-    def __post_init__(self) -> None:
-        if self.result != self.chain.result:
+    def __init__(self, result: ProbeResult, chain: RedirectChain, report: SmellReport) -> None:
+        if result != chain.result:
             raise ValueError("result must be the first exchange of the chain")
+        _set(self, "result", result)
+        _set(self, "chain", chain)
+        _set(self, "report", report)
 
     @property
     def url(self) -> str:
         return self.result.target.url
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    id: str
-    taken_at: datetime
-    entries: dict[str, SnapshotEntry]
+class Snapshot(Record):
+    __slots__ = ("id", "taken_at", "entries")
 
-    def __post_init__(self) -> None:
-        if self.taken_at.tzinfo is None:
+    def __init__(self, id: str, taken_at: datetime, entries: dict[str, SnapshotEntry]) -> None:
+        if taken_at.tzinfo is None:
             raise ValueError("taken_at must be timezone-aware")
-        for url, entry in self.entries.items():
+        for url, entry in entries.items():
             if entry.result.target.url != url:
                 raise ValueError(f"entry key {url!r} does not match its target url")
+        _set(self, "id", id)
+        _set(self, "taken_at", taken_at)
+        _set(self, "entries", entries)
 
 
 def _iso(ts: datetime) -> str:

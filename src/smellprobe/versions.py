@@ -10,9 +10,9 @@ is classified as an operating-system leak.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .data import load_table
+from .model import Record, _set
 
 # Leading dotted-numeric run of a version string; anything after the first
 # character outside [0-9.] is kept only in `raw` and ignored for ordering.
@@ -28,19 +28,19 @@ OS_DICTIONARY = {k.lower(): v for k, v in load_table("os_dictionary.json")["name
 SERVICE_DICTIONARY = {k.lower(): v for k, v in load_table("service_names.json")["names"].items()}
 
 
-@dataclass(frozen=True)
-class SoftwareId:
+class SoftwareId(Record):
     """One product token, such as ``nginx/1.14.1``; every other view derives from it.
 
     The name is the text before the first ``/`` and the version text is the
     rest.  A token with no ``/``, or with nothing before it, is all name.
     """
 
-    raw: str
+    __slots__ = ("raw",)
 
-    def __post_init__(self) -> None:
-        if not self.raw:
+    def __init__(self, raw: str) -> None:
+        if not raw:
             raise ValueError("a product token must be non-empty")
+        _set(self, "raw", raw)
 
     def _split(self) -> tuple[str, str | None]:
         name, slash, version_text = self.raw.partition("/")
@@ -74,12 +74,14 @@ class SoftwareId:
         return None if version is None else ".".join(map(str, version))
 
 
-@dataclass(frozen=True)
-class BannerParse:
+class BannerParse(Record):
     """Everything extracted from one banner string."""
 
-    software: tuple[SoftwareId, ...] = ()
-    os: str | None = None
+    __slots__ = ("software", "os")
+
+    def __init__(self, software: tuple[SoftwareId, ...] = (), os: str | None = None) -> None:
+        _set(self, "software", software)
+        _set(self, "os", os)
 
 
 def parse_version(text: str) -> tuple[int, ...] | None:

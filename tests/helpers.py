@@ -124,6 +124,11 @@ class ScriptedServer:
         self._listener.close()
 
 
+def replaced(record, **changes):
+    """A copy of ``record`` with ``changes``, built by its constructor, which checks it again."""
+    return type(record)(**{name: getattr(record, name) for name in record._fields} | changes)
+
+
 def fast_cfg(**overrides) -> ProbeConfig:
     defaults = dict(
         connect_timeout=3.0,

@@ -9,7 +9,6 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -47,6 +46,7 @@ from helpers import (
     one_sided_outcome,
     oracle_compare_versions,
     random_snapshot,
+    replaced,
     recount_correlation,
     recount_leaks,
     recount_prevalence,
@@ -316,7 +316,7 @@ def neutralize(snapshot: Snapshot) -> Snapshot:
     """Equalize every timestamp so canonical forms can be compared."""
     entries = {}
     for url, entry in snapshot.entries.items():
-        chain = RedirectChain(tuple(replace(e, timestamp=EPOCH) for e in entry.chain.exchanges))
+        chain = RedirectChain(tuple(replaced(e, timestamp=EPOCH) for e in entry.chain.exchanges))
         entries[url] = SnapshotEntry(chain.result, chain, entry.report)
     return Snapshot(id=snapshot.id, taken_at=EPOCH, entries=entries)
 

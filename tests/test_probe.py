@@ -7,6 +7,7 @@ import ssl
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
@@ -280,6 +281,21 @@ def test_host_header(host):
         b"",
         b"",
     ]
+
+
+def test_negative_chunk_size_is_refused_before_the_rest_of_the_stream():
+    """int(size, 16) takes "-1"; read as a size, it read the whole stream into memory."""
+    stream = b"x" * (20 * 1024 * 1024)
+    reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n" + stream
+    with ScriptedServer(reply) as server:
+        tracemalloc.start()
+        try:
+            result, _ = probe_and_follow(make_target(server.url()), fast_cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert result.transport_error == "malformed response: IncompleteRead"
+    assert peak < 2 * BODY_SAMPLE_LIMIT
 
 
 class TestRedirectChain:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
@@ -34,6 +33,7 @@ from helpers import (
     recount_correlation,
     recount_leaks,
     recount_prevalence,
+    replaced,
     snapshot_pair,
 )
 
@@ -370,7 +370,7 @@ def random_pair(rng):
     corpus = rng.sample(targets, rng.randint(0, len(targets)))
     if corpus:
         # A second app behind a corpus URL counts that URL once more.
-        corpus.append(replace(corpus[0], app_id="shared-url-app"))
+        corpus.append(replaced(corpus[0], app_id="shared-url-app"))
     return *snapshot_pair(first.entries, second.entries), tuple(corpus)
 
 

@@ -4,7 +4,6 @@ import os
 import re
 import socket
 import tracemalloc
-from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from helpers import (
     make_finding,
     make_result,
     make_target,
+    replaced,
 )
 
 
@@ -195,7 +195,7 @@ def test_failed_save_keeps_previous_snapshot(tmp_path, monkeypatch, failure):
         monkeypatch.setattr(os, "replace", refuse)
         expected = OSError
     with pytest.raises(expected):
-        save(replace(sample_snapshot(), id="other"), path)
+        save(replaced(sample_snapshot(), id="other"), path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -299,7 +299,7 @@ def test_entry_result_must_be_first_exchange():
     entry = sample_snapshot().entries["https://d.example/"]
     with pytest.raises(ValueError, match="first exchange"):
         SnapshotEntry(result=entry.chain.terminal, chain=entry.chain, report=entry.report)
-    retimed = replace(entry.chain.result, timestamp=EPOCH + timedelta(days=1))
+    retimed = replaced(entry.chain.result, timestamp=EPOCH + timedelta(days=1))
     with pytest.raises(ValueError, match="first exchange"):
         SnapshotEntry(result=retimed, chain=entry.chain, report=entry.report)
 
@@ -476,7 +476,7 @@ def test_readme_lists_the_keys_the_writer_writes():
     entry = sample_snapshot().entries["https://d.example/"]
     finding = make_finding(SmellKind.MISSING_HSTS, entry.url, frozenset({"absent"}))
     leak = LeakRecord(LeakCategory.SERVICE, "edge", None, "server")
-    entry = replace(entry, report=SmellReport(findings=(finding,), leaks=(leak,)))
+    entry = replaced(entry, report=SmellReport(findings=(finding,), leaks=(leak,)))
     record = json.loads(snapshot_module._record_line(entry))
     header = json.loads(snapshot_module._header_line("s", EPOCH, 1))
     written = {
